@@ -29,6 +29,7 @@ from .graph import (
     shell_sizes_all,
 )
 from .model import SpectralProfile
+from .reconstruct import AtOrBelowThreshold
 from .spectral import EigenPair, qc_bound, top_eigenpairs
 from .util import derive_seed, make_rng
 
@@ -50,10 +51,6 @@ class GreedyExhausted(RuntimeError):
         super().__init__(
             f"only {achieved} of {requested} vertices could be separated"
         )
-
-
-class AtOrBelowThreshold(ValueError):
-    pass
 
 
 def _normalize_edges(edges) -> tuple:

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .adversary import build_rogue_certificate, plant_clique, qk_bound
+from .adversary import GreedyExhausted, build_rogue_certificate, plant_clique, qk_bound
 from .graph import SparseGraph, distance_matrix, path_expansion_matrix
 from .gw import (
     GwConfig,
@@ -270,19 +270,23 @@ def cmd_sweep(args) -> int:
     gammas = tuple(args.gamma) if args.gamma else (config.gammas or (0,))
     out = args.out or "sweep.csv"
     _append_rows(out, [], fresh=True)
-    failures = 0
+    failures = rogue_failures = 0
     for seed in config.seeds:
         sample = sample_graph(config.params, seed)
         for gamma in gammas:
             try:
-                record, _ = _sweep_row(config, profile, sample, ell, seed, gamma)
-                _append_rows(out, [record.to_csv_row()])
+                record, rogue_error = _sweep_row(config, profile, sample, ell, seed, gamma)
             except Exception as exc:  # record and continue
                 failures += 1
-                with open(out, "a") as fh:
-                    fh.write(f"# ERROR seed={seed} gamma={gamma}: {exc}\n")
+                _append_rows(out, [f"# ERROR seed={seed} gamma={gamma}: {exc}"])
+                continue
+            rows = [record.to_csv_row()]
+            if rogue_error is not None:
+                rogue_failures += 1
+                rows.append(f"# ROGUE seed={seed} gamma={gamma}: {rogue_error}")
+            _append_rows(out, rows)
     print(f"wrote {out}: {len(config.seeds)}x{len(gammas)} grid, "
-          f"{failures} failure(s)")
+          f"{failures} failure(s), {rogue_failures} rogue certificate(s) not built")
     return 0 if failures == 0 else 1
 
 
@@ -314,20 +318,21 @@ def _sweep_row(config, profile, sample, ell, seed, gamma):
     ms_label = (time.perf_counter() - t0) * 1000.0
 
     ov = overlap(sample.sigma, assignment.labels, config.params.pi)
+    rogue_error = None
     if config.rogue and gamma > 0:
         try:
             cert = build_rogue_certificate(sample.graph, profile, ell, gamma,
                                            seed=derive_seed(seed, f"rogue:{gamma}"))
             rogue_r = cert.rayleigh
-        except Exception:
-            rogue_r = None
+        except GreedyExhausted as exc:
+            rogue_error = str(exc)
     record = ExperimentRecord(
         seed=seed, n=sample.graph.n, r=config.params.r, ell=ell, gamma=gamma,
         overlap=ov.value, lambdas=tuple(p.value for p in pairs[:4]),
         qk=qk, rogue_rayleigh=rogue_r,
         ms_build=ms_build, ms_eig=ms_eig, ms_label=ms_label,
     )
-    return record, mat
+    return record, rogue_error
 
 
 def cmd_gw(args) -> int:
@@ -462,6 +467,24 @@ def _verify_spectra() -> list[tuple[str, bool, str]]:
     G = np.array([[np.dot(p.vector, q.vector) for q in pairs] for p in pairs])
     ok = bool(np.abs(G - np.eye(len(pairs))).max() <= 1e-8)
     results.append(("spectra.vectors_orthonormal", ok, "pairwise dot products"))
+    # Disjoint copies of one graph repeat every eigenvalue of D^ell.
+    g = sample_graph(SbmParams(r=2, W=params.W, pi=params.pi, n=40), 3).graph
+    edges = g.edge_array()
+    ok = True
+    for copies in (3, 5):
+        union = SparseGraph.from_edges(
+            copies * g.n, np.concatenate([edges + c * g.n for c in range(copies)]))
+        for ell in (1, 2, 3):
+            dl = distance_matrix(union, ell)
+            dense = np.sort(np.abs(np.linalg.eigvalsh(dl.to_dense())))[::-1]
+            for k in (4, 6):
+                pairs = top_eigenpairs(dl, union.n, k, seed=1)
+                V = np.stack([p.vector for p in pairs])
+                ok = ok and len(pairs) == k and bool(
+                    np.abs(np.abs([p.value for p in pairs]) - dense[:k]).max() <= 1e-6
+                    and np.abs(V @ V.T - np.eye(k)).max() <= 1e-8)
+    results.append(("spectra.multiplicity_matches_dense", ok,
+                    "3 and 5 copies of a 40-vertex graph, ell in {1,2,3}, k in {4,6}"))
     return results
 
 

@@ -91,15 +91,9 @@ class SparseGraph:
 
     def edge_array(self) -> np.ndarray:
         """All edges once, as an (m, 2) array with u < v, lexicographically sorted."""
-        out = np.empty((self.m, 2), dtype=np.int64)
-        k = 0
-        for u in range(self.n):
-            for w in self.adj[u]:
-                if w > u:
-                    out[k, 0] = u
-                    out[k, 1] = w
-                    k += 1
-        return out
+        u = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+        keep = self.indices > u
+        return np.stack([u[keep], self.indices[keep]], axis=1).astype(np.int64)
 
     def edge_set(self) -> set:
         return {(int(u), int(v)) for u, v in self.edge_array()}
@@ -110,60 +104,65 @@ class SparseGraph:
 
 
 class SparseSymMatrix:
-    """Symmetric 0/1 or small-integer matrix; upper triangle stored once.
+    """Symmetric small-integer matrix with a zero diagonal, held as one full
+    float64 CSR (both triangles), so ``matvec`` is a single sparse product.
 
-    The diagonal is structurally zero for every matrix built here (a
-    positive-length path or distance needs two distinct endpoints), so
-    ``matvec`` mirrors the stored triangle on the fly.
+    Entries are indicators or capped path counts, exact in float64.  The
+    diagonal is structurally zero for every matrix built here (a
+    positive-length path or distance needs two distinct endpoints).
+    ``upper`` derives the strictly upper triangle as an int64 CSR.
     """
 
-    __slots__ = ("n", "ell", "kind", "upper", "_upper_t")
+    __slots__ = ("n", "ell", "kind", "_full")
 
-    def __init__(self, n: int, ell: int, kind: str, upper: sp.csr_matrix):
+    def __init__(self, n: int, ell: int, kind: str, full: sp.csr_matrix):
         self.n = int(n)
         self.ell = int(ell)
         self.kind = str(kind)
-        upper = upper.tocsr()
-        upper.sort_indices()
-        self.upper = upper
-        self._upper_t = upper.T.tocsr()
+        full = sp.csr_matrix(full, dtype=np.float64)
+        full.sort_indices()
+        self._full = full
 
     @classmethod
     def from_pairs(cls, n: int, ell: int, kind: str, rows, cols, vals) -> "SparseSymMatrix":
+        """From strictly upper-triangular (row, col, value) triples; duplicates add."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.int64)
+        vals = np.asarray(vals, dtype=np.float64)
         if rows.size and not (rows < cols).all():
             raise ValueError("pairs must be strictly upper triangular")
         upper = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        upper.sum_duplicates()
-        return cls(n, ell, kind, upper)
+        return cls(n, ell, kind, upper + upper.T)
 
     @property
     def nnz(self) -> int:
         """Logical nonzero count (both triangles)."""
-        return 2 * self.upper.nnz
+        return self._full.nnz
+
+    @property
+    def upper(self) -> sp.csr_matrix:
+        """Strictly upper triangle as an int64 CSR (computed on each access)."""
+        return sp.triu(self._full, k=1, format="csr").astype(np.int64)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.upper @ x + self._upper_t @ x
+        return self._full @ x
 
     def to_dense(self) -> np.ndarray:
-        dense = self.upper.toarray().astype(np.float64)
-        return dense + dense.T
+        return self._full.toarray()
 
     def to_csr(self) -> sp.csr_matrix:
-        return (self.upper + self.upper.T).tocsr()
+        return self._full.astype(np.int64)
 
     def entries(self) -> np.ndarray:
-        """Upper-triangle entries as an (nnz, 3) array of (i, j, value)."""
+        """Upper-triangle entries as an (nnz, 3) int64 array of (i, j, value)."""
         coo = self.upper.tocoo()
         return np.stack([coo.row, coo.col, coo.data]).T
 
     def max_value(self) -> int:
-        return int(self.upper.data.max()) if self.upper.nnz else 0
+        return int(self._full.data.max()) if self._full.nnz else 0
 
     def min_value(self) -> int:
-        return int(self.upper.data.min()) if self.upper.nnz else 0
+        return int(self._full.data.min()) if self._full.nnz else 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,6 +296,15 @@ def path_expansion_matrix(g: SparseGraph, ell: int, cap: int = 2) -> SparseSymMa
     return SparseSymMatrix.from_pairs(n, ell, "path", rows, cols, vals)
 
 
+def difference_matrix(a: SparseSymMatrix, b: SparseSymMatrix, kind: str = "diff") -> SparseSymMatrix:
+    """Signed entrywise difference a - b (used for perturbation spectra)."""
+    if a.n != b.n:
+        raise ValueError("matrix sizes differ")
+    diff = a._full - b._full
+    diff.eliminate_zeros()
+    return SparseSymMatrix(a.n, a.ell, kind, diff)
+
+
 def delta_matrix(bl: SparseSymMatrix, dl: SparseSymMatrix) -> SparseSymMatrix:
     """Entrywise difference path-counts minus distance-indicators.
 
@@ -304,26 +312,13 @@ def delta_matrix(bl: SparseSymMatrix, dl: SparseSymMatrix) -> SparseSymMatrix:
     pair always carries at least one self-avoiding path of that length, so
     a negative value means the inputs disagree about the graph.
     """
-    if bl.n != dl.n:
-        raise ValueError("matrix sizes differ")
     if bl.ell != dl.ell:
         raise ValueError("matrices were built for different depths")
-    diff = (bl.upper - dl.upper).tocsr()
-    diff.eliminate_zeros()
-    if diff.nnz and diff.data.min() < 0:
-        coo = diff.tocoo()
-        bad = [(int(i), int(j)) for i, j, v in zip(coo.row, coo.col, coo.data) if v < 0]
+    delta = difference_matrix(bl, dl, "delta")
+    if delta.min_value() < 0:
+        bad = [(int(i), int(j)) for i, j, v in delta.entries() if v < 0]
         raise NegativeEntry(f"negative entries at {bad[:5]}")
-    return SparseSymMatrix(bl.n, bl.ell, "delta", diff)
-
-
-def difference_matrix(a: SparseSymMatrix, b: SparseSymMatrix, kind: str = "diff") -> SparseSymMatrix:
-    """Signed entrywise difference a - b (used for perturbation spectra)."""
-    if a.n != b.n:
-        raise ValueError("matrix sizes differ")
-    diff = (a.upper - b.upper).tocsr()
-    diff.eliminate_zeros()
-    return SparseSymMatrix(a.n, a.ell, kind, diff)
+    return delta
 
 
 def _ball(adj, seen: np.ndarray, v: int, ell: int) -> list[int]:

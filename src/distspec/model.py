@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .graph import SparseGraph
-from .util import make_rng
+from .util import canonical_sign, make_rng
 
 _TOL_PI = 1e-12
 _TOL_REG = 1e-9
@@ -117,14 +117,6 @@ class TypedGraphSample:
             raise ValueError("sigma must have one label per vertex")
 
 
-def _canonical_sign(vec: np.ndarray) -> np.ndarray:
-    """Flip sign so the first coordinate of nonnegligible magnitude is positive."""
-    nz = np.nonzero(np.abs(vec) > 1e-12 * max(1.0, np.abs(vec).max()))[0]
-    if nz.size and vec[nz[0]] < 0:
-        return -vec
-    return vec
-
-
 def derive_spectral_profile(params: SbmParams) -> SpectralProfile:
     """Compute eigenvalues/eigenvectors of M and the detection constants.
 
@@ -150,7 +142,7 @@ def derive_spectral_profile(params: SbmParams) -> SpectralProfile:
         raise ValueError("pi entries must be positive to derive eigenvectors")
     phi_cols = U / sqrt_pi[:, None]
     phi_cols = phi_cols / np.linalg.norm(phi_cols, axis=0, keepdims=True)
-    phi = np.array([_canonical_sign(phi_cols[:, k]) for k in range(r)])
+    phi = np.array([canonical_sign(phi_cols[:, k]) for k in range(r)])
 
     power = M.copy()
     for _ in range(r):

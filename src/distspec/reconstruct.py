@@ -21,13 +21,14 @@ import numpy as np
 from .graph import SparseGraph, distance_matrix, path_expansion_matrix
 from .model import SpectralProfile
 from .spectral import EigenPair, SeparationReport, separation_report, top_eigenpairs
-from .util import derive_seed, make_rng
+from .util import canonical_sign, derive_seed, make_rng
 
 FALLBACK_K = 10.0  # used below threshold, where the closed form is undefined
 
 
 class AtOrBelowThreshold(ValueError):
-    """The closed-form constant needs signal-to-noise ratio above 1."""
+    """The signal-to-noise ratio is not above 1, which the closed-form
+    constant and the robustness frontiers need."""
 
 
 class ZeroVector(ValueError):
@@ -71,11 +72,7 @@ def normalize_for_algorithm(vector: np.ndarray, n: int) -> np.ndarray:
     norm = np.linalg.norm(v)
     if norm == 0:
         raise ZeroVector("cannot normalize the zero vector")
-    out = v * (np.sqrt(n) / norm)
-    nz = np.nonzero(np.abs(out) > 1e-12 * np.abs(out).max())[0]
-    if nz.size and out[nz[0]] < 0:
-        out = -out
-    return out
+    return canonical_sign(v * (np.sqrt(n) / norm))
 
 
 def label_two_way(xi: np.ndarray, K: float, seed: int) -> LabelAssignment:

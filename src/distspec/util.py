@@ -1,4 +1,4 @@
-"""Shared RNG plumbing.
+"""Shared RNG plumbing and vector sign convention.
 
 All randomness in the package flows through Philox4x64 counter-based
 generators keyed by explicit 64-bit seeds, so identical seeds reproduce
@@ -30,3 +30,11 @@ def derive_seed(seed: int, label: str) -> int:
     """
     digest = hashlib.sha256(f"{label}:{int(seed) & _MASK64}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
+
+
+def canonical_sign(vec: np.ndarray) -> np.ndarray:
+    """Flip sign so the first coordinate above 1e-12 of the largest is positive."""
+    nz = np.flatnonzero(np.abs(vec) > 1e-12 * np.abs(vec).max(initial=0.0))
+    if nz.size and vec[nz[0]] < 0:
+        return -vec
+    return vec

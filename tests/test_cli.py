@@ -125,6 +125,29 @@ class TestSweep:
         rows2 = [strip_timings(r) for r in read_rows(out2)]
         assert rows1 == rows2
 
+    def test_rogue_greedy_exhausted_keeps_row_and_says_why(self, tmp_path):
+        # Mean degree 3 leaves no hub with 20 neighbors for the sphere set.
+        cfg = write_config(tmp_path, gammas=[20], seeds=[1], rogue=True)
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = read_rows(out)
+        assert len(rows) == 1 and rows[0].split(",")[11] == ""
+        assert "# ROGUE seed=1 gamma=20: only 0 of 20 vertices could be separated" \
+            in out.read_text().splitlines()
+
+    def test_other_rogue_errors_fail_the_row(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("broken certificate")
+
+        monkeypatch.setattr(cli, "build_rogue_certificate", broken)
+        cfg = write_config(tmp_path, gammas=[0, 2], seeds=[1], rogue=True)
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        text = out.read_text()
+        assert [r.split(",")[4] for r in read_rows(out)] == ["0"]
+        assert "# ERROR seed=1 gamma=2: broken certificate" in text.splitlines()
+        assert "# ROGUE" not in text
+
 
 class TestVerify:
     def test_oracles_suite_passes(self, capsys):
@@ -136,6 +159,12 @@ class TestVerify:
     def test_bounds_suite_passes(self, capsys):
         assert cli.main(["verify", "bounds"]) == 0
         assert "FAIL" not in capsys.readouterr().out
+
+    def test_spectra_suite_passes(self, capsys):
+        assert cli.main(["verify", "spectra"]) == 0
+        out = capsys.readouterr().out
+        assert "PASS spectra.multiplicity_matches_dense" in out
+        assert "FAIL" not in out
 
 
 class TestGwCommand:

@@ -84,6 +84,24 @@ class TestTopEigenpairs:
         with pytest.raises(DegenerateOperator):
             ds.top_eigenpairs(lambda x: x, 0, 1)
 
+    @pytest.mark.parametrize("k", [4, 6])
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    @pytest.mark.parametrize("copies", [3, 5])
+    def test_repeated_components_match_dense(self, copies, ell, k):
+        # D^ell of disjoint copies of one graph is block diagonal, so every
+        # eigenvalue repeats `copies` times; one Krylov run sees one copy.
+        g = ds.sample_graph(small_params(40), 3).graph
+        edges = g.edge_array()
+        union = ds.SparseGraph.from_edges(
+            copies * g.n, np.concatenate([edges + c * g.n for c in range(copies)]))
+        dl = ds.distance_matrix(union, ell)
+        pairs = ds.top_eigenpairs(dl, union.n, k, seed=1)
+        assert len(pairs) == k
+        dense = np.sort(np.abs(np.linalg.eigvalsh(dl.to_dense())))[::-1][:k]
+        assert np.abs(np.abs([p.value for p in pairs]) - dense).max() <= 1e-6
+        V = np.stack([p.vector for p in pairs])
+        assert np.abs(V @ V.T - np.eye(k)).max() <= 1e-8
+
 
 class TestSeparationReport:
     def test_perfect_match(self, two_type_profile):
