@@ -31,6 +31,7 @@ from .graph import (
     difference_matrix,
     distance_matrix,
     dump_matrix,
+    frontiers,
     fundamental_cycles,
     load_matrix,
     path_expansion_matrix,

@@ -23,7 +23,10 @@ import numpy as np
 from .graph import (
     SparseGraph,
     SparseSymMatrix,
+    _blocked_frontiers,
+    _source_rows,
     distance_matrix,
+    frontiers,
     set_shell,
     set_shell_sizes,
     shell_sizes_all,
@@ -107,21 +110,36 @@ class Perturbation:
         )
 
 
+def _edge_keys(edges, n: int) -> np.ndarray:
+    """``u*n + v`` for each normalized edge (u < v) inside [0, n), else -1."""
+    return np.array([u * n + v if u >= 0 and v < n else -1 for u, v in edges],
+                    dtype=np.int64)
+
+
 def apply_perturbation(g: SparseGraph, p: Perturbation) -> SparseGraph:
-    """Rebuild the graph with the edits applied; validates consistency."""
-    edges = g.edge_set()
-    for e in p.added_edges:
-        if e in edges:
+    """Rebuild the graph with the edits applied; validates consistency.
+
+    Edges are compared as sorted ``u*n + v`` keys.  Checks run in edit
+    order: the first added edge that is present or out of range fails,
+    then the first removed edge that is absent.
+    """
+    n = g.n
+    edges = g.edge_array()
+    keys = edges[:, 0] * n + edges[:, 1]
+    add_keys = _edge_keys(p.added_edges, n)
+    present = np.isin(add_keys, keys)
+    bad = np.nonzero(present | (add_keys < 0))[0]
+    if len(bad):
+        e = p.added_edges[bad[0]]
+        if present[bad[0]]:
             raise InconsistentEdit(f"edge {e} to add is already present")
-        if not (0 <= e[0] < g.n and 0 <= e[1] < g.n):
-            raise InconsistentEdit(f"edge {e} out of range")
-    for e in p.removed_edges:
-        if e not in edges:
-            raise InconsistentEdit(f"edge {e} to remove is absent")
-    edges.difference_update(p.removed_edges)
-    edges.update(p.added_edges)
-    arr = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
-    return SparseGraph.from_edges(g.n, arr)
+        raise InconsistentEdit(f"edge {e} out of range")
+    rem_keys = _edge_keys(p.removed_edges, n)
+    absent = ~np.isin(rem_keys, keys)
+    if absent.any():
+        raise InconsistentEdit(f"edge {p.removed_edges[np.argmax(absent)]} to remove is absent")
+    keys = np.union1d(np.setdiff1d(keys, rem_keys, assume_unique=True), add_keys)
+    return SparseGraph.from_edges(n, np.stack([keys // n, keys % n], axis=1))
 
 
 def plant_clique(g: SparseGraph, gamma: int, seed: int) -> tuple[SparseGraph, Perturbation]:
@@ -221,13 +239,9 @@ class RogueCertificate:
 def _greedy_separated(g: SparseGraph, pool: np.ndarray, gamma: int, ell: int) -> np.ndarray:
     """Greedily pick pool vertices with pairwise distance > 2*ell.
 
-    Each chosen vertex blocks its whole 2*ell-ball; the ball traversal
-    keeps its own visited stamps so earlier balls cannot shadow parts of
-    later ones.
+    Each chosen vertex blocks its whole 2*ell-ball.
     """
-    adj = g.adj
     blocked = np.zeros(g.n, dtype=bool)
-    seen = np.full(g.n, -1, dtype=np.int64)
     chosen: list[int] = []
     for cand in pool:
         cand = int(cand)
@@ -236,20 +250,8 @@ def _greedy_separated(g: SparseGraph, pool: np.ndarray, gamma: int, ell: int) ->
         chosen.append(cand)
         if len(chosen) == gamma:
             break
-        seen[cand] = cand
-        blocked[cand] = True
-        frontier = [cand]
-        for _ in range(2 * ell):
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if seen[w] != cand:
-                        seen[w] = cand
-                        blocked[w] = True
-                        nxt.append(w)
-            frontier = nxt
-            if not frontier:
-                break
+        for front in frontiers(g, _source_rows(g, [[cand]]), 2 * ell):
+            blocked[front.indices] = True
     if len(chosen) < gamma:
         raise GreedyExhausted(gamma, len(chosen))
     return np.array(sorted(chosen), dtype=np.int64)
@@ -262,40 +264,23 @@ def _common_sphere_candidates(g: SparseGraph, gamma: int, ell: int,
     The set is gamma neighbors of a hub, the shell the vertices at
     distance exactly ell from every member; every set-to-shell pair then
     sits at distance exactly ell, so the certificate's closed form is
-    attained in the unedited graph.
+    attained in the unedited graph.  The members of all tried sets expand
+    together, one source row each; a vertex's hits are the column counts
+    of its set's rows in the last frontier.
     """
-    adj = g.adj
+    hubs = hub_candidates[np.diff(g.indptr)[hub_candidates] >= gamma][:limit]
+    k_sets = [g.neighbors(hub)[:gamma].astype(np.int64) for hub in hubs]
+    members = [[v] for k_set in k_sets for v in k_set]
+    hits = np.zeros(len(hubs) * g.n, dtype=np.int64)
+    for lo, fronts in _blocked_frontiers(g, _source_rows(g, members), ell):
+        last = fronts[-1].tocoo()
+        row = last.row.astype(np.int64) + lo
+        hits += np.bincount(row // gamma * g.n + last.col, minlength=len(hits))
     out = []
-    tried = 0
-    for hub in hub_candidates:
-        hub = int(hub)
-        if g.degree(hub) < gamma:
-            continue
-        tried += 1
-        k_set = np.array(sorted(adj[hub][:gamma]), dtype=np.int64)
-        dist = np.full(g.n, -1, dtype=np.int64)
-        hits = np.zeros(g.n, dtype=np.int64)
-        for j in k_set:
-            dist[:] = -1
-            dist[j] = 0
-            frontier = [int(j)]
-            for t in range(1, ell + 1):
-                nxt = []
-                for u in frontier:
-                    for w in adj[u]:
-                        if dist[w] < 0:
-                            dist[w] = t
-                            nxt.append(w)
-                frontier = nxt
-                if not frontier:
-                    break
-            if frontier:
-                hits[np.array(frontier, dtype=np.int64)] += 1
-        shell = np.setdiff1d(np.nonzero(hits == gamma)[0], k_set)
+    for k_set, hub_hits in zip(k_sets, hits.reshape(len(hubs), g.n)):
+        shell = np.setdiff1d(np.nonzero(hub_hits == gamma)[0], k_set)
         if len(shell) >= 2:
             out.append((k_set, shell.astype(np.int64)))
-        if tried >= limit:
-            break
     if not out:
         raise GreedyExhausted(gamma, 0)
     return out

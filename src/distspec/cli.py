@@ -27,7 +27,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .adversary import GreedyExhausted, build_rogue_certificate, plant_clique, qk_bound
-from .graph import SparseGraph, distance_matrix, path_expansion_matrix
+from .graph import SparseGraph, distance_matrix, fundamental_cycles, path_expansion_matrix, \
+    set_shell, set_shell_sizes, shell_sizes_all, tangle_free_check
 from .gw import (
     GwConfig,
     cumulant_relation_check,
@@ -393,11 +394,30 @@ def cmd_gw(args) -> int:
 # ----------------------------------------------------------------------------
 # verify suites: small, self-contained invariant checks with stable IDs.
 
-def _oracle_distance_matrix(graph: SparseGraph, ell: int) -> np.ndarray:
+def _apsp(graph: SparseGraph) -> np.ndarray:
+    """Dense all-pairs BFS distances via scipy's csgraph (inf if unreachable)."""
     from scipy.sparse.csgraph import shortest_path
 
-    dist = shortest_path(graph.to_csr(), method="D", unweighted=True, directed=False)
-    return (dist == ell).astype(np.int64)
+    return shortest_path(graph.to_csr(), method="D", unweighted=True, directed=False)
+
+
+def _oracle_distance_matrix(graph: SparseGraph, ell: int) -> np.ndarray:
+    """Dense 0/1 matrix of the pairs at distance exactly ell."""
+    return (_apsp(graph) == ell).astype(np.int64)
+
+
+def _oracle_set_layers(dist: np.ndarray, vertex_set, ell: int) -> list:
+    """Sorted vertices at distance t = 0..ell from the set, by all-pairs BFS."""
+    to_set = dist[np.asarray(list(vertex_set), dtype=np.int64)].min(axis=0)
+    return [np.nonzero(to_set == t)[0] for t in range(ell + 1)]
+
+
+def _oracle_tangle_offenders(graph: SparseGraph, dist: np.ndarray, ell: int) -> list:
+    """Vertices whose radius-ell ball has edge excess above 1, by all-pairs BFS."""
+    adj = graph.to_csr().toarray().astype(np.int64)
+    ball = (dist <= ell).astype(np.int64)
+    edges = ((ball @ adj) * ball).sum(axis=1) // 2
+    return np.nonzero(edges - ball.sum(axis=1) + 1 > 1)[0].tolist()
 
 
 def _oracle_path_counts(graph: SparseGraph, ell: int) -> np.ndarray:
@@ -424,16 +444,26 @@ def _verify_oracles(rng_seed: int = 7) -> list[tuple[str, bool, str]]:
     results = []
     params = SbmParams(r=2, W=np.array([[5.0, 1.0], [1.0, 5.0]]),
                        pi=np.array([0.5, 0.5]), n=120)
-    ok_all = True
+    ok_dist = ok_shells = True
     for seed in range(3):
-        sample = sample_graph(params, seed + rng_seed)
+        graph = sample_graph(params, seed + rng_seed).graph
+        dist = _apsp(graph)
         for ell in (1, 2, 3):
-            mine = distance_matrix(sample.graph, ell).to_dense()
-            oracle = _oracle_distance_matrix(sample.graph, ell)
-            if not np.array_equal(mine, oracle):
-                ok_all = False
-    results.append(("oracles.distance_matrix_matches_apsp", ok_all,
+            mine = distance_matrix(graph, ell).to_dense()
+            ok_dist &= np.array_equal(mine, _oracle_distance_matrix(graph, ell))
+            sizes = np.stack([(dist == t).sum(axis=1) for t in range(ell + 1)], axis=1)
+            ok_shells &= np.array_equal(shell_sizes_all(graph, ell), sizes)
+            tf, offenders = tangle_free_check(graph, ell)
+            ok_shells &= tf == (not offenders)
+            ok_shells &= offenders == _oracle_tangle_offenders(graph, dist, ell)
+            for x in fundamental_cycles(graph)[:20]:
+                layers = _oracle_set_layers(dist, x, ell)
+                ok_shells &= np.array_equal(set_shell(graph, x, ell), layers[ell])
+                ok_shells &= set_shell_sizes(graph, x, ell).tolist() == [len(t) for t in layers]
+    results.append(("oracles.distance_matrix_matches_apsp", bool(ok_dist),
                     "3 seeds x ell in {1,2,3} at n=120"))
+    results.append(("oracles.shells_and_tangle_match_apsp", bool(ok_shells),
+                    "shell sizes, tangle offenders and 20 cycle shells, same graphs"))
     params_small = SbmParams(r=2, W=np.array([[6.0, 2.0], [2.0, 6.0]]),
                              pi=np.array([0.5, 0.5]), n=40)
     ok_all = True

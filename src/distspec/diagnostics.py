@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
-from .graph import SparseGraph, distance_matrix
+from .graph import SparseGraph, _vertex_frontiers, distance_matrix
 from .model import SpectralProfile
 from .spectral import EigenPair, top_eigenpairs
 from .util import derive_seed
@@ -42,26 +43,13 @@ class LocalMomentReport:
 
 def shell_type_counts(g: SparseGraph, sigma: np.ndarray, r: int, ell: int) -> np.ndarray:
     """(n, r) matrix whose row v counts types among vertices at distance ell from v."""
-    n = g.n
-    adj = g.adj
     sigma = np.asarray(sigma, dtype=np.int64)
-    seen = np.full(n, -1, dtype=np.int64)
-    counts = np.zeros((n, r), dtype=np.int64)
-    for v in range(n):
-        seen[v] = v
-        frontier = [v]
-        for _ in range(ell):
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if seen[w] != v:
-                        seen[w] = v
-                        nxt.append(w)
-            frontier = nxt
-            if not frontier:
-                break
-        for w in frontier:
-            counts[v, sigma[w]] += 1
+    onehot = sp.csr_matrix((np.ones(g.n, dtype=np.int64), sigma, np.arange(g.n + 1)),
+                           shape=(g.n, r))
+    counts = np.zeros((g.n, r), dtype=np.int64)
+    for lo, fronts in _vertex_frontiers(g, ell):
+        last = fronts[-1]
+        counts[lo:lo + last.shape[0]] = (last @ onehot).toarray()
     return counts
 
 

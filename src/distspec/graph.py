@@ -1,8 +1,10 @@
 """Immutable sparse graphs and the sparse matrices built from them.
 
 The production object is the distance matrix ``D^ell`` (entry 1 exactly at
-pairs whose graph distance equals ell), built by one truncated BFS per
-vertex, so the total cost is the sum of ball sizes.  The path-expansion
+pairs whose graph distance equals ell).  It and every other ball-walking
+check (shell sizes, tangles, set shells) are read off one primitive,
+:func:`frontiers`, a truncated BFS from many source sets at once written as
+sparse products, so the total cost is the sum of ball sizes.  The path-expansion
 matrix ``B^ell`` (counts of self-avoiding walks of length ell) is kept as
 a verification artifact: exact depth-limited DFS, feasible for small
 depths on sparse graphs.  Their difference is supported near cycles only,
@@ -11,6 +13,7 @@ which is what the perturbation bounds exploit.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -38,20 +41,28 @@ class SparseGraph:
     """Undirected simple graph with sorted per-vertex neighbor lists.
 
     Immutable after construction; edits go through rebuilds (see the
-    adversary module).  ``adj`` holds plain Python lists for fast
-    traversal of the small neighborhoods this package works with.
+    adversary module).  ``adj`` holds plain Python lists for the walks
+    that still run in Python (path enumeration, fundamental cycles); it
+    is built on first access.
     """
 
-    __slots__ = ("n", "m", "indptr", "indices", "adj")
+    __slots__ = ("n", "m", "indptr", "indices", "_adj")
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray):
         self.n = int(n)
         self.m = int(len(indices) // 2)
         self.indptr = indptr
         self.indices = indices
-        self.adj = [
-            indices[indptr[v]:indptr[v + 1]].tolist() for v in range(self.n)
-        ]
+        self._adj = None
+
+    @property
+    def adj(self) -> list:
+        if self._adj is None:
+            indptr, indices = self.indptr, self.indices
+            self._adj = [
+                indices[indptr[v]:indptr[v + 1]].tolist() for v in range(self.n)
+            ]
+        return self._adj
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "SparseGraph":
@@ -175,6 +186,74 @@ class ShellProfile:
     type_counts: Optional[np.ndarray] = None  # (ell+1, r) when labels given
 
 
+# Ball entries (summed over rows) that one block of single-vertex or set
+# sources may hold: keeps the blocked expansions at a few tens of MB.
+_BLOCK_ENTRIES = 1 << 20
+
+
+def frontiers(g: SparseGraph, sources: sp.spmatrix, ell: int) -> list[sp.csr_matrix]:
+    """Distance layers 0..ell around many source sets at once.
+
+    ``sources`` is a (B, n) 0/1 sparse matrix whose row b marks one vertex
+    set.  Row b of the t-th returned bool CSR marks the vertices at graph
+    distance exactly t from that set (t = 0 gives the set itself).  Each
+    step is ``next = bool(front @ A) & ~ball``, the linear-algebra BFS of
+    Kepner and Gilbert (*Graph Algorithms in the Language of Linear
+    Algebra*, SIAM 2011), so the work is the sum over rows of ball sizes.
+    Rows hold no duplicate entries; their indices need not be sorted.
+    """
+    if ell < 0:
+        raise ValueError("ell must be nonnegative")
+    if sources.shape[1] != g.n:
+        raise ValueError("sources must have one column per vertex")
+    adj = sp.csr_matrix((np.ones(len(g.indices), dtype=bool), g.indices, g.indptr),
+                        shape=(g.n, g.n))
+    front = sp.csr_matrix(sources, dtype=bool, copy=True)
+    front.sum_duplicates()
+    front.eliminate_zeros()
+    ball = front
+    out = [front]
+    for _ in range(ell):
+        front = (front @ adj) > ball
+        ball = ball + front
+        out.append(front)
+    return out
+
+
+def _blocked_frontiers(g: SparseGraph, sources: sp.csr_matrix, ell: int):
+    """``(first row, frontiers)`` over row blocks of ``sources``.
+
+    A block holds about ``_BLOCK_ENTRIES`` ball entries, estimating the
+    ball of a row with s sources as min(n, s * (1 + mean degree)^ell).
+    """
+    rows = sources.shape[0]
+    if rows == 0:
+        return
+    growth = math.exp(min(ell * math.log1p(2.0 * g.m / g.n), math.log(g.n)))
+    ball = min(g.n, sources.nnz / rows * growth)
+    step = max(1, int(_BLOCK_ENTRIES // max(ball, 1.0)))
+    for lo in range(0, rows, step):
+        yield lo, frontiers(g, sources[lo:lo + step], ell)
+
+
+def _vertex_frontiers(g: SparseGraph, ell: int):
+    """:func:`_blocked_frontiers` with one single-vertex source per vertex."""
+    return _blocked_frontiers(g, sp.identity(g.n, dtype=bool, format="csr"), ell)
+
+
+def _source_rows(g: SparseGraph, sets) -> sp.csr_matrix:
+    """One source row per vertex set; rejects empty sets and bad vertices."""
+    members = [np.fromiter(x, dtype=np.int64) for x in sets]
+    if any(len(x) == 0 for x in members):
+        raise ValueError("vertex set must be nonempty")
+    flat = np.concatenate(members) if members else np.empty(0, dtype=np.int64)
+    if len(flat) and (flat.min() < 0 or flat.max() >= g.n):
+        raise ValueError("vertex out of range")
+    indptr = np.cumsum([0] + [len(x) for x in members])
+    return sp.csr_matrix((np.ones(len(flat), dtype=bool), flat, indptr),
+                         shape=(len(members), g.n))
+
+
 def bfs_shells(
     g: SparseGraph,
     v: int,
@@ -183,23 +262,8 @@ def bfs_shells(
     r: Optional[int] = None,
 ) -> ShellProfile:
     """Exact distance layers 0..ell around v; per-type counts when sigma given."""
-    if not 0 <= v < g.n:
-        raise ValueError("vertex out of range")
-    if ell < 0:
-        raise ValueError("ell must be nonnegative")
-    adj = g.adj
-    seen = {v}
-    frontier = [v]
-    layers = [np.array([v], dtype=np.int64)]
-    for _ in range(ell):
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-        layers.append(np.array(sorted(nxt), dtype=np.int64))
+    layers = [np.sort(f.indices).astype(np.int64)
+              for f in frontiers(g, _source_rows(g, [[v]]), ell)]
     sizes = np.array([len(layer) for layer in layers], dtype=np.int64)
     type_counts = None
     if sigma is not None:
@@ -216,35 +280,22 @@ def bfs_shells(
 def distance_matrix(g: SparseGraph, ell: int) -> SparseSymMatrix:
     """0/1 matrix marking pairs at graph distance exactly ell.
 
-    One truncated BFS per vertex; each pair is recorded from its lower
+    Row v is the last frontier of v; each pair is recorded from its lower
     endpoint.  Cost is the sum over vertices of their ell-ball sizes.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    n = g.n
-    adj = g.adj
-    seen = np.full(n, -1, dtype=np.int64)
-    rows: list[int] = []
-    cols: list[int] = []
-    for v in range(n):
-        seen[v] = v
-        frontier = [v]
-        for _ in range(ell):
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if seen[w] != v:
-                        seen[w] = v
-                        nxt.append(w)
-            frontier = nxt
-            if not frontier:
-                break
-        for w in frontier:
-            if w > v:
-                rows.append(v)
-                cols.append(w)
+    rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for lo, fronts in _vertex_frontiers(g, ell):
+        last = fronts[-1].tocoo()
+        v = last.row.astype(np.int64) + lo
+        w = last.col.astype(np.int64)
+        upper = w > v
+        rows.append(v[upper])
+        cols.append(w[upper])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
     vals = np.ones(len(rows), dtype=np.int64)
-    return SparseSymMatrix.from_pairs(n, ell, "distance", rows, cols, vals)
+    return SparseSymMatrix.from_pairs(g.n, ell, "distance", rows, cols, vals)
 
 
 def path_expansion_matrix(g: SparseGraph, ell: int, cap: int = 2) -> SparseSymMatrix:
@@ -321,72 +372,37 @@ def delta_matrix(bl: SparseSymMatrix, dl: SparseSymMatrix) -> SparseSymMatrix:
     return delta
 
 
-def _ball(adj, seen: np.ndarray, v: int, ell: int) -> list[int]:
-    """Vertices within distance ell of v; marks them in ``seen`` with stamp v."""
-    seen[v] = v
-    ball = [v]
-    frontier = [v]
-    for _ in range(ell):
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if seen[w] != v:
-                    seen[w] = v
-                    nxt.append(w)
-        ball.extend(nxt)
-        frontier = nxt
-        if not frontier:
-            break
-    return ball
-
-
 def tangle_free_check(g: SparseGraph, ell: int) -> tuple[bool, list[int]]:
     """True iff every radius-ell ball contains at most one independent cycle.
 
     The cycle count of a ball is its edge excess ``edges - vertices + 1``
-    (balls are connected by construction).  Returns the offending vertices.
+    (balls are connected by construction); the edges inside a ball are
+    the row sums of ``(ball @ A) * ball``, halved.  Returns the offending
+    vertices.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    n = g.n
-    adj = g.adj
-    seen = np.full(n, -1, dtype=np.int64)
+    adj = g.to_csr()
     offenders = []
-    for v in range(n):
-        ball = _ball(adj, seen, v, ell)
-        edges = 0
-        for u in ball:
-            for w in adj[u]:
-                if seen[w] == v and w > u:
-                    edges += 1
-        excess = edges - len(ball) + 1
-        if excess > 1:
-            offenders.append(v)
+    for lo, fronts in _vertex_frontiers(g, ell):
+        ball = sum(fronts[1:], fronts[0]).astype(np.int32)
+        edges = np.asarray((ball @ adj).multiply(ball).sum(axis=1)).ravel() // 2
+        excess = edges - np.diff(ball.indptr) + 1
+        offenders.extend((np.nonzero(excess > 1)[0] + lo).tolist())
     return (not offenders), offenders
 
 
 def shell_sizes_all(g: SparseGraph, ell: int) -> np.ndarray:
     """(n, ell+1) array of layer sizes S_t(v) for every vertex."""
-    n = g.n
-    adj = g.adj
-    seen = np.full(n, -1, dtype=np.int64)
-    sizes = np.zeros((n, ell + 1), dtype=np.int64)
-    for v in range(n):
-        seen[v] = v
-        sizes[v, 0] = 1
-        frontier = [v]
-        for t in range(1, ell + 1):
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if seen[w] != v:
-                        seen[w] = v
-                        nxt.append(w)
-            sizes[v, t] = len(nxt)
-            frontier = nxt
-            if not frontier:
-                break
+    sizes = np.zeros((g.n, ell + 1), dtype=np.int64)
+    for lo, fronts in _vertex_frontiers(g, ell):
+        sizes[lo:lo + fronts[0].shape[0]] = _shell_sizes(fronts)
     return sizes
+
+
+def _shell_sizes(fronts: Sequence[sp.csr_matrix]) -> np.ndarray:
+    """(B, ell+1) layer sizes: the row nnz of each frontier."""
+    return np.stack([np.diff(f.indptr) for f in fronts], axis=1).astype(np.int64)
 
 
 def shell_growth_report(g: SparseGraph, ell: int, alpha: float) -> tuple[float, float]:
@@ -407,49 +423,13 @@ def shell_growth_report(g: SparseGraph, ell: int, alpha: float) -> tuple[float, 
 
 def set_shell_sizes(g: SparseGraph, vertex_set: Sequence[int], ell: int) -> np.ndarray:
     """Multi-source layer sizes S_t(X) for t = 0..ell (S_0 = |X|)."""
-    members = sorted({int(v) for v in vertex_set})
-    if not members:
-        raise ValueError("vertex set must be nonempty")
-    adj = g.adj
-    seen = np.zeros(g.n, dtype=bool)
-    seen[members] = True
-    sizes = np.zeros(ell + 1, dtype=np.int64)
-    sizes[0] = len(members)
-    frontier = members
-    for t in range(1, ell + 1):
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    nxt.append(w)
-        sizes[t] = len(nxt)
-        frontier = nxt
-        if not frontier:
-            break
-    return sizes
+    return _shell_sizes(frontiers(g, _source_rows(g, [vertex_set]), ell))[0]
 
 
 def set_shell(g: SparseGraph, vertex_set: Sequence[int], ell: int) -> np.ndarray:
     """Vertices at distance exactly ell from the set (multi-source BFS)."""
-    members = sorted({int(v) for v in vertex_set})
-    if not members:
-        raise ValueError("vertex set must be nonempty")
-    adj = g.adj
-    seen = np.zeros(g.n, dtype=bool)
-    seen[members] = True
-    frontier = members
-    for _ in range(ell):
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    nxt.append(w)
-        frontier = nxt
-        if not frontier:
-            break
-    return np.array(sorted(frontier), dtype=np.int64)
+    last = frontiers(g, _source_rows(g, [vertex_set]), ell)[-1]
+    return np.sort(last.indices).astype(np.int64)
 
 
 def fundamental_cycles(g: SparseGraph) -> list[np.ndarray]:

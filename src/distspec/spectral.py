@@ -19,8 +19,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .graph import SparseGraph, SparseSymMatrix, delta_matrix, distance_matrix, \
-    fundamental_cycles, path_expansion_matrix, set_shell_sizes, tangle_free_check
+from .graph import SparseGraph, SparseSymMatrix, _shell_sizes, _source_rows, delta_matrix, \
+    distance_matrix, frontiers, fundamental_cycles, path_expansion_matrix, tangle_free_check
 from .util import canonical_sign, make_rng
 
 
@@ -272,8 +272,7 @@ def delta_radius_check(
         rho = abs(pairs[0].value) if pairs else float("nan")
     cycles = fundamental_cycles(g)
     cycle_bound = 0.0
-    for cyc in cycles:
-        sizes = set_shell_sizes(g, cyc, ell)
+    for sizes in _shell_sizes(frontiers(g, _source_rows(g, cycles), ell)):
         exact, _ = qc_bound(sizes)
         cycle_bound = max(cycle_bound, exact)
     log_bound = float(np.log(g.n) * alpha ** (ell / 2.0)) if g.n > 1 else 0.0

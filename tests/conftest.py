@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import distspec as ds
+from distspec.cli import _oracle_distance_matrix
 
 
 @pytest.fixture(scope="session")
@@ -68,12 +69,9 @@ def two_triangles():
 
 # --- Independent oracles -----------------------------------------------------
 
-def apsp_distance_oracle(g: ds.SparseGraph, ell: int) -> np.ndarray:
-    """Dense all-pairs BFS distances via scipy's csgraph (independent code path)."""
-    from scipy.sparse.csgraph import shortest_path
-
-    dist = shortest_path(g.to_csr(), method="D", unweighted=True, directed=False)
-    return (dist == ell).astype(np.int64)
+# Dense all-pairs BFS via scipy's csgraph (independent code path); the same
+# function backs ``distspec verify oracles``.
+apsp_distance_oracle = _oracle_distance_matrix
 
 
 def simple_path_count_oracle(g: ds.SparseGraph, ell: int) -> np.ndarray:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import distspec as ds
 from distspec.adversary import (
@@ -37,6 +39,42 @@ class TestPerturbation:
         with pytest.raises(InconsistentEdit):
             ds.apply_perturbation(path_graph, ds.Perturbation(
                 added_edges=(), removed_edges=((0, 2),), gamma_budget=2))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 9), st.data())
+    def test_apply_matches_edge_set_reference(self, n, data):
+        # Reference: the edit applied to a Python set of (u, v) tuples, with
+        # the same checks in the same order.
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+        g = ds.SparseGraph.from_edges(n, sorted(edges))
+        edit = st.tuples(st.integers(-2, n + 2), st.integers(-2, n + 2))
+        if pairs:
+            edit = edit | st.sampled_from(pairs)
+        try:
+            p = ds.Perturbation(data.draw(st.lists(edit, max_size=4)),
+                                data.draw(st.lists(edit, max_size=4)), gamma_budget=30)
+        except InconsistentEdit:
+            return
+        want = None
+        for e in p.added_edges:
+            if e in edges:
+                want = f"edge {e} to add is already present"
+            elif not (0 <= e[0] < n and 0 <= e[1] < n):
+                want = f"edge {e} out of range"
+            if want:
+                break
+        for e in p.removed_edges if want is None else ():
+            if e not in edges:
+                want = f"edge {e} to remove is absent"
+                break
+        if want is not None:
+            with pytest.raises(InconsistentEdit) as err:
+                ds.apply_perturbation(g, p)
+            assert str(err.value) == want
+        else:
+            expected = (edges - set(p.removed_edges)) | set(p.added_edges)
+            assert ds.apply_perturbation(g, p).edge_set() == expected
 
     def test_empty_perturbation_is_identity(self, path_graph):
         p = ds.Perturbation(added_edges=(), removed_edges=(), gamma_budget=0)

@@ -156,6 +156,10 @@ class TestVerify:
         assert "PASS oracles.distance_matrix_matches_apsp" in out
         assert "FAIL" not in out
 
+    def test_oracles_suite_checks_shells_and_tangles(self, capsys):
+        assert cli.main(["verify", "oracles"]) == 0
+        assert "PASS oracles.shells_and_tangle_match_apsp" in capsys.readouterr().out
+
     def test_bounds_suite_passes(self, capsys):
         assert cli.main(["verify", "bounds"]) == 0
         assert "FAIL" not in capsys.readouterr().out

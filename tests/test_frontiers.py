@@ -1,0 +1,200 @@
+"""Differential tests: the frontier expansion and every traversal built on it
+against dense all-pairs BFS (scipy's csgraph), on small random graphs that
+include the empty graph, n = 1, isolated vertices, disconnected graphs and
+depths above the diameter."""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import distspec as ds
+from distspec.adversary import GreedyExhausted, _common_sphere_candidates, _greedy_separated
+from distspec.cli import _apsp, _oracle_set_layers, _oracle_tangle_offenders
+from conftest import apsp_distance_oracle
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def graphs(draw, max_n=14):
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if not pairs:
+        return ds.SparseGraph.from_edges(n, [])
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3 * n))
+    return ds.SparseGraph.from_edges(n, edges)
+
+
+@st.composite
+def graph_and_sets(draw, max_sets=5):
+    g = draw(graphs().filter(lambda g: g.n > 0))
+    sets = draw(st.lists(st.sets(st.integers(0, g.n - 1), min_size=1, max_size=4),
+                         min_size=1, max_size=max_sets))
+    return g, [sorted(x) for x in sets]
+
+
+depths = st.integers(1, 7)
+
+
+@SETTINGS
+@given(graph_and_sets(), st.integers(0, 7))
+def test_frontier_rows_are_the_apsp_layers(case, ell):
+    g, sets = case
+    rows = sp.csr_matrix((np.ones(sum(map(len, sets)), dtype=bool), np.concatenate(sets),
+                          np.cumsum([0] + [len(x) for x in sets])), shape=(len(sets), g.n))
+    fronts = ds.frontiers(g, rows, ell)
+    assert len(fronts) == ell + 1
+    dist = _apsp(g)
+    for b, x in enumerate(sets):
+        for front, layer in zip(fronts, _oracle_set_layers(dist, x, ell)):
+            assert front.shape == (len(sets), g.n) and front.dtype == bool
+            assert np.array_equal(np.sort(front[b].indices), layer)
+
+
+@SETTINGS
+@given(graphs(), depths)
+def test_distance_matrix_matches_apsp(g, ell):
+    mat = ds.distance_matrix(g, ell)
+    assert np.array_equal(mat.to_dense(), apsp_distance_oracle(g, ell))
+
+
+@SETTINGS
+@given(graphs(), st.integers(0, 7))
+def test_shell_sizes_count_apsp_distances(g, ell):
+    dist = _apsp(g)
+    want = np.stack([(dist == t).sum(axis=1) for t in range(ell + 1)], axis=1)
+    assert np.array_equal(ds.shell_sizes_all(g, ell), want.reshape(g.n, ell + 1))
+
+
+@SETTINGS
+@given(graphs(), depths)
+def test_tangle_verdict_matches_ball_edge_excess(g, ell):
+    tf, offenders = ds.tangle_free_check(g, ell)
+    assert offenders == _oracle_tangle_offenders(g, _apsp(g), ell)
+    assert tf == (not offenders)
+
+
+@SETTINGS
+@given(graph_and_sets(max_sets=1), st.integers(0, 7))
+def test_set_shell_matches_apsp(case, ell):
+    g, (x,) = case
+    layers = _oracle_set_layers(_apsp(g), x, ell)
+    assert np.array_equal(ds.set_shell(g, x, ell), layers[ell])
+    assert ds.set_shell_sizes(g, x, ell).tolist() == [len(t) for t in layers]
+
+
+@SETTINGS
+@given(graphs().filter(lambda g: g.n > 0), st.integers(0, 7), st.data())
+def test_bfs_shells_and_type_counts_match_apsp(g, ell, data):
+    sigma = np.array(data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n)))
+    dist = _apsp(g)
+    v = data.draw(st.integers(0, g.n - 1))
+    prof = ds.bfs_shells(g, v, ell, sigma=sigma, r=3)
+    layers = _oracle_set_layers(dist, [v], ell)
+    assert all(np.array_equal(a, b) for a, b in zip(prof.layers, layers))
+    assert prof.type_counts.tolist() == [np.bincount(sigma[t], minlength=3).tolist()
+                                         for t in layers]
+    counts = ds.shell_type_counts(g, sigma, 3, ell)
+    want = [np.bincount(sigma[dist[u] == ell], minlength=3) for u in range(g.n)]
+    assert np.array_equal(counts, np.array(want).reshape(g.n, 3))
+
+
+@SETTINGS
+@given(graphs().filter(lambda g: g.n > 0), st.integers(1, 3), st.integers(1, 4), st.data())
+def test_greedy_separated_matches_apsp_greedy(g, ell, gamma, data):
+    pool = np.array(data.draw(st.permutations(range(g.n))), dtype=np.int64)
+    dist = _apsp(g)
+    blocked = np.zeros(g.n, dtype=bool)
+    chosen = []
+    for cand in pool:
+        if not blocked[cand]:
+            chosen.append(int(cand))
+            blocked |= dist[cand] <= 2 * ell
+            if len(chosen) == gamma:
+                break
+    if len(chosen) < gamma:
+        with pytest.raises(GreedyExhausted):
+            _greedy_separated(g, pool, gamma, ell)
+    else:
+        assert _greedy_separated(g, pool, gamma, ell).tolist() == sorted(chosen)
+
+
+@SETTINGS
+@given(graphs().filter(lambda g: g.n > 0), st.integers(1, 3), st.integers(1, 3))
+def test_common_sphere_candidates_match_apsp(g, ell, gamma):
+    hubs = np.arange(g.n, dtype=np.int64)
+    dist = _apsp(g)
+    want = []
+    for hub in [h for h in hubs if g.degree(h) >= gamma][:25]:
+        k_set = g.neighbors(hub)[:gamma]
+        shell = np.setdiff1d(np.nonzero((dist[k_set] == ell).all(axis=0))[0], k_set)
+        if len(shell) >= 2:
+            want.append((k_set.tolist(), shell.tolist()))
+    if not want:
+        with pytest.raises(GreedyExhausted):
+            _common_sphere_candidates(g, gamma, ell, hubs)
+    else:
+        got = _common_sphere_candidates(g, gamma, ell, hubs)
+        assert [(k.tolist(), s.tolist()) for k, s in got] == want
+
+
+class TestEdgeCases:
+    def test_empty_graph(self):
+        g = ds.SparseGraph.from_edges(0, [])
+        assert ds.distance_matrix(g, 2).nnz == 0
+        assert ds.tangle_free_check(g, 2) == (True, [])
+        assert ds.shell_sizes_all(g, 3).shape == (0, 4)
+        assert ds.shell_type_counts(g, np.zeros(0, dtype=np.int64), 2, 2).shape == (0, 2)
+        assert [f.shape for f in ds.frontiers(g, sp.csr_matrix((0, 0)), 2)] == [(0, 0)] * 3
+
+    def test_single_vertex(self):
+        g = ds.SparseGraph.from_edges(1, [])
+        assert ds.distance_matrix(g, 1).nnz == 0
+        assert ds.shell_sizes_all(g, 2).tolist() == [[1, 0, 0]]
+        assert ds.set_shell(g, [0], 3).tolist() == []
+        assert ds.bfs_shells(g, 0, 2).sizes.tolist() == [1, 0, 0]
+
+    def test_duplicate_and_zero_source_entries_are_dropped(self, path_graph):
+        rows = sp.csr_matrix((np.array([1, 1, 0]), np.array([0, 0, 2]), np.array([0, 3])),
+                             shape=(1, 4))
+        fronts = ds.frontiers(path_graph, rows, 2)
+        assert [f.nnz for f in fronts] == [1, 1, 1]
+        assert rows.nnz == 3  # the caller's matrix is left as it was
+
+    def test_repeated_members_count_once(self, path_graph):
+        for x in ([1, 1, 2], {1, 2}, np.array([2, 1])):
+            assert ds.set_shell_sizes(path_graph, x, 1).tolist() == [2, 2]
+            assert ds.set_shell(path_graph, x, 1).tolist() == [0, 3]
+
+    def test_bad_inputs_raise(self, path_graph):
+        with pytest.raises(ValueError, match="ell must be >= 1"):
+            ds.distance_matrix(path_graph, 0)
+        with pytest.raises(ValueError, match="ell must be >= 1"):
+            ds.tangle_free_check(path_graph, 0)
+        with pytest.raises(ValueError, match="ell must be nonnegative"):
+            ds.frontiers(path_graph, sp.identity(4, format="csr"), -1)
+        with pytest.raises(ValueError, match="ell must be nonnegative"):
+            ds.bfs_shells(path_graph, 0, -1)
+        with pytest.raises(ValueError, match="one column per vertex"):
+            ds.frontiers(path_graph, sp.identity(3, format="csr"), 1)
+        with pytest.raises(ValueError, match="vertex out of range"):
+            ds.bfs_shells(path_graph, 4, 1)
+        for bad in ([4], [-1, 0]):
+            with pytest.raises(ValueError, match="vertex out of range"):
+                ds.set_shell(path_graph, bad, 1)
+            with pytest.raises(ValueError, match="vertex out of range"):
+                ds.set_shell_sizes(path_graph, bad, 1)
+        with pytest.raises(ValueError, match="nonempty"):
+            ds.set_shell(path_graph, [], 1)
+        with pytest.raises(ValueError, match="nonempty"):
+            ds.set_shell_sizes(path_graph, [], 1)
+
+    def test_adjacency_lists_are_built_on_first_use(self, path_graph):
+        assert path_graph._adj is None
+        ds.distance_matrix(path_graph, 2)
+        ds.tangle_free_check(path_graph, 2)
+        assert path_graph._adj is None
+        assert path_graph.adj[1] == [0, 2]
+        assert path_graph.adj is path_graph.adj
