@@ -45,7 +45,7 @@ from .model import (
 )
 from .reconstruct import detect, overlap
 from .spectral import delta_radius_check, qc_bound, top_eigenpairs
-from .util import derive_seed
+from .util import derive_seed, make_rng
 
 CSV_HEADER = ("seed,n,r,ell,gamma,overlap,lambda1,lambda2,lambda3,lambda4,"
               "qk_bound,rogue_rayleigh,ms_build,ms_eig,ms_label")
@@ -440,8 +440,25 @@ def _oracle_path_counts(graph: SparseGraph, ell: int) -> np.ndarray:
     return counts
 
 
+def _oracle_coin_sweep(params: SbmParams, seed: int) -> dict:
+    """Graph document from the types and one uniform per ordered pair, drawn row-major."""
+    rng = make_rng(seed)
+    sigma = rng.choice(params.r, size=params.n, p=params.pi)
+    prob = np.minimum(params.W / params.n, 1.0)[np.ix_(sigma, sigma)]
+    edges = np.argwhere(np.triu(rng.random((params.n, params.n)) < prob, 1))
+    return {"n": params.n, "r": params.r, "seed": seed, "types": sigma.tolist(),
+            "edges": edges.tolist()}
+
+
 def _verify_oracles(rng_seed: int = 7) -> list[tuple[str, bool, str]]:
-    results = []
+    ok = True
+    for n in (61, 100):  # the coins start off and on a Philox block boundary
+        params = SbmParams(r=3, W=np.array([[150.0, 2, 0], [2, 4, 3], [0, 3, 9]]),
+                           pi=np.array([0.5, 0.3, 0.2]), n=n)
+        ok &= all(sample_to_json(sample_graph(params, s), params) == _oracle_coin_sweep(params, s)
+                  for s in range(rng_seed, rng_seed + 3))
+    results = [("oracles.sampler_matches_coin_sweep", bool(ok),
+                "3 seeds x n in {61,100}, 3 blocks with clamped and zero entries")]
     params = SbmParams(r=2, W=np.array([[5.0, 1.0], [1.0, 5.0]]),
                        pi=np.array([0.5, 0.5]), n=120)
     ok_dist = ok_shells = True

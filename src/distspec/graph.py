@@ -280,22 +280,14 @@ def bfs_shells(
 def distance_matrix(g: SparseGraph, ell: int) -> SparseSymMatrix:
     """0/1 matrix marking pairs at graph distance exactly ell.
 
-    Row v is the last frontier of v; each pair is recorded from its lower
-    endpoint.  Cost is the sum over vertices of their ell-ball sizes.
+    Row v is the last frontier of v, so the stacked frontiers are the full
+    matrix.  Cost is the sum over vertices of their ell-ball sizes.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for lo, fronts in _vertex_frontiers(g, ell):
-        last = fronts[-1].tocoo()
-        v = last.row.astype(np.int64) + lo
-        w = last.col.astype(np.int64)
-        upper = w > v
-        rows.append(v[upper])
-        cols.append(w[upper])
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    vals = np.ones(len(rows), dtype=np.int64)
-    return SparseSymMatrix.from_pairs(g.n, ell, "distance", rows, cols, vals)
+    blocks = [fronts[-1] for _, fronts in _vertex_frontiers(g, ell)]
+    full = sp.vstack(blocks, format="csr") if blocks else sp.csr_matrix((g.n, g.n))
+    return SparseSymMatrix(g.n, ell, "distance", full)
 
 
 def path_expansion_matrix(g: SparseGraph, ell: int, cap: int = 2) -> SparseSymMatrix:

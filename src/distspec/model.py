@@ -3,6 +3,8 @@
 The generative model: each of ``n`` vertices independently receives a
 hidden type from the prior ``pi``; every unordered pair ``{u, v}`` is then
 an edge independently with probability ``min(W[type(u), type(v)] / n, 1)``.
+The edge coins sit where a row-major sweep over all n^2 pairs would draw
+them; only the upper-triangle ones are generated (see :func:`sample_graph`).
 The mean progeny matrix ``M = diag(pi) @ W`` governs the local branching
 structure; its eigenvalues decide whether the types can be recovered from
 the graph alone (signal-to-noise ratio ``tau = mu2^2 / mu1 > 1``).
@@ -22,6 +24,7 @@ from .util import canonical_sign, make_rng
 _TOL_PI = 1e-12
 _TOL_REG = 1e-9
 _TOL_MULT = 1e-9
+_COIN_ENTRIES = 1 << 20  # edge coins one row group of the sampler holds (8 MB)
 
 
 class NotPositiveRegular(ValueError):
@@ -182,36 +185,48 @@ def check_degree_regularity(profile: SpectralProfile) -> tuple[bool, np.ndarray]
     return bool(np.max(np.abs(residuals)) <= _TOL_REG), residuals
 
 
+def _skip(bitgen: np.random.Philox, pos: int, k: int) -> None:
+    """Move a Philox stream at output position ``pos`` past ``k`` outputs."""
+    head = min(k, -pos % 4)  # outputs left in the current block of four
+    bitgen.random_raw(head)
+    if k > head:  # on a block boundary: advance jumps blocks without computing them
+        bitgen.advance((k - head) // 4)
+        bitgen.random_raw((k - head) % 4)
+
+
 def sample_graph(params: SbmParams, seed: int) -> TypedGraphSample:
     """Draw one graph: i.i.d. types from pi, independent per-pair edge coins.
 
     Edge probability for ``{u, v}`` is ``min(W[sigma(u), sigma(v)] / n, 1)``;
     probabilities at or above 1 are handled by the clamp.  The same seed
-    reproduces the same edge list and type vector bit for bit.
+    reproduces the same edge list and type vector bit for bit: after
+    ``sigma`` the Philox stream sits at output position P0, and the coin of
+    the pair u < v is the uniform double (one 64-bit output) at P0 + u*n + v,
+    as in a row-major sweep over all n^2 ordered pairs.  Only the coins with
+    u < v are generated; the stream is advanced over the others.
     """
     rng = make_rng(seed)
     n, r = params.n, params.r
     sigma = rng.choice(r, size=n, p=params.pi)
     prob = np.minimum(params.W / n, 1.0)
-
-    # Row-blocked Bernoulli sweep over the upper triangle; the block size
-    # depends only on n so the draw order (hence the output) is fixed.
-    block = max(1, (1 << 22) // n)
-    chunks = []
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        p_rows = prob[np.ix_(sigma[start:stop], sigma)]
-        hits = rng.random((stop - start, n)) < p_rows
-        rows, cols = np.nonzero(hits)
-        rows = rows + start
-        keep = cols > rows
-        if keep.any():
-            chunks.append(np.stack([rows[keep], cols[keep]], axis=1))
-    if chunks:
-        edges = np.concatenate(chunks, axis=0)
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
-    graph = SparseGraph.from_edges(n, edges)
+    bitgen, state = rng.bit_generator, rng.bit_generator.state
+    p0 = 4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"]
+    # Coin (u, v) is at flat index ends[u] - n + v of the upper triangle.
+    ends = np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64))
+    block = max(1, _COIN_ENTRIES // n)
+    edges = [np.empty((0, 2), dtype=np.int64)]
+    for lo in range(0, n - 1, block):
+        base, hi = ends[lo] - n + lo + 1, min(lo + block, n - 1)
+        coins = np.empty(ends[hi - 1] - base)
+        for u in range(lo, hi):
+            _skip(bitgen, p0 + u * n, u + 1)
+            rng.random(out=coins[ends[u] - n + u + 1 - base:ends[u] - base])
+        flat = np.flatnonzero(coins < prob.max())  # every hit is below the max
+        rows = np.searchsorted(ends, flat + base, side="right")
+        cols = flat + base - ends[rows] + n
+        keep = coins[flat] < prob[sigma[rows], sigma[cols]]
+        edges.append(np.stack([rows[keep], cols[keep]], axis=1))
+    graph = SparseGraph.from_edges(n, np.concatenate(edges))
     return TypedGraphSample(graph=graph, sigma=sigma, seed=int(seed))
 
 

@@ -214,6 +214,14 @@ def separation_report(
     )
 
 
+def _qc_radius(shell_sizes: np.ndarray) -> float:
+    """Largest radius of the :func:`qc_bound` matrices of the rows of layer sizes."""
+    root = np.sqrt(shell_sizes)
+    t = np.arange(root.shape[-1])
+    Q = root[:, :, None] * root[:, None, :] * (t[:, None] + t[None, :] < len(t))
+    return float(np.abs(np.linalg.eigvalsh(Q)).max(initial=0.0))
+
+
 def qc_bound(shell_sizes: Sequence[int]) -> tuple[float, float]:
     """Spectral-radius bound from layer sizes around a cycle or vertex set.
 
@@ -225,15 +233,9 @@ def qc_bound(shell_sizes: Sequence[int]) -> tuple[float, float]:
     S = np.asarray(shell_sizes, dtype=np.float64)
     if (S < 0).any():
         raise ValueError("shell sizes must be nonnegative")
-    ell = len(S) - 1
-    root = np.sqrt(S)
-    Q = np.outer(root, root)
-    t = np.arange(ell + 1)
-    Q[t[:, None] + t[None, :] > ell] = 0.0
-    evals = np.linalg.eigvalsh(Q)
-    exact = float(np.abs(evals).max())
-    rowsums = [root[i] * root[: ell - i + 1].sum() for i in range(ell + 1)]
-    bound = float(max(rowsums))
+    exact = _qc_radius(S[None])
+    root, ell = np.sqrt(S), len(S) - 1
+    bound = float(max(root[i] * root[: ell - i + 1].sum() for i in range(ell + 1)))
     return exact, bound
 
 
@@ -271,10 +273,7 @@ def delta_radius_check(
         pairs = top_eigenpairs(delta, g.n, k=1, seed=seed)
         rho = abs(pairs[0].value) if pairs else float("nan")
     cycles = fundamental_cycles(g)
-    cycle_bound = 0.0
-    for sizes in _shell_sizes(frontiers(g, _source_rows(g, cycles), ell)):
-        exact, _ = qc_bound(sizes)
-        cycle_bound = max(cycle_bound, exact)
+    cycle_bound = _qc_radius(_shell_sizes(frontiers(g, _source_rows(g, cycles), ell)))
     log_bound = float(np.log(g.n) * alpha ** (ell / 2.0)) if g.n > 1 else 0.0
     tf, _ = tangle_free_check(g, ell)
     return DeltaRadiusReport(

@@ -160,6 +160,10 @@ class TestVerify:
         assert cli.main(["verify", "oracles"]) == 0
         assert "PASS oracles.shells_and_tangle_match_apsp" in capsys.readouterr().out
 
+    def test_oracles_suite_checks_the_sampler(self, capsys):
+        assert cli.main(["verify", "oracles"]) == 0
+        assert "PASS oracles.sampler_matches_coin_sweep" in capsys.readouterr().out
+
     def test_bounds_suite_passes(self, capsys):
         assert cli.main(["verify", "bounds"]) == 0
         assert "FAIL" not in capsys.readouterr().out
