@@ -142,6 +142,12 @@ def apply_perturbation(g: SparseGraph, p: Perturbation) -> SparseGraph:
     return SparseGraph.from_edges(n, np.stack([keys // n, keys % n], axis=1))
 
 
+def _missing_clique_edges(g: SparseGraph, vertices) -> tuple:
+    """The pairs of ``vertices``, in order, that are not yet edges of ``g``."""
+    return tuple((int(u), int(v)) for i, u in enumerate(vertices) for v in vertices[i + 1:]
+                 if not g.has_edge(int(u), int(v)))
+
+
 def plant_clique(g: SparseGraph, gamma: int, seed: int) -> tuple[SparseGraph, Perturbation]:
     """Complete a uniformly chosen gamma-subset into a clique.
 
@@ -154,13 +160,8 @@ def plant_clique(g: SparseGraph, gamma: int, seed: int) -> tuple[SparseGraph, Pe
         raise ValueError("gamma must be nonnegative")
     rng = make_rng(seed)
     chosen = np.sort(rng.choice(g.n, size=gamma, replace=False)) if gamma else np.array([], dtype=np.int64)
-    added = []
-    for i in range(len(chosen)):
-        for j in range(i + 1, len(chosen)):
-            u, v = int(chosen[i]), int(chosen[j])
-            if not g.has_edge(u, v):
-                added.append((u, v))
-    p = Perturbation(added_edges=tuple(added), removed_edges=(), gamma_budget=int(gamma))
+    p = Perturbation(added_edges=_missing_clique_edges(g, chosen), removed_edges=(),
+                     gamma_budget=int(gamma))
     return apply_perturbation(g, p), p
 
 
@@ -365,13 +366,8 @@ def build_rogue_certificate(
     else:
         k_set = _greedy_separated(g, pool, gamma, ell)
         if mode == "separated_clique" and gamma > 1:
-            added = []
-            for i in range(len(k_set)):
-                for j in range(i + 1, len(k_set)):
-                    u, v = int(k_set[i]), int(k_set[j])
-                    if not g.has_edge(u, v):
-                        added.append((u, v))
-            perturbation = Perturbation(tuple(added), (), gamma_budget=int(gamma))
+            perturbation = Perturbation(_missing_clique_edges(g, k_set), (),
+                                        gamma_budget=int(gamma))
             measured_graph = apply_perturbation(g, perturbation)
         shell = set_shell(measured_graph, k_set, ell)
         dmat = None

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph import SparseGraph, distance_matrix, path_expansion_matrix
+from .graph import SparseGraph, SparseSymMatrix, distance_matrix, path_expansion_matrix
 from .model import SpectralProfile
 from .spectral import EigenPair, SeparationReport, separation_report, top_eigenpairs
 from .util import canonical_sign, derive_seed, make_rng
@@ -138,6 +138,47 @@ def _pick_second(pairs: Sequence[EigenPair], mu2_power: float) -> int:
     return min(group, key=lambda i: (abs(pairs[i].value - mu2_power), i))
 
 
+MATRIX_KINDS = ("distance", "path")
+
+
+def build_matrix(g: SparseGraph, ell: int, matrix_kind: str = "distance") -> SparseSymMatrix:
+    """Build stage: ``D^ell`` for ``"distance"``, ``B^ell`` for ``"path"``."""
+    if matrix_kind == "distance":
+        return distance_matrix(g, ell)
+    if matrix_kind == "path":
+        return path_expansion_matrix(g, ell)
+    raise ValueError(f"unknown matrix kind {matrix_kind!r}")
+
+
+def solve_pairs(mat: SparseSymMatrix, n: int, profile: SpectralProfile,
+                seed: int) -> list[EigenPair]:
+    """Solve stage: the top max(4, r0 + 1) eigenpairs, at most n; warns
+    when the profile sits at or below the recovery threshold."""
+    if not profile.above_threshold:
+        warnings.warn(BelowThreshold(
+            f"r0 = {profile.r0}: no informative second eigenvalue is expected"))
+    k = min(max(4, profile.r0 + 1), n)
+    return top_eigenpairs(mat, n, k=k, seed=derive_seed(seed, "eig"))
+
+
+def round_labels(pairs: Sequence[EigenPair], profile: SpectralProfile, ell: int, seed: int,
+                 k_override: Optional[float] = None) -> tuple[LabelAssignment, SeparationReport]:
+    """Round stage: round the signal eigenvector to two labels with K =
+    ``k_override``, else the closed form above threshold, else ``FALLBACK_K``."""
+    n = len(pairs[0].vector)
+    idx = _pick_second(pairs, float(profile.mu[1] ** ell))
+    report = replace(separation_report(pairs, profile, ell, n=n), chosen_second=idx)
+    xi = normalize_for_algorithm(pairs[idx].vector, n)
+    if k_override is not None:
+        K = float(k_override)
+    elif profile.tau > 1.0:
+        K = explicit_K(profile.params.r, profile.tau, profile.d)
+    else:
+        K = FALLBACK_K
+    assignment = replace(label_two_way(xi, K, derive_seed(seed, "label")), source=idx)
+    return assignment, report
+
+
 def detect(
     g: SparseGraph,
     profile: SpectralProfile,
@@ -145,44 +186,11 @@ def detect(
     seed: int,
     matrix_kind: str = "distance",
     k_override: Optional[float] = None,
-    num_pairs: int = 4,
 ) -> tuple[LabelAssignment, SeparationReport]:
-    """Full pipeline: build matrix, take the second eigenvector, round to labels.
+    """Full pipeline: build the matrix, solve, round the second eigenvector.
 
-    Warns (and falls back to a default K) when the profile sits at or
-    below the recovery threshold.  Deterministic given (graph, seed):
-    solver and coin streams use seeds derived from labeled hashes.
+    Deterministic given (graph, seed): solver and coin streams use seeds
+    derived from labeled hashes.
     """
-    if matrix_kind == "distance":
-        mat = distance_matrix(g, ell)
-    elif matrix_kind == "path":
-        mat = path_expansion_matrix(g, ell)
-    else:
-        raise ValueError(f"unknown matrix kind {matrix_kind!r}")
-
-    if not profile.above_threshold:
-        warnings.warn(BelowThreshold(
-            f"r0 = {profile.r0}: no informative second eigenvalue is expected"))
-
-    k = max(num_pairs, profile.r0 + 1)
-    pairs = top_eigenpairs(mat, g.n, k=min(k, g.n), seed=derive_seed(seed, "eig"))
-    report = separation_report(pairs, profile, ell, n=g.n)
-    mu2_power = float(profile.mu[1] ** ell)
-    idx = _pick_second(pairs, mu2_power)
-    report = SeparationReport(
-        lam=report.lam, mu_powers=report.mu_powers, bulk_scale=report.bulk_scale,
-        ratios=report.ratios, bulk_ratio=report.bulk_ratio,
-        informative_ok=report.informative_ok, bulk_ok=report.bulk_ok,
-        chosen_second=idx,
-    )
-    xi = normalize_for_algorithm(pairs[idx].vector, g.n)
-    if k_override is not None:
-        K = float(k_override)
-    elif profile.tau > 1.0:
-        K = explicit_K(profile.params.r, profile.tau, profile.d)
-    else:
-        K = FALLBACK_K
-    assignment = label_two_way(xi, K, derive_seed(seed, "label"))
-    assignment = LabelAssignment(labels=assignment.labels, source=idx,
-                                 K_used=K, seed=assignment.seed)
-    return assignment, report
+    pairs = solve_pairs(build_matrix(g, ell, matrix_kind), g.n, profile, seed)
+    return round_labels(pairs, profile, ell, seed, k_override)

@@ -1,7 +1,13 @@
 import json
 from pathlib import Path
 
+import pytest
+
+import distspec as ds
+import distspec.adversary as adversary
 import distspec.cli as cli
+import distspec.reconstruct as reconstruct
+from distspec.model import InvalidKappa
 
 
 def write_config(tmp_path, **overrides):
@@ -27,6 +33,60 @@ def read_rows(path):
 
 def strip_timings(row):
     return row.split(",")[:-3]
+
+
+def count_calls(monkeypatch, module, name, counts):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+class TestConfig:
+    def test_unknown_matrix_kind_fails_before_sampling(self, tmp_path, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a graph for an invalid config")
+
+        monkeypatch.setattr(cli, "sample_graph", no_sampling)
+        cfg = write_config(tmp_path, matrix="distnace")
+        with pytest.raises(ValueError, match="unknown matrix kind 'distnace'"):
+            cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")])
+        with pytest.raises(ValueError, match="unknown matrix kind"):
+            cli.main(["detect", str(tmp_path / "missing.json"), "--config", str(cfg)])
+
+    def test_unused_keys_still_load(self, tmp_path):
+        cfg = write_config(tmp_path, perturbation="clique")
+        assert cli.ExperimentConfig.load(str(cfg)).matrix_kind == "distance"
+
+
+class TestResolveEll:
+    def resolve(self, tmp_path, *flags, **overrides):
+        cfg = cli.ExperimentConfig.load(str(write_config(tmp_path, **overrides)))
+        args = cli.build_parser().parse_args(["sweep", *flags])
+        return cli._resolve_ell(args, cfg)
+
+    def test_flags_then_config(self, tmp_path):
+        assert self.resolve(tmp_path) == 3
+        assert self.resolve(tmp_path, "--ell", "2") == 2
+        # kappa * log(300) / log(3) = 5.19 * kappa
+        assert self.resolve(tmp_path, "--kappa", "0.5") == 2
+        assert self.resolve(tmp_path, ell=None, kappa=0.5) == 2
+        assert self.resolve(tmp_path, ell=None) == 1
+
+    def test_zero_ell_flag_is_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            self.resolve(tmp_path, "--ell", "0")
+
+    def test_zero_kappa_flag_is_rejected(self, tmp_path):
+        with pytest.raises(InvalidKappa):
+            self.resolve(tmp_path, "--kappa", "0")
+
+    def test_zero_kappa_in_config_is_rejected(self, tmp_path):
+        with pytest.raises(InvalidKappa):
+            self.resolve(tmp_path, ell=None, kappa=0)
 
 
 class TestGenerate:
@@ -69,6 +129,34 @@ class TestDetect:
         assert len(doc["labels"]) == 300
         assert len(read_rows(csv)) == 1
 
+    def test_one_build_and_one_solve(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path)
+        graph = tmp_path / "g.json"
+        cli.main(["generate", "--config", str(cfg), "--seed", "1", "--out", str(graph)])
+        counts = {}
+        count_calls(monkeypatch, cli, "distance_matrix", counts)
+        count_calls(monkeypatch, reconstruct, "distance_matrix", counts)
+        count_calls(monkeypatch, reconstruct, "top_eigenpairs", counts)
+        count_calls(monkeypatch, cli, "top_eigenpairs", counts)
+        assert cli.main(["detect", str(graph), "--config", str(cfg),
+                         "--out", str(tmp_path / "a.json")]) == 0
+        assert counts == {"distance_matrix": 1, "top_eigenpairs": 1}
+
+    def test_labels_and_lambdas_are_those_of_detect(self, tmp_path):
+        cfg = write_config(tmp_path)
+        graph = tmp_path / "g.json"
+        cli.main(["generate", "--config", str(cfg), "--seed", "4", "--out", str(graph)])
+        out = tmp_path / "a.json"
+        cli.main(["detect", str(graph), "--config", str(cfg), "--seed", "9", "--out", str(out)])
+        doc = json.loads(out.read_text())
+        sample = ds.sample_from_json(json.loads(graph.read_text()))
+        config = cli.ExperimentConfig.load(str(cfg))
+        assignment, report = ds.detect(sample.graph, ds.derive_spectral_profile(config.params),
+                                       3, seed=9)
+        assert doc["labels"] == assignment.labels.tolist()
+        assert doc["lambdas"] == report.lam[:4].tolist()
+        assert doc["source"] == assignment.source == report.chosen_second
+
     def test_same_seed_identical_rows(self, tmp_path):
         cfg = write_config(tmp_path)
         graph = tmp_path / "g.json"
@@ -97,6 +185,15 @@ class TestPerturb:
         base = json.loads(graph.read_text())
         assert len(gdoc["edges"]) == len(base["edges"]) + len(pdoc["add"])
 
+    def test_keeps_the_block_count_of_the_input(self, tmp_path):
+        # The third block drew no vertex; r must still read 3.
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps({"n": 6, "r": 3, "seed": 1, "types": [0, 1, 0, 1, 0, 1],
+                                     "edges": [[0, 1], [2, 3]]}))
+        out = tmp_path / "gp.json"
+        assert cli.main(["perturb", str(graph), "--gamma", "3", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["r"] == 3
+
 
 class TestSweep:
     def test_empty_gamma_grid_gives_baseline_rows(self, tmp_path):
@@ -115,6 +212,30 @@ class TestSweep:
         assert len(rows) == 6
         key = [(int(r.split(",")[0]), int(r.split(",")[4])) for r in rows]
         assert key == [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
+
+    def test_one_build_per_graph(self, tmp_path, monkeypatch):
+        # Each seed's unedited D^ell serves its gamma = 0 row and every
+        # rogue certificate; each perturbed graph is built once.
+        counts = {}
+        count_calls(monkeypatch, cli, "distance_matrix", counts)
+        count_calls(monkeypatch, reconstruct, "distance_matrix", counts)
+        count_calls(monkeypatch, reconstruct, "path_expansion_matrix", counts)
+        count_calls(monkeypatch, adversary, "distance_matrix", counts)
+        cfg = write_config(tmp_path, gammas=[0, 2, 3], seeds=[1, 2], rogue=True)
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = read_rows(out)
+        assert len(rows) == 6 and all(r.split(",")[11] for r in rows if r.split(",")[4] != "0")
+        assert counts == {"distance_matrix": 2 + 2 * 2}
+
+    def test_rogue_certificates_without_a_gamma_zero_row(self, tmp_path, monkeypatch):
+        counts = {}
+        count_calls(monkeypatch, cli, "distance_matrix", counts)
+        count_calls(monkeypatch, reconstruct, "distance_matrix", counts)
+        count_calls(monkeypatch, adversary, "distance_matrix", counts)
+        cfg = write_config(tmp_path, gammas=[2, 3], seeds=[1], rogue=True)
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 0
+        assert counts == {"distance_matrix": 1 + 2}
 
     def test_rows_regenerate_identically(self, tmp_path):
         cfg = write_config(tmp_path, gammas=[0, 2], seeds=[3])
