@@ -6,9 +6,10 @@ check (shell sizes, tangles, set shells) are read off one primitive,
 :func:`frontiers`, a truncated BFS from many source sets at once written as
 sparse products, so the total cost is the sum of ball sizes.  The path-expansion
 matrix ``B^ell`` (counts of self-avoiding walks of length ell) is kept as
-a verification artifact: exact depth-limited DFS, feasible for small
-depths on sparse graphs.  Their difference is supported near cycles only,
-which is what the perturbation bounds exploit.
+a verification artifact: an exact level-wise enumeration over arrays (one
+vertex column per depth), feasible for small depths on sparse graphs.
+Their difference is supported near cycles only, which is what the
+perturbation bounds exploit.
 """
 
 from __future__ import annotations
@@ -41,9 +42,8 @@ class SparseGraph:
     """Undirected simple graph with sorted per-vertex neighbor lists.
 
     Immutable after construction; edits go through rebuilds (see the
-    adversary module).  ``adj`` holds plain Python lists for the walks
-    that still run in Python (path enumeration, fundamental cycles); it
-    is built on first access.
+    adversary module).  ``adj`` holds plain Python lists for walks written
+    in Python (the CLI's path-count oracle); it is built on first access.
     """
 
     __slots__ = ("n", "m", "indptr", "indices", "_adj")
@@ -277,66 +277,89 @@ def bfs_shells(
                         type_counts=type_counts)
 
 
+def _vertex_pass(g: SparseGraph, ell: int, distance: bool = True,
+                 tangle: bool = True) -> tuple[Optional[SparseSymMatrix], list[int]]:
+    """``(D^ell or None, tangle offenders)`` from one single-vertex expansion.
+
+    Row v of ``D^ell`` is v's last frontier.  A ball's cycle count is its
+    edge excess ``edges - vertices + 1`` (balls are connected); twice its
+    edges are its inner vertices' degrees plus the row sums of
+    ``(last @ A) * (shell_{ell-1} + last)``.
+    """
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
+    adj = g.to_csr()
+    deg = np.diff(g.indptr)
+    lasts, offenders = [], []
+    for lo, fronts in _vertex_frontiers(g, ell):
+        last = fronts[-1]
+        if distance:
+            lasts.append(last)
+        if tangle:
+            rim = (last.astype(np.int32) @ adj).multiply(fronts[-2] + last).sum(axis=1)
+            twice = sum(f @ deg for f in fronts[:-1]) + np.asarray(rim).ravel()
+            excess = twice // 2 - sum(np.diff(f.indptr) for f in fronts) + 1
+            offenders.extend((np.nonzero(excess > 1)[0] + lo).tolist())
+    full = sp.vstack(lasts, format="csr") if lasts else sp.csr_matrix((g.n, g.n))
+    return (SparseSymMatrix(g.n, ell, "distance", full) if distance else None), offenders
+
+
 def distance_matrix(g: SparseGraph, ell: int) -> SparseSymMatrix:
     """0/1 matrix marking pairs at graph distance exactly ell.
 
     Row v is the last frontier of v, so the stacked frontiers are the full
     matrix.  Cost is the sum over vertices of their ell-ball sizes.
     """
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    blocks = [fronts[-1] for _, fronts in _vertex_frontiers(g, ell)]
-    full = sp.vstack(blocks, format="csr") if blocks else sp.csr_matrix((g.n, g.n))
-    return SparseSymMatrix(g.n, ell, "distance", full)
+    return _vertex_pass(g, ell, tangle=False)[0]
 
 
 def path_expansion_matrix(g: SparseGraph, ell: int, cap: int = 2) -> SparseSymMatrix:
     """Counts of self-avoiding paths of length exactly ell, saturated at cap.
 
-    Exact DFS enumeration with on-path marking; intended for small ell on
-    sparse graphs.  Pairs whose raw count exceeds ``cap`` are clamped and
-    reported via a :class:`CapSaturated` warning (they indicate tangles).
+    Exact enumeration level by level: paths of depth t are t+1 int32 vertex
+    columns, extended to each neighbour of the last vertex that differs from
+    all earlier columns; a block of paths is halved while its next level would
+    exceed ``_BLOCK_ENTRIES``.  For small ell on sparse graphs.  Pairs whose
+    raw count exceeds ``cap`` are clamped and reported, in (v, w) order, via
+    a :class:`CapSaturated` warning (they indicate tangles).
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    n = g.n
-    adj = g.adj
-    on_path = bytearray(n)
-    saturated: list[tuple[int, int]] = []
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[int] = []
-
-    for v in range(n):
-        counts: dict[int, int] = {}
-
-        def walk(u: int, depth: int) -> None:
-            if depth == ell:
-                counts[u] = counts.get(u, 0) + 1
-                return
-            on_path[u] = 1
-            for w in adj[u]:
-                if not on_path[w]:
-                    walk(w, depth + 1)
-            on_path[u] = 0
-
-        walk(v, 0)
-        for w in sorted(counts):
-            if w <= v:
-                continue
-            c = counts[w]
-            if c > cap:
-                saturated.append((v, w))
-                c = cap
-            rows.append(v)
-            cols.append(w)
-            vals.append(c)
-
-    if saturated:
-        warnings.warn(CapSaturated(saturated))
-    return SparseSymMatrix.from_pairs(n, ell, "path", rows, cols, vals)
+    n, indptr, indices = g.n, g.indptr, g.indices.astype(np.int32)
+    deg = np.diff(indptr)
+    blocks: list[sp.csr_matrix] = []
+    todo = [[np.arange(n, dtype=np.int32)]]
+    while todo:
+        cols = todo.pop()
+        last = cols[-1]
+        reps = deg[last]
+        size = int(reps.sum())
+        if size > _BLOCK_ENTRIES and len(last) > 1:
+            todo += [[c[len(last) // 2:] for c in cols], [c[:len(last) // 2] for c in cols]]
+            continue
+        row = np.repeat(np.arange(len(last)), reps)
+        nxt = indices[np.arange(size) + np.repeat(indptr[last] - (np.cumsum(reps) - reps), reps)]
+        keep = np.ones(size, dtype=bool)
+        for c in cols[:-1]:  # a simple graph has no loop back to the last column
+            keep &= c[row] != nxt
+        row, nxt = row[keep], nxt[keep]
+        if len(cols) < ell:
+            todo.append([c[row] for c in cols] + [nxt])
+            continue
+        first = cols[0][row]
+        up = first < nxt
+        blocks.append(sp.csr_matrix((np.ones(int(up.sum()), dtype=np.int64), (first[up], nxt[up])),
+                                    shape=(n, n)))
+    upper = sum(blocks[1:], blocks[0])
+    upper.sum_duplicates()
+    over = upper.data > cap
+    if over.any():
+        rows = np.repeat(np.arange(n), np.diff(upper.indptr))
+        warnings.warn(CapSaturated(zip(rows[over].tolist(), upper.indices[over].tolist())))
+        upper.data[over] = cap
+    return SparseSymMatrix(n, ell, "path", upper + upper.T)
 
 
 def difference_matrix(a: SparseSymMatrix, b: SparseSymMatrix, kind: str = "diff") -> SparseSymMatrix:
@@ -365,22 +388,9 @@ def delta_matrix(bl: SparseSymMatrix, dl: SparseSymMatrix) -> SparseSymMatrix:
 
 
 def tangle_free_check(g: SparseGraph, ell: int) -> tuple[bool, list[int]]:
-    """True iff every radius-ell ball contains at most one independent cycle.
-
-    The cycle count of a ball is its edge excess ``edges - vertices + 1``
-    (balls are connected by construction); the edges inside a ball are
-    the row sums of ``(ball @ A) * ball``, halved.  Returns the offending
-    vertices.
-    """
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    adj = g.to_csr()
-    offenders = []
-    for lo, fronts in _vertex_frontiers(g, ell):
-        ball = sum(fronts[1:], fronts[0]).astype(np.int32)
-        edges = np.asarray((ball @ adj).multiply(ball).sum(axis=1)).ravel() // 2
-        excess = edges - np.diff(ball.indptr) + 1
-        offenders.extend((np.nonzero(excess > 1)[0] + lo).tolist())
+    """True iff every radius-ell ball contains at most one independent cycle
+    (edge excess, see :func:`_vertex_pass`); also returns the offending vertices."""
+    offenders = _vertex_pass(g, ell, distance=False)[1]
     return (not offenders), offenders
 
 
@@ -432,44 +442,36 @@ def fundamental_cycles(g: SparseGraph) -> list[np.ndarray]:
     where every small ball holds at most one cycle these are exactly the
     local cycles the difference-matrix bounds need.
     """
-    n = g.n
-    adj = g.adj
-    parent = np.full(n, -1, dtype=np.int64)
-    depth = np.full(n, -1, dtype=np.int64)
-    cycles = []
-    for root in range(n):
-        if depth[root] >= 0:
-            continue
-        depth[root] = 0
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if depth[w] < 0:
-                        depth[w] = depth[u] + 1
-                        parent[w] = u
-                        nxt.append(w)
-            frontier = nxt
-    for u in range(n):
-        for w in adj[u]:
-            if w <= u:
-                continue
-            if parent[w] == u or parent[u] == w:
-                continue
-            # Walk both endpoints up to the meeting vertex.
-            pu, pw = u, w
-            left, right = [pu], [pw]
-            while pu != pw:
-                if depth[pu] >= depth[pw]:
-                    pu = parent[pu]
-                    left.append(pu)
-                else:
-                    pw = parent[pw]
-                    right.append(pw)
-            members = set(left) | set(right)
-            cycles.append(np.array(sorted(members), dtype=np.int64))
-    return cycles
+    from scipy.sparse.csgraph import breadth_first_order, connected_components  # slow import
+
+    n, m2 = g.n, len(g.indices)
+    # One BFS from a virtual vertex n whose children are the smallest vertex
+    # of each component visits each component as a BFS from that vertex would.
+    roots = np.unique(connected_components(g.to_csr(), directed=False)[1], return_index=True)[1]
+    forest = sp.csr_matrix((np.ones(m2 + len(roots), dtype=np.int8),
+                            np.concatenate([g.indices, roots]), np.append(g.indptr, m2 + len(roots))),
+                           shape=(n + 1, n + 1))
+    parent = breadth_first_order(forest, n, directed=True)[1].astype(np.int64)
+    parent[n] = n
+    # Pointer jumping over the forest: depth[v] ends as v's distance to its root.
+    depth, up = (parent != n).astype(np.int64), parent
+    while (up != n).any():
+        depth += depth[up]
+        up = up[up]
+    edges = g.edge_array()
+    pu, pw = edges[(parent[edges[:, 1]] != edges[:, 0]) & (parent[edges[:, 0]] != edges[:, 1])].T
+    # Walk all closing edges' ends up at once, deeper end first; key cycle * n + vertex.
+    cycle = np.arange(len(pu)) * n
+    keys = [cycle + pu, cycle + pw]
+    while (live := pu != pw).any():
+        left = live & (depth[pu] >= depth[pw])
+        right = live & ~left
+        pu, pw = np.where(left, parent[pu], pu), np.where(right, parent[pw], pw)
+        keys += [(cycle + pu)[left], (cycle + pw)[right]]
+    keys = np.sort(np.concatenate(keys))
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    ends, vertices = (np.flatnonzero(np.diff(keys // n, append=-1)) + 1).tolist(), keys % n
+    return [vertices[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def dump_matrix(mat: SparseSymMatrix, path) -> None:

@@ -112,17 +112,18 @@ def simulate_population(cfg: GwConfig) -> PopulationSample:
         root_types = np.full(cfg.runs, int(cfg.root_law), dtype=np.int64)
     else:
         root_types = rng.choice(r, size=cfg.runs, p=cfg.root_law)
-    Z = np.zeros((cfg.runs, cfg.depth + 1, r), dtype=np.int64)
-    Z[np.arange(cfg.runs), 0, root_types] = 1
+    # Generation-major, so each step reads and writes one contiguous slab.
+    Zt = np.zeros((cfg.depth + 1, cfg.runs, r), dtype=np.int64)
+    Zt[0, np.arange(cfg.runs), root_types] = 1
     capped = np.zeros(cfg.runs, dtype=bool)
     MT = cfg.M.T
     for t in range(cfg.depth):
-        lam = Z[:, t, :] @ MT
-        nxt = rng.poisson(lam)
-        frozen = capped | (nxt.sum(axis=1) > cfg.cap)
-        nxt[frozen] = Z[frozen, t, :]
-        capped |= frozen
-        Z[:, t + 1, :] = nxt
+        Zt[t + 1] = rng.poisson(Zt[t] @ MT)
+        frozen = capped | (Zt[t + 1].sum(axis=1) > cfg.cap)
+        if frozen.any():
+            Zt[t + 1, frozen] = Zt[t, frozen]
+            capped |= frozen
+    Z = Zt.transpose(1, 0, 2)
     if capped.any():
         warnings.warn(PopulationCapHit(int(capped.sum()), cfg.runs))
     return PopulationSample(Z=Z, root_types=root_types, capped=capped, cfg=cfg)

@@ -19,8 +19,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .graph import SparseGraph, SparseSymMatrix, _shell_sizes, _source_rows, delta_matrix, \
-    distance_matrix, frontiers, fundamental_cycles, path_expansion_matrix, tangle_free_check
+from .graph import SparseGraph, SparseSymMatrix, _shell_sizes, _source_rows, _vertex_pass, \
+    delta_matrix, frontiers, fundamental_cycles, path_expansion_matrix
 from .util import canonical_sign, make_rng
 
 
@@ -262,9 +262,11 @@ def delta_radius_check(
     eigenvalue by modulus; it is compared against the per-cycle bound
     (max over fundamental cycles of the exact small-matrix radius) and
     the log(n)-scaled growth bound.  Only feasible where the path
-    matrix is (n up to a few thousand, small ell).
+    matrix is (n up to a few thousand, small ell).  One vertex expansion
+    gives the tangle verdict and, when ``dl`` is not passed, ``D^ell``.
     """
-    dl = distance_matrix(g, ell) if dl is None else dl
+    built, offenders = _vertex_pass(g, ell, distance=dl is None)
+    dl = built if dl is None else dl
     bl = path_expansion_matrix(g, ell) if bl is None else bl
     delta = delta_matrix(bl, dl)
     if delta.nnz == 0:
@@ -275,14 +277,8 @@ def delta_radius_check(
     cycles = fundamental_cycles(g)
     cycle_bound = _qc_radius(_shell_sizes(frontiers(g, _source_rows(g, cycles), ell)))
     log_bound = float(np.log(g.n) * alpha ** (ell / 2.0)) if g.n > 1 else 0.0
-    tf, _ = tangle_free_check(g, ell)
-    return DeltaRadiusReport(
-        rho=rho,
-        cycle_bound=cycle_bound,
-        log_bound=log_bound,
-        tangle_free=tf,
-        n_cycles=len(cycles),
-    )
+    return DeltaRadiusReport(rho=rho, cycle_bound=cycle_bound, log_bound=log_bound,
+                             tangle_free=not offenders, n_cycles=len(cycles))
 
 
 def davis_kahan_bound(gap: float, perturbation_norm: float, d: int) -> float:

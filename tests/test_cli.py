@@ -194,6 +194,17 @@ class TestPerturb:
         assert cli.main(["perturb", str(graph), "--gamma", "3", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["r"] == 3
 
+    def test_several_gammas_are_rejected(self, tmp_path, capsys):
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps({"n": 6, "r": 2, "seed": 1, "types": [0, 1, 0, 1, 0, 1],
+                                     "edges": [[0, 1], [2, 3]]}))
+        out = tmp_path / "gp.json"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["perturb", str(graph), "--gamma", "3", "5", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "one --gamma value" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweep:
     def test_empty_gamma_grid_gives_baseline_rows(self, tmp_path):

@@ -1,7 +1,11 @@
 """Differential tests: the frontier expansion and every traversal built on it
-against dense all-pairs BFS (scipy's csgraph), on small random graphs that
-include the empty graph, n = 1, isolated vertices, disconnected graphs and
-depths above the diameter."""
+against dense all-pairs BFS (scipy's csgraph), and the path-expansion matrix
+and the fundamental cycles against plain Python enumerations, on small random
+graphs that include the empty graph, n = 1, isolated vertices, disconnected
+graphs and depths above the diameter."""
+
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import distspec as ds
+import distspec.graph as graph
 from distspec.adversary import GreedyExhausted, _common_sphere_candidates, _greedy_separated
-from distspec.cli import _apsp, _oracle_set_layers, _oracle_tangle_offenders
+from distspec.cli import _apsp, _oracle_path_counts, _oracle_set_layers, _oracle_tangle_offenders
 from conftest import apsp_distance_oracle
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -74,6 +79,54 @@ def test_tangle_verdict_matches_ball_edge_excess(g, ell):
     tf, offenders = ds.tangle_free_check(g, ell)
     assert offenders == _oracle_tangle_offenders(g, _apsp(g), ell)
     assert tf == (not offenders)
+
+
+@SETTINGS
+@given(graphs(), st.integers(1, 4), st.sampled_from([1, 2, 10**6]),
+       st.sampled_from([1, 16, graph._BLOCK_ENTRIES]))
+def test_path_matrix_matches_enumeration(g, ell, cap, block):
+    counts = _oracle_path_counts(g, ell)
+    with warnings.catch_warnings(record=True) as caught, \
+            mock.patch.object(graph, "_BLOCK_ENTRIES", block):
+        warnings.simplefilter("always")
+        mat = ds.path_expansion_matrix(g, ell, cap=cap)
+    assert np.array_equal(mat.to_dense(), np.minimum(counts, cap))
+    over = [(int(v), int(w)) for v, w in zip(*np.nonzero(np.triu(counts > cap, 1)))]
+    saturated = [w.message.pairs for w in caught if isinstance(w.message, ds.CapSaturated)]
+    assert saturated == ([over] if over else [])
+
+
+def _queue_bfs_cycles(g):
+    """Fundamental cycles of the BFS forest grown by a plain FIFO queue from
+    the smallest unvisited vertex, walking each closing edge's deeper end up."""
+    parent, depth = [-1] * g.n, [-1] * g.n
+    for root in range(g.n):
+        if depth[root] >= 0:
+            continue
+        depth[root], queue = 0, [root]
+        for u in queue:
+            for w in g.adj[u]:
+                if depth[w] < 0:
+                    depth[w], parent[w] = depth[u] + 1, u
+                    queue.append(w)
+    cycles = []
+    for u, w in g.edge_array().tolist():
+        if parent[w] == u or parent[u] == w:
+            continue
+        left, right = [u], [w]
+        while left[-1] != right[-1]:
+            side = left if depth[left[-1]] >= depth[right[-1]] else right
+            side.append(parent[side[-1]])
+        cycles.append(sorted(set(left) | set(right)))
+    return cycles
+
+
+@SETTINGS
+@given(graphs(max_n=24))
+def test_fundamental_cycles_match_a_queue_bfs_forest(g):
+    cycles = ds.fundamental_cycles(g)
+    assert [c.tolist() for c in cycles] == _queue_bfs_cycles(g)
+    assert all(c.dtype == np.int64 for c in cycles)
 
 
 @SETTINGS

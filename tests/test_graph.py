@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -229,6 +231,20 @@ class TestCycles:
         g = sample.graph
         comps = _component_count(g)
         assert len(ds.fundamental_cycles(g)) == g.m - g.n + comps
+
+    def test_cycle_list_is_pinned(self):
+        # A sparse sample with many components; the digest covers the
+        # order of the cycles and the vertices of each.
+        g = ds.sample_graph(small_params(1000), 11).graph
+        assert _component_count(g) > 1
+        cycles = ds.fundamental_cycles(g)
+        digest = hashlib.sha256()
+        for c in cycles:
+            digest.update(np.asarray(c, dtype="<i8").tobytes())
+            digest.update(b"|")
+        assert len(cycles) == 564
+        assert digest.hexdigest() == \
+            "7d54ee8a8778074c248e9e3e667540ef37221b475b67c54b1764c109e72ca1d9"
 
 
 def _component_count(g):

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import distspec as ds
 from distspec.gw import PopulationCapHit, SingularSystem
+from distspec.util import make_rng
 
 
 def single_type_cfg(mean=3.0, depth=8, runs=10**4, seed=0):
@@ -45,6 +48,30 @@ class TestSimulate:
         a = ds.simulate_population(single_type_cfg(seed=9))
         b = ds.simulate_population(single_type_cfg(seed=9))
         assert np.array_equal(a.Z, b.Z)
+
+    @pytest.mark.parametrize("root_law, cap", [(0, 10**6), ([0.3, 0.7], 10**6), ([0.5, 0.5], 40)])
+    def test_matches_a_run_major_loop(self, root_law, cap):
+        cfg = ds.GwConfig(M=np.array([[2.5, 0.5], [0.5, 2.0]]), root_law=root_law, depth=6,
+                          runs=500, seed=5, cap=cap)
+        rng = make_rng(cfg.seed)
+        roots = (np.full(cfg.runs, 0) if root_law == 0
+                 else rng.choice(2, size=cfg.runs, p=cfg.root_law))
+        Z = np.zeros((cfg.runs, cfg.depth + 1, 2), dtype=np.int64)
+        Z[np.arange(cfg.runs), 0, roots] = 1
+        capped = np.zeros(cfg.runs, dtype=bool)
+        for t in range(cfg.depth):
+            nxt = rng.poisson(Z[:, t, :] @ cfg.M.T)
+            frozen = capped | (nxt.sum(axis=1) > cfg.cap)
+            nxt[frozen] = Z[frozen, t, :]
+            capped |= frozen
+            Z[:, t + 1, :] = nxt
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PopulationCapHit)
+            sample = ds.simulate_population(cfg)
+        assert capped.any() == (cap == 40)
+        assert np.array_equal(sample.Z, Z) and sample.Z.shape == Z.shape
+        assert np.array_equal(sample.root_types, roots)
+        assert np.array_equal(sample.capped, capped)
 
 
 class TestMartingale:

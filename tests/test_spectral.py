@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import distspec as ds
+import distspec.graph as graph
+import distspec.spectral as spectral
 from distspec.spectral import DegenerateOperator, NoConvergence, ZeroGap
 
 from conftest import small_params
@@ -172,6 +174,26 @@ class TestDeltaRadius:
             rep = ds.delta_radius_check(sample.graph, 3, alpha=3.0)
         assert rep.rho <= 10 * np.log(500) * 3.0**1.5
         assert rep.rho <= rep.cycle_bound
+
+    def test_one_vertex_expansion_gives_distances_and_tangles(self, monkeypatch):
+        g = ds.sample_graph(small_params(300), 4).graph
+        bl = ds.path_expansion_matrix(g, 3, cap=10**6)
+        want = ds.delta_radius_check(g, 3, alpha=3.0, dl=ds.distance_matrix(g, 3), bl=bl)
+        assert want.tangle_free == ds.tangle_free_check(g, 3)[0]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("delta_radius_check ran a second traversal")
+
+        for module in (graph, spectral, ds):
+            for name in ("tangle_free_check", "distance_matrix"):
+                monkeypatch.setattr(module, name, forbidden, raising=False)
+        calls = []
+        expand = graph._vertex_frontiers
+        monkeypatch.setattr(graph, "_vertex_frontiers",
+                            lambda *args: calls.append(args) or expand(*args))
+        got = ds.delta_radius_check(g, 3, alpha=3.0, bl=bl)
+        assert len(calls) == 1
+        assert vars(got) == vars(want)
 
 
 class TestDavisKahan:
