@@ -32,7 +32,11 @@ from .adversary import GreedyExhausted, build_rogue_certificate, plant_clique, q
 from .graph import CapSaturated, SparseGraph, distance_matrix, fundamental_cycles, \
     path_expansion_matrix, set_shell, set_shell_sizes, shell_sizes_all, tangle_free_check
 from .gw import (
+    CumulantCheck,
     GwConfig,
+    _cumulant,
+    _matched_depths,
+    _raw_moment,
     cumulant_relation_check,
     martingale_limit_check,
     moment_closed_forms,
@@ -438,6 +442,30 @@ def _oracle_coin_sweep(params: SbmParams, seed: int) -> dict:
             "edges": edges.tolist()}
 
 
+def _oracle_cumulant_check(profile, phi, mu: float, order: int, runs: int, seed: int,
+                           depth: int = 8, bootstrap: int = 200) -> CumulantCheck:
+    """``cumulant_relation_check`` with a gather and a re-estimate per resample."""
+    deep, shallow = _matched_depths(profile, np.asarray(phi, dtype=float), mu, runs, seed,
+                                    depth)
+    Mj = profile.M / mu**order
+    cum = np.array([_cumulant(x, order) for x in deep])
+    predicted = Mj @ np.array([_raw_moment(y, order) for y in shallow])
+    rng = make_rng(derive_seed(seed, "gw-bootstrap"))
+    boot = np.empty((bootstrap, len(deep)))
+    for b in range(bootstrap):
+        cums, raws = np.empty(len(deep)), np.empty(len(deep))
+        for i, (x, y) in enumerate(zip(deep, shallow)):
+            idx = rng.integers(0, len(x), size=len(x))
+            cums[i] = _cumulant(x[idx], order)
+            raws[i] = _raw_moment(y[idx], order)
+        boot[b] = cums - Mj @ raws
+    se = boot.std(axis=0, ddof=1)
+    residual = cum - predicted
+    return CumulantCheck(order=order, cumulants=cum, predicted=predicted, residual=residual,
+                         residual_inf=float(np.abs(residual).max()), bootstrap_se=se,
+                         max_z=float((np.abs(residual) / np.where(se > 0, se, np.inf)).max()))
+
+
 def _verify_oracles(rng_seed: int = 7) -> list[tuple[str, bool, str]]:
     ok = True
     for n in (61, 100):  # the coins start off and on a Philox block boundary
@@ -577,6 +605,15 @@ def _verify_gw() -> list[tuple[str, bool, str]]:
     results.append(("gw.variance_sum_monte_carlo", ok,
                     f"mc={var_mc:.4f} depth-{depth} exact={c2_t.sum():.4f} "
                     f"limit={var_sum:.4f}"))
+    ok, worst = True, 0.0
+    for order in (1, 2, 3):
+        mine = cumulant_relation_check(profile, phi, mu, order, runs=2000, seed=405,
+                                       bootstrap=20)
+        ref = _oracle_cumulant_check(profile, phi, mu, order, 2000, 405, bootstrap=20)
+        worst = max(worst, float(np.max(np.abs(mine.bootstrap_se / ref.bootstrap_se - 1))))
+        ok &= np.array_equal(mine.residual, ref.residual)
+    results.append(("gw.bootstrap_matches_resample_loop", bool(ok and worst <= 1e-12),
+                    f"orders 1-3, 2000 runs, 20 resamples: max relative se gap {worst:.1e}"))
     return results
 
 

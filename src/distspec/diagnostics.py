@@ -41,11 +41,16 @@ class LocalMomentReport:
     ell: int
 
 
+def _onehot(sigma: np.ndarray, r: int) -> sp.csr_matrix:
+    """(n, r) int64 CSR with a single 1 per row, in column sigma[v]."""
+    sigma = np.asarray(sigma, dtype=np.int64)
+    return sp.csr_matrix((np.ones(len(sigma), dtype=np.int64), sigma,
+                          np.arange(len(sigma) + 1)), shape=(len(sigma), r))
+
+
 def shell_type_counts(g: SparseGraph, sigma: np.ndarray, r: int, ell: int) -> np.ndarray:
     """(n, r) matrix whose row v counts types among vertices at distance ell from v."""
-    sigma = np.asarray(sigma, dtype=np.int64)
-    onehot = sp.csr_matrix((np.ones(g.n, dtype=np.int64), sigma, np.arange(g.n + 1)),
-                           shape=(g.n, r))
+    onehot = _onehot(sigma, r)
     counts = np.zeros((g.n, r), dtype=np.int64)
     for lo, fronts in _vertex_frontiers(g, ell):
         last = fronts[-1]
@@ -61,11 +66,23 @@ def local_moment_report(
     eigenpairs: Optional[Sequence[EigenPair]] = None,
     seed: int = 0,
 ) -> LocalMomentReport:
-    """Compute the shell-count moments and their alignment with the spectrum."""
+    """Compute the shell-count moments and their alignment with the spectrum.
+
+    Without ``eigenpairs`` the report builds ``D^ell`` for its own solve;
+    row v of ``D^ell`` is v's last frontier, so the shell type counts are
+    ``D^ell @ onehot(sigma)`` and need no second expansion.
+    """
     r = profile.params.r
-    counts = shell_type_counts(g, sigma, r, ell).astype(np.float64)
-    proj = counts @ profile.phi.T        # column k holds <phi_k, Y_ell(v)>
     n = g.n
+    if eigenpairs is None:
+        dmat = distance_matrix(g, ell)
+        counts = (dmat.to_csr() @ _onehot(sigma, r)).toarray()
+        eigenpairs = top_eigenpairs(dmat, n, k=min(max(profile.r0, 2), n),
+                                    seed=derive_seed(seed, "diag-eig"))
+    else:
+        counts = shell_type_counts(g, sigma, r, ell)
+    counts = counts.astype(np.float64)
+    proj = counts @ profile.phi.T        # column k holds <phi_k, Y_ell(v)>
     diag_raw = (proj**2).mean(axis=0)
     mu_sq = profile.mu.astype(np.float64) ** (2 * ell)
     diag_norm = np.divide(diag_raw, mu_sq,
@@ -73,10 +90,6 @@ def local_moment_report(
     cross_raw = (proj.T @ proj) / n
     np.fill_diagonal(cross_raw, 0.0)
 
-    if eigenpairs is None:
-        dmat = distance_matrix(g, ell)
-        eigenpairs = top_eigenpairs(dmat, n, k=min(max(profile.r0, 2), n),
-                                    seed=derive_seed(seed, "diag-eig"))
     alignment = np.zeros(min(len(eigenpairs), r))
     for k in range(len(alignment)):
         nk = proj[:, k]

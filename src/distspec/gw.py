@@ -119,6 +119,9 @@ def simulate_population(cfg: GwConfig) -> PopulationSample:
     MT = cfg.M.T
     for t in range(cfg.depth):
         Zt[t + 1] = rng.poisson(Zt[t] @ MT)
+        # No total can pass the cap while r times the largest entry does not.
+        if not capped.any() and int(Zt[t + 1].max()) * r <= cfg.cap:
+            continue
         frozen = capped | (Zt[t + 1].sum(axis=1) > cfg.cap)
         if frozen.any():
             Zt[t + 1, frozen] = Zt[t, frozen]
@@ -133,6 +136,8 @@ def martingale_values(sample: PopulationSample, phi: np.ndarray, mu: float,
                       depth: Optional[int] = None) -> np.ndarray:
     """X = mu^(-t) <phi, Z_t> for every run at the given depth."""
     t = sample.cfg.depth if depth is None else int(depth)
+    if not 0 <= t <= sample.cfg.depth:
+        raise ValueError(f"depth must be in 0..{sample.cfg.depth}, got {t}")
     return (sample.Z[:, t, :] @ np.asarray(phi, dtype=float)) / float(mu) ** t
 
 
@@ -255,6 +260,20 @@ class CumulantCheck:
     max_z: float
 
 
+def _matched_depths(profile: SpectralProfile, phi: np.ndarray, mu: float, runs: int,
+                    seed: int, depth: int) -> tuple[list, list]:
+    """Uncapped X at ``depth`` and ``depth - 1``, one simulation per root type."""
+    deep, shallow = [], []
+    for i in range(profile.M.shape[0]):
+        cfg = GwConfig(M=profile.M, root_law=i, depth=depth, runs=runs,
+                       seed=derive_seed(seed, f"gw-root-{i}"))
+        sample = simulate_population(cfg)
+        ok = sample.ok
+        deep.append(martingale_values(sample, phi, mu)[ok])
+        shallow.append(martingale_values(sample, phi, mu, depth=depth - 1)[ok])
+    return deep, shallow
+
+
 def cumulant_relation_check(
     profile: SpectralProfile,
     phi: np.ndarray,
@@ -270,42 +289,54 @@ def cumulant_relation_check(
     One generation of branching relates the order-j cumulants at depth t
     to the order-j raw moments at depth t-1 exactly, so the residual of
     the recursion estimated at matched depths is pure sampling noise.
-    The standard error comes from a joint bootstrap over runs.  Orders up
-    to 3 are supported.
+    The standard error comes from a joint bootstrap over runs.  Each
+    resample draws its run indices as a per-resample gather would, then
+    reduces through power sums: with ``xc`` the centred deep values and
+    ``y`` the shallow ones, ``[xc, .., xc^j, y^j] @ bincount(indices)``
+    gives every k-statistic and raw moment of the resample in closed
+    form.  Orders up to 3 are supported; a root type needs at least 3
+    uncapped runs.
     """
     if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2, or 3")
+    if depth < 1 or bootstrap < 2:
+        raise ValueError("need depth >= 1 and bootstrap >= 2")
     M = profile.M
     alpha = profile.alpha
     if mu**2 <= alpha:
         raise SingularSystem(f"need mu^2 > alpha, got mu^2 = {mu**2}, alpha = {alpha}")
     r = M.shape[0]
     phi = np.asarray(phi, dtype=float)
-    deep = []     # X at the final depth, per root type
-    shallow = []  # X one generation earlier, same runs
-    for i in range(r):
-        cfg = GwConfig(M=M, root_law=i, depth=depth, runs=runs,
-                       seed=derive_seed(seed, f"gw-root-{i}"))
-        sample = simulate_population(cfg)
-        ok = sample.ok
-        deep.append(martingale_values(sample, phi, mu)[ok])
-        shallow.append(martingale_values(sample, phi, mu, depth=depth - 1)[ok])
+    deep, shallow = _matched_depths(profile, phi, mu, runs, seed, depth)
+    if min(len(x) for x in deep) < 3:
+        raise ValueError("every root type needs at least 3 uncapped runs")
 
     cum = np.array([_cumulant(x, order) for x in deep])
     raw = np.array([_raw_moment(x, order) for x in shallow])
-    predicted = (M / mu**order) @ raw
+    Mj = M / mu**order
+    predicted = Mj @ raw
     residual = cum - predicted
 
+    # Centring keeps the resample variance free of cancellation.
+    centre = np.array([x.mean() for x in deep])
+    powers = [np.stack([(x - c) ** k for k in range(1, order + 1)] + [y**order])
+              for x, y, c in zip(deep, shallow, centre)]
+    sums = np.empty((bootstrap, r, order + 1))
     rng = make_rng(derive_seed(seed, "gw-bootstrap"))
-    boot = np.empty((bootstrap, r))
     for b in range(bootstrap):
-        cums = np.empty(r)
-        raws = np.empty(r)
-        for i in range(r):
-            idx = rng.integers(0, len(deep[i]), size=len(deep[i]))
-            cums[i] = _cumulant(deep[i][idx], order)
-            raws[i] = _raw_moment(shallow[i][idx], order)
-        boot[b] = cums - (M / mu**order) @ raws
+        for i, p in enumerate(powers):
+            n_i = p.shape[1]
+            sums[b, i] = p @ np.bincount(rng.integers(0, n_i, size=n_i), minlength=n_i)
+    n = np.array([len(x) for x in deep], dtype=float)
+    m = sums[..., 0] / n
+    if order == 1:
+        cums = centre + m
+    elif order == 2:
+        cums = (sums[..., 1] - n * m**2) / (n - 1)
+    else:
+        cums = (n * (sums[..., 2] - 3 * m * sums[..., 1] + 2 * n * m**3)
+                / ((n - 1) * (n - 2)))
+    boot = cums - (sums[..., -1] / n) @ Mj.T
     se = boot.std(axis=0, ddof=1)
     z = np.abs(residual) / np.where(se > 0, se, np.inf)
     return CumulantCheck(

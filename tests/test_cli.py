@@ -300,6 +300,12 @@ class TestVerify:
         assert cli.main(["verify", "bounds"]) == 0
         assert "FAIL" not in capsys.readouterr().out
 
+    def test_gw_suite_checks_the_bootstrap(self, capsys):
+        assert cli.main(["verify", "gw"]) == 0
+        out = capsys.readouterr().out
+        assert "PASS gw.bootstrap_matches_resample_loop" in out
+        assert "FAIL" not in out
+
     def test_spectra_suite_passes(self, capsys):
         assert cli.main(["verify", "spectra"]) == 0
         out = capsys.readouterr().out

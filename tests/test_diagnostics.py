@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import distspec as ds
+from distspec import diagnostics, graph
 
 from conftest import small_params
 
@@ -70,6 +71,22 @@ class TestLocalMoments:
                                          strong_profile, 2, seed=seed)
             hits += rep.alignment[1] >= 0.5
         assert hits >= 8
+
+    def test_one_vertex_expansion_without_eigenpairs(self, monkeypatch):
+        sample = ds.sample_graph(small_params(300), 4)
+        prof = ds.derive_spectral_profile(small_params(300))
+        given = ds.top_eigenpairs(ds.distance_matrix(sample.graph, 3), 300, k=2,
+                                  seed=ds.derive_seed(2, "diag-eig"))
+        want = ds.local_moment_report(sample.graph, sample.sigma, prof, 3, eigenpairs=given)
+        calls = []
+        expand = graph._vertex_frontiers
+        for module in (graph, diagnostics):
+            monkeypatch.setattr(module, "_vertex_frontiers",
+                                lambda *args: calls.append(args) or expand(*args))
+        got = ds.local_moment_report(sample.graph, sample.sigma, prof, 3, seed=2)
+        assert len(calls) == 1
+        for field in ("diag_raw", "diag_norm", "cross_raw", "alignment"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
     def test_report_shapes(self, three_type_params, three_type_profile):
         sample = ds.sample_graph(

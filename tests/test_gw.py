@@ -1,9 +1,13 @@
+import dataclasses
+import functools
 import warnings
 
 import numpy as np
 import pytest
 
 import distspec as ds
+from distspec import gw
+from distspec.cli import _oracle_cumulant_check
 from distspec.gw import PopulationCapHit, SingularSystem
 from distspec.util import make_rng
 
@@ -11,6 +15,30 @@ from distspec.util import make_rng
 def single_type_cfg(mean=3.0, depth=8, runs=10**4, seed=0):
     return ds.GwConfig(M=np.array([[mean]]), root_law=0, depth=depth,
                        runs=runs, seed=seed)
+
+
+def assert_matches_run_major_loop(cfg):
+    """Compare with a run-major reference loop; return its capped flags."""
+    rng = make_rng(cfg.seed)
+    roots = (np.full(cfg.runs, int(cfg.root_law))
+             if isinstance(cfg.root_law, (int, np.integer))
+             else rng.choice(cfg.r, size=cfg.runs, p=cfg.root_law))
+    Z = np.zeros((cfg.runs, cfg.depth + 1, cfg.r), dtype=np.int64)
+    Z[np.arange(cfg.runs), 0, roots] = 1
+    capped = np.zeros(cfg.runs, dtype=bool)
+    for t in range(cfg.depth):
+        nxt = rng.poisson(Z[:, t, :] @ cfg.M.T)
+        frozen = capped | (nxt.sum(axis=1) > cfg.cap)
+        nxt[frozen] = Z[frozen, t, :]
+        capped |= frozen
+        Z[:, t + 1, :] = nxt
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PopulationCapHit)
+        sample = ds.simulate_population(cfg)
+    assert np.array_equal(sample.Z, Z) and sample.Z.shape == Z.shape
+    assert np.array_equal(sample.root_types, roots)
+    assert np.array_equal(sample.capped, capped)
+    return capped
 
 
 class TestSimulate:
@@ -44,6 +72,20 @@ class TestSimulate:
         assert sample.capped.any()
         assert sample.Z[sample.capped, -1, 0].max() <= 4 * 50  # frozen early
 
+    @pytest.mark.parametrize("M", [[[3.0]], [[2.0, 1.0], [1.0, 2.0]]])
+    def test_a_total_at_the_cap_is_not_frozen(self, M):
+        cfg = ds.GwConfig(M=np.array(M), root_law=0, depth=4, runs=1, seed=6)
+        free = ds.simulate_population(cfg).Z[0]
+        totals = free.sum(axis=1)
+        assert totals[:-1].max() < totals[-1]  # only the last step can reach the cap
+        at_cap = ds.simulate_population(dataclasses.replace(cfg, cap=int(totals[-1])))
+        assert not at_cap.capped[0] and np.array_equal(at_cap.Z[0], free)
+        with pytest.warns(PopulationCapHit):
+            over = ds.simulate_population(dataclasses.replace(cfg, cap=int(totals[-1]) - 1))
+        assert over.capped[0]
+        assert np.array_equal(over.Z[0, :-1], free[:-1])
+        assert np.array_equal(over.Z[0, -1], free[-2])
+
     def test_determinism(self):
         a = ds.simulate_population(single_type_cfg(seed=9))
         b = ds.simulate_population(single_type_cfg(seed=9))
@@ -53,25 +95,14 @@ class TestSimulate:
     def test_matches_a_run_major_loop(self, root_law, cap):
         cfg = ds.GwConfig(M=np.array([[2.5, 0.5], [0.5, 2.0]]), root_law=root_law, depth=6,
                           runs=500, seed=5, cap=cap)
-        rng = make_rng(cfg.seed)
-        roots = (np.full(cfg.runs, 0) if root_law == 0
-                 else rng.choice(2, size=cfg.runs, p=cfg.root_law))
-        Z = np.zeros((cfg.runs, cfg.depth + 1, 2), dtype=np.int64)
-        Z[np.arange(cfg.runs), 0, roots] = 1
-        capped = np.zeros(cfg.runs, dtype=bool)
-        for t in range(cfg.depth):
-            nxt = rng.poisson(Z[:, t, :] @ cfg.M.T)
-            frozen = capped | (nxt.sum(axis=1) > cfg.cap)
-            nxt[frozen] = Z[frozen, t, :]
-            capped |= frozen
-            Z[:, t + 1, :] = nxt
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", PopulationCapHit)
-            sample = ds.simulate_population(cfg)
+        capped = assert_matches_run_major_loop(cfg)
         assert capped.any() == (cap == 40)
-        assert np.array_equal(sample.Z, Z) and sample.Z.shape == Z.shape
-        assert np.array_equal(sample.root_types, roots)
-        assert np.array_equal(sample.capped, capped)
+
+    def test_a_frozen_run_stays_frozen_after_the_others_shrink(self):
+        # Subcritical: runs capped early face later generations that are all
+        # small, where no fresh draw may replace their frozen state.
+        cfg = ds.GwConfig(M=np.array([[0.6]]), root_law=0, depth=6, runs=10, seed=3, cap=1)
+        assert assert_matches_run_major_loop(cfg).any()
 
 
 class TestMartingale:
@@ -107,6 +138,12 @@ class TestMartingale:
         cfg = ds.GwConfig(M=two_type_profile.M, root_law=0, depth=4, runs=100, seed=1)
         with pytest.raises(SingularSystem):
             ds.martingale_limit_check(cfg, two_type_profile.phi[0], 1.0)
+
+    @pytest.mark.parametrize("depth", [-1, 5])
+    def test_values_reject_a_depth_outside_the_sample(self, depth):
+        sample = ds.simulate_population(single_type_cfg(depth=4, runs=10))
+        with pytest.raises(ValueError):
+            ds.martingale_values(sample, np.array([1.0]), 3.0, depth=depth)
 
 
 class TestClosedForms:
@@ -192,3 +229,38 @@ class TestCumulants:
                 sample = ds.simulate_population(cfg)
                 X = ds.martingale_values(sample, phi, mu)[sample.ok]
                 assert (np.abs(X) > cutoff).mean() <= eta
+
+    @pytest.mark.parametrize("kwargs", [{"depth": 0}, {"bootstrap": 1}, {"runs": 2}],
+                             ids=["depth-0", "one-resample", "two-runs"])
+    def test_rejects_inputs_without_a_standard_error(self, two_type_profile, kwargs):
+        with pytest.raises(ValueError):
+            ds.cumulant_relation_check(two_type_profile, two_type_profile.phi[1], 2.0,
+                                       **{"runs": 500, "bootstrap": 5, **kwargs})
+
+    @pytest.mark.parametrize("kind, order, cap", [
+        ("two", 1, None), ("two", 2, None), ("two", 3, None), ("three", 2, None),
+        ("three", 3, None), ("skew", 2, None), ("skew", 3, None), ("two", 2, 10**4)])
+    def test_bootstrap_matches_the_resample_loop(self, two_type_profile, three_type_profile,
+                                                 monkeypatch, kind, order, cap):
+        # "skew" has unequal block sizes, so M is not symmetric.
+        skew = ds.SbmParams(r=2, W=np.array([[8.0, 1.0], [1.0, 5.0]]),
+                            pi=np.array([0.3, 0.7]), n=2000)
+        profile = {"two": two_type_profile, "three": three_type_profile,
+                   "skew": ds.derive_spectral_profile(skew)}[kind]
+        r = profile.M.shape[0]
+        phi, mu = profile.phi[1], float(profile.mu[1])
+        if cap is not None:
+            monkeypatch.setattr(gw, "GwConfig", functools.partial(ds.GwConfig, cap=cap))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", PopulationCapHit)
+                kept = [len(x) for x in gw._matched_depths(profile, phi, mu, 3000, 7, 8)[0]]
+            assert len(set(kept)) == r and max(kept) < 3000  # unequal, all capped some
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PopulationCapHit)
+            got = ds.cumulant_relation_check(profile, phi, mu, order, runs=3000, seed=7,
+                                             bootstrap=30)
+            want = _oracle_cumulant_check(profile, phi, mu, order, 3000, 7, bootstrap=30)
+        np.testing.assert_allclose(got.bootstrap_se, want.bootstrap_se, rtol=1e-12, atol=0)
+        assert got.max_z == pytest.approx(want.max_z, rel=1e-12, abs=0)
+        for field in ("order", "cumulants", "predicted", "residual", "residual_inf"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
