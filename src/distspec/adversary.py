@@ -23,13 +23,11 @@ import numpy as np
 from .graph import (
     SparseGraph,
     SparseSymMatrix,
-    _blocked_frontiers,
     _source_rows,
     distance_matrix,
     frontiers,
     set_shell,
     set_shell_sizes,
-    shell_sizes_all,
 )
 from .model import SpectralProfile
 from .reconstruct import AtOrBelowThreshold
@@ -258,33 +256,52 @@ def _greedy_separated(g: SparseGraph, pool: np.ndarray, gamma: int, ell: int) ->
     return np.array(sorted(chosen), dtype=np.int64)
 
 
-def _common_sphere_candidates(g: SparseGraph, gamma: int, ell: int,
+def _common_sphere_candidates(g: SparseGraph, dl: SparseSymMatrix, gamma: int,
                               hub_candidates: np.ndarray, limit: int = 25):
-    """Candidate (k_set, shell) pairs built around hubs.
+    """Candidate (k_set, shell) pairs built around hubs, read off ``dl = D^ell``.
 
-    The set is gamma neighbors of a hub, the shell the vertices at
-    distance exactly ell from every member; every set-to-shell pair then
+    The set is gamma neighbors of a hub, the shell the vertices outside it
+    at distance exactly ell from every member; every set-to-shell pair then
     sits at distance exactly ell, so the certificate's closed form is
-    attained in the unedited graph.  The members of all tried sets expand
-    together, one source row each; a vertex's hits are the column counts
-    of its set's rows in the last frontier.
+    attained in the unedited graph.  Column j of ``D^ell`` times the 0/1
+    indicator block of all tried sets counts, per vertex, the members of
+    set j at distance ell; the shell is where that count reaches gamma.
     """
     hubs = hub_candidates[np.diff(g.indptr)[hub_candidates] >= gamma][:limit]
     k_sets = [g.neighbors(hub)[:gamma].astype(np.int64) for hub in hubs]
-    members = [[v] for k_set in k_sets for v in k_set]
-    hits = np.zeros(len(hubs) * g.n, dtype=np.int64)
-    for lo, fronts in _blocked_frontiers(g, _source_rows(g, members), ell):
-        last = fronts[-1].tocoo()
-        row = last.row.astype(np.int64) + lo
-        hits += np.bincount(row // gamma * g.n + last.col, minlength=len(hits))
+    block = np.zeros((g.n, len(hubs)))
+    for j, k_set in enumerate(k_sets):
+        block[k_set, j] = 1.0
     out = []
-    for k_set, hub_hits in zip(k_sets, hits.reshape(len(hubs), g.n)):
-        shell = np.setdiff1d(np.nonzero(hub_hits == gamma)[0], k_set)
+    for k_set, hits in zip(k_sets, dl.matvec(block).T):
+        shell = np.setdiff1d(np.nonzero(hits == gamma)[0], k_set)
         if len(shell) >= 2:
             out.append((k_set, shell.astype(np.int64)))
     if not out:
         raise GreedyExhausted(gamma, 0)
     return out
+
+
+def _unit_mass_vector(n: int, k_set: np.ndarray, shell: np.ndarray) -> np.ndarray:
+    """Mass 1 spread evenly over ``k_set`` and 1 over ``shell`` (squared norm 2)."""
+    v = np.zeros(n)
+    v[k_set] = 1.0 / np.sqrt(len(k_set))
+    v[shell] = 1.0 / np.sqrt(len(shell))
+    return v
+
+
+def _cosines(v: np.ndarray, pairs: Sequence[EigenPair]) -> np.ndarray:
+    nv = np.linalg.norm(v)
+    return np.array([float(np.dot(v, p.vector) / (nv * np.linalg.norm(p.vector)))
+                     for p in pairs])
+
+
+def _informative_pairs(dmat: SparseSymMatrix, profile: SpectralProfile,
+                       seed: int) -> list[EigenPair]:
+    """The top max(r0, 1) eigenpairs of ``dmat`` from one solve."""
+    pairs = top_eigenpairs(dmat, dmat.n, k=min(max(profile.r0, 2), dmat.n),
+                           seed=derive_seed(seed, "rogue-eig"))
+    return list(pairs)[: max(profile.r0, 1)]
 
 
 def build_rogue_certificate(
@@ -296,26 +313,32 @@ def build_rogue_certificate(
     mode: str = "sphere",
     seed: int = 0,
     dl: Optional[SparseSymMatrix] = None,
-    eigenpairs: Optional[Sequence[EigenPair]] = None,
 ) -> RogueCertificate:
     """Construct the rogue test vector and measure it against the spectrum.
 
-    Candidate vertices are the top n^(1-epsilon) by shell size.  Modes:
+    Everything is read off one matrix, ``dl = D^ell`` of ``g`` (built here
+    when not passed): the candidate pool is the top n^(1-epsilon) vertices
+    by row sum of ``D^ell``, which is the shell size S_ell(v).  Modes:
 
     - ``"sphere"`` (default): the set is gamma co-neighbors of a hub, so
       the whole reported shell is at distance exactly ell from every
       member and the closed form is attained in the unedited graph;
       among candidate hubs the one least aligned with the informative
-      eigenvectors is chosen (the adversary sees the graph, so it may
-      optimize against the spectrum).
+      eigenvectors of ``D^ell`` is chosen (the adversary sees the graph,
+      so it may optimize against the spectrum).  The shells come from one
+      product of ``D^ell`` with the hub sets' indicators, so this mode
+      expands nothing in the graph.
     - ``"separated"``: greedy set with pairwise distance > 2*ell
       (disjoint neighborhoods, the largest shells); each shell vertex
       then sits at distance ell from exactly one member, so the measured
       quadratic form stays below the closed form by about a factor gamma.
     - ``"separated_clique"``: as above, plus a clique edit on the set
-      (within budget); the value is measured on the edited graph.
+      (within budget); the value and the cosines are measured on the
+      edited graph's ``D^ell``.
 
-    Requires ``epsilon < 1/4`` and ``gamma >= 1``.
+    Each call runs one eigensolve, of the matrix it measures on.  Requires
+    ``epsilon < 1/4``, ``gamma >= 1`` and, if given, ``dl`` built from
+    ``g`` at depth ``ell``.
     """
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
@@ -323,39 +346,22 @@ def build_rogue_certificate(
         raise ValueError("epsilon must lie in (0, 1/4)")
     if mode not in ("sphere", "separated", "separated_clique"):
         raise ValueError(f"unknown mode {mode!r}")
+    if dl is None:
+        dl = distance_matrix(g, ell)
+    elif (dl.n, dl.ell, dl.kind) != (g.n, ell, "distance"):
+        raise ValueError(f"dl is a {dl.kind} matrix on {dl.n} vertices at depth {dl.ell}, "
+                         f"not the distance matrix of this graph at depth {ell}")
 
-    sizes = shell_sizes_all(g, ell)
-    s_ell = sizes[:, ell]
     pool_size = max(gamma, int(np.ceil(g.n ** (1.0 - epsilon))))
-    pool = np.argsort(-s_ell, kind="stable")[:pool_size]
-
-    def certificate_vector(k_set, shell):
-        v = np.zeros(g.n)
-        v[k_set] = 1.0 / np.sqrt(gamma)
-        v[shell] = 1.0 / np.sqrt(len(shell))
-        return v
-
-    def top_cosines(v, pairs):
-        nv = np.linalg.norm(v)
-        return np.array([
-            float(np.dot(v, p.vector) / (nv * np.linalg.norm(p.vector)))
-            for p in pairs
-        ])
+    pool = np.argsort(-dl.matvec(np.ones(g.n)), kind="stable")[:pool_size]
 
     perturbation = None
-    measured_graph = g
+    dmat = dl
     if mode == "sphere" and gamma > 1:
-        dmat = distance_matrix(g, ell) if dl is None else dl
-        if eigenpairs is None:
-            eigenpairs = top_eigenpairs(dmat, g.n, k=min(max(profile.r0, 2), g.n),
-                                        seed=derive_seed(seed, "rogue-eig"))
-        top = list(eigenpairs)[: max(profile.r0, 1)]
-        candidates = _common_sphere_candidates(g, gamma, ell, pool)
-        scored = []
-        for k_set, shell in candidates:
-            v = certificate_vector(k_set, shell)
-            worst_cos = float(np.abs(top_cosines(v, top)).max())
-            scored.append((worst_cos, k_set, shell))
+        top = _informative_pairs(dl, profile, seed)
+        scored = [(float(np.abs(_cosines(_unit_mass_vector(g.n, k_set, shell), top)).max()),
+                   k_set, shell)
+                  for k_set, shell in _common_sphere_candidates(g, dl, gamma, pool)]
         # Strongest certificate among the safely-unaligned candidates;
         # fall back to the least-aligned one if none clears the margin.
         safe = [c for c in scored if c[0] <= 0.15]
@@ -365,43 +371,30 @@ def build_rogue_certificate(
             _, k_set, shell = min(scored, key=lambda c: c[0])
     else:
         k_set = _greedy_separated(g, pool, gamma, ell)
+        measured = g
         if mode == "separated_clique" and gamma > 1:
             perturbation = Perturbation(_missing_clique_edges(g, k_set), (),
                                         gamma_budget=int(gamma))
-            measured_graph = apply_perturbation(g, perturbation)
-        shell = set_shell(measured_graph, k_set, ell)
-        dmat = None
-        eigenpairs = None
+            measured = apply_perturbation(g, perturbation)
+        shell = set_shell(measured, k_set, ell)
+        if len(shell) == 0:
+            raise GreedyExhausted(gamma, len(k_set))
+        if measured is not g:
+            dmat = distance_matrix(measured, ell)
+        top = _informative_pairs(dmat, profile, seed)
 
-    shell_size = int(len(shell))
-    if shell_size == 0:
-        raise GreedyExhausted(gamma, len(k_set))
-
-    if dmat is None:
-        dmat = distance_matrix(measured_graph, ell) if (dl is None or measured_graph is not g) else dl
-    if eigenpairs is None:
-        eigenpairs = top_eigenpairs(dmat, g.n, k=min(max(profile.r0, 2), g.n),
-                                    seed=derive_seed(seed, "rogue-eig"))
-
-    v = certificate_vector(k_set, shell)
-    quad = float(v @ dmat.matvec(v))
-    rayleigh = quad / float(v @ v)
-    closed_form = float(2.0 * np.sqrt(gamma * shell_size))
-    top = list(eigenpairs)[: max(profile.r0, 1)]
-    cosines = top_cosines(v, top)
+    v = _unit_mass_vector(g.n, k_set, shell)
     support = np.concatenate([k_set, shell])
-    values = v[support]
-
     return RogueCertificate(
         k_set=np.asarray(k_set, dtype=np.int64),
         shell=np.asarray(shell, dtype=np.int64),
         support=support,
-        values=values,
-        rayleigh=rayleigh,
-        closed_form=closed_form,
-        cosines=cosines,
+        values=v[support],
+        rayleigh=float(v @ dmat.matvec(v)) / float(v @ v),
+        closed_form=float(2.0 * np.sqrt(gamma * len(shell))),
+        cosines=_cosines(v, top),
         gamma=int(gamma),
-        shell_size=shell_size,
+        shell_size=int(len(shell)),
         mode=mode,
         perturbation=perturbation,
     )

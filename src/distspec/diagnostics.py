@@ -76,7 +76,7 @@ def local_moment_report(
     n = g.n
     if eigenpairs is None:
         dmat = distance_matrix(g, ell)
-        counts = (dmat.to_csr() @ _onehot(sigma, r)).toarray()
+        counts = dmat.matvec(np.eye(r)[sigma])
         eigenpairs = top_eigenpairs(dmat, n, k=min(max(profile.r0, 2), n),
                                     seed=derive_seed(seed, "diag-eig"))
     else:

@@ -156,6 +156,7 @@ class SparseSymMatrix:
         return sp.triu(self._full, k=1, format="csr").astype(np.int64)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
+        """The product with an (n,) vector or an (n, k) block, as float64."""
         return self._full @ x
 
     def to_dense(self) -> np.ndarray:
@@ -220,25 +221,20 @@ def frontiers(g: SparseGraph, sources: sp.spmatrix, ell: int) -> list[sp.csr_mat
     return out
 
 
-def _blocked_frontiers(g: SparseGraph, sources: sp.csr_matrix, ell: int):
-    """``(first row, frontiers)`` over row blocks of ``sources``.
+def _vertex_frontiers(g: SparseGraph, ell: int):
+    """``(first row, frontiers)`` over row blocks of one single-vertex source
+    per vertex.
 
-    A block holds about ``_BLOCK_ENTRIES`` ball entries, estimating the
-    ball of a row with s sources as min(n, s * (1 + mean degree)^ell).
+    A block holds about ``_BLOCK_ENTRIES`` ball entries, estimating each
+    ball as min(n, (1 + mean degree)^ell).
     """
-    rows = sources.shape[0]
-    if rows == 0:
+    if g.n == 0:
         return
     growth = math.exp(min(ell * math.log1p(2.0 * g.m / g.n), math.log(g.n)))
-    ball = min(g.n, sources.nnz / rows * growth)
-    step = max(1, int(_BLOCK_ENTRIES // max(ball, 1.0)))
-    for lo in range(0, rows, step):
+    step = max(1, int(_BLOCK_ENTRIES // min(g.n, growth)))
+    sources = sp.identity(g.n, dtype=bool, format="csr")
+    for lo in range(0, g.n, step):
         yield lo, frontiers(g, sources[lo:lo + step], ell)
-
-
-def _vertex_frontiers(g: SparseGraph, ell: int):
-    """:func:`_blocked_frontiers` with one single-vertex source per vertex."""
-    return _blocked_frontiers(g, sp.identity(g.n, dtype=bool, format="csr"), ell)
 
 
 def _source_rows(g: SparseGraph, sets) -> sp.csr_matrix:

@@ -51,6 +51,8 @@ class GwConfig:
         object.__setattr__(self, "M", M)
         if self.depth < 0 or self.runs < 1:
             raise ValueError("need depth >= 0 and runs >= 1")
+        if self.cap < 1:
+            raise ValueError("cap must be >= 1: a smaller cap freezes every run")
         if not isinstance(self.root_law, (int, np.integer)):
             law = np.asarray(self.root_law, dtype=float)
             if law.shape != (M.shape[0],) or (law < 0).any() or abs(law.sum() - 1) > 1e-12:

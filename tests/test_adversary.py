@@ -1,9 +1,15 @@
+import hashlib
+import itertools
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import distspec as ds
+import distspec.adversary as adversary
+import distspec.graph as graph
 from distspec.adversary import (
     AtOrBelowThreshold,
     BudgetExceeded,
@@ -259,8 +265,72 @@ class TestRogueCertificate:
         with pytest.raises(GreedyExhausted):
             ds.build_rogue_certificate(g, prof, 1, 4, mode="separated")
 
+    @pytest.mark.parametrize("wrong", ["vertices", "depth", "kind"])
+    def test_rejects_a_dl_that_is_not_this_graphs_distance_matrix(self, wrong):
+        g = ds.sample_graph(small_params(300), 1).graph
+        prof = ds.derive_spectral_profile(small_params(300))
+        dl = {"vertices": lambda: ds.distance_matrix(
+                  ds.SparseGraph.from_edges(301, g.edge_array()), 3),
+              "depth": lambda: ds.distance_matrix(g, 2),
+              "kind": lambda: ds.path_expansion_matrix(g, 3, cap=10**6)}[wrong]()
+        for mode in ("sphere", "separated", "separated_clique"):
+            with pytest.raises(ValueError, match="not the distance matrix"):
+                ds.build_rogue_certificate(g, prof, 3, 3, mode=mode, dl=dl)
+
+    def test_sphere_mode_with_dl_expands_nothing(self, monkeypatch):
+        g = ds.sample_graph(small_params(500), 1).graph
+        prof = ds.derive_spectral_profile(small_params(500))
+        dl = ds.distance_matrix(g, 4)
+        want = ds.build_rogue_certificate(g, prof, 4, 3, seed=1, dl=dl)
+        calls = []
+        expand = graph.frontiers
+        for module in (graph, adversary):
+            monkeypatch.setattr(module, "frontiers",
+                                lambda *args: calls.append(args) or expand(*args))
+        got = ds.build_rogue_certificate(g, prof, 4, 3, seed=1, dl=dl)
+        assert calls == []
+        assert np.array_equal(got.support, want.support) and got.rayleigh == want.rayleigh
+
     def test_epsilon_validated(self, two_type_params, two_type_profile):
         sample = ds.sample_graph(two_type_params, 1)
         with pytest.raises(ValueError):
             ds.build_rogue_certificate(sample.graph, two_type_profile, 3, 2,
                                        epsilon=0.3)
+
+
+def _certificate_digest() -> str:
+    """SHA-256 over every certificate field, or the ``GreedyExhausted``
+    message, for 3 modes x ``dl`` given or not x gamma in {1, 3, 8, 20} on
+    the sweep benchmark's graphs (n = 500, W = [[5, 1], [1, 5]], seeds 1
+    and 2) at its depth ell = 4 and at ell = 2, where the separated modes
+    succeed and the clique edit is measured.  Arrays enter as dtype plus raw bytes and floats as hex,
+    so any change in the last bit shows."""
+    params = small_params(500)
+    profile = ds.derive_spectral_profile(params)
+    h = hashlib.sha256()
+    for seed in (1, 2):
+        g = ds.sample_graph(params, seed).graph
+        for ell, mode in itertools.product((4, 2), ("sphere", "separated", "separated_clique")):
+            for given_dl in (None, ds.distance_matrix(g, ell)):
+                for gamma in (1, 3, 8, 20):
+                    h.update(f"|{seed} {ell} {mode} {given_dl is None} {gamma}:".encode())
+                    try:
+                        cert = ds.build_rogue_certificate(g, profile, ell, gamma, mode=mode,
+                                                          seed=seed, dl=given_dl)
+                    except GreedyExhausted as exc:
+                        h.update(f"GreedyExhausted {exc}".encode())
+                        continue
+                    for name in ("k_set", "shell", "support", "values", "cosines"):
+                        arr = getattr(cert, name)
+                        h.update(f"{name} {arr.dtype.str} {arr.shape}".encode())
+                        h.update(np.ascontiguousarray(arr).tobytes())
+                    h.update(f"{cert.rayleigh.hex()} {cert.closed_form.hex()} {cert.gamma} "
+                             f"{cert.shell_size} {cert.mode}".encode())
+                    p = cert.perturbation
+                    h.update(json.dumps(None if p is None else p.to_json()).encode())
+    return h.hexdigest()
+
+
+def test_certificate_outputs_are_pinned():
+    assert _certificate_digest() == (
+        "cb1f5e4090f55edd613cb576fb170eac2d8e379773b42719d1771226af71919a")

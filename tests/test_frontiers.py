@@ -178,6 +178,7 @@ def test_greedy_separated_matches_apsp_greedy(g, ell, gamma, data):
 @given(graphs().filter(lambda g: g.n > 0), st.integers(1, 3), st.integers(1, 3))
 def test_common_sphere_candidates_match_apsp(g, ell, gamma):
     hubs = np.arange(g.n, dtype=np.int64)
+    dl = ds.distance_matrix(g, ell)
     dist = _apsp(g)
     want = []
     for hub in [h for h in hubs if g.degree(h) >= gamma][:25]:
@@ -187,9 +188,9 @@ def test_common_sphere_candidates_match_apsp(g, ell, gamma):
             want.append((k_set.tolist(), shell.tolist()))
     if not want:
         with pytest.raises(GreedyExhausted):
-            _common_sphere_candidates(g, gamma, ell, hubs)
+            _common_sphere_candidates(g, dl, gamma, hubs)
     else:
-        got = _common_sphere_candidates(g, gamma, ell, hubs)
+        got = _common_sphere_candidates(g, dl, gamma, hubs)
         assert [(k.tolist(), s.tolist()) for k, s in got] == want
 
 

@@ -86,6 +86,11 @@ class TestSimulate:
         assert np.array_equal(over.Z[0, :-1], free[:-1])
         assert np.array_equal(over.Z[0, -1], free[-2])
 
+    def test_cap_below_one_is_rejected(self):
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            ds.GwConfig(M=np.array([[3.0]]), root_law=0, cap=0)
+        assert ds.GwConfig(M=np.array([[3.0]]), root_law=0, cap=1).cap == 1
+
     def test_determinism(self):
         a = ds.simulate_population(single_type_cfg(seed=9))
         b = ds.simulate_population(single_type_cfg(seed=9))
