@@ -30,10 +30,8 @@ from .graph import (
     delta_matrix,
     difference_matrix,
     distance_matrix,
-    dump_matrix,
     frontiers,
     fundamental_cycles,
-    load_matrix,
     path_expansion_matrix,
     set_shell,
     set_shell_sizes,
@@ -45,7 +43,6 @@ from .spectral import (
     DeltaRadiusReport,
     EigenPair,
     SeparationReport,
-    davis_kahan_bound,
     delta_radius_check,
     qc_bound,
     separation_report,

@@ -44,13 +44,15 @@ class InconsistentEdit(ValueError):
 
 
 class GreedyExhausted(RuntimeError):
-    """Could not separate the requested number of vertices."""
+    """Could not build a vertex set of the requested size: too few
+    vertices could be separated, or no candidate hub had enough
+    neighbours (``message`` then says so)."""
 
-    def __init__(self, requested: int, achieved: int):
+    def __init__(self, requested: int, achieved: int, message: Optional[str] = None):
         self.requested = requested
         self.achieved = achieved
         super().__init__(
-            f"only {achieved} of {requested} vertices could be separated"
+            message or f"only {achieved} of {requested} vertices could be separated"
         )
 
 
@@ -268,6 +270,8 @@ def _common_sphere_candidates(g: SparseGraph, dl: SparseSymMatrix, gamma: int,
     set j at distance ell; the shell is where that count reaches gamma.
     """
     hubs = hub_candidates[np.diff(g.indptr)[hub_candidates] >= gamma][:limit]
+    if not len(hubs):
+        raise GreedyExhausted(gamma, 0, f"no candidate hub has degree >= {gamma}")
     k_sets = [g.neighbors(hub)[:gamma].astype(np.int64) for hub in hubs]
     block = np.zeros((g.n, len(hubs)))
     for j, k_set in enumerate(k_sets):

@@ -477,13 +477,16 @@ def _verify_oracles(rng_seed: int = 7) -> list[tuple[str, bool, str]]:
                 "3 seeds x n in {61,100}, 3 blocks with clamped and zero entries")]
     params = SbmParams(r=2, W=np.array([[5.0, 1.0], [1.0, 5.0]]),
                        pi=np.array([0.5, 0.5]), n=120)
-    ok_dist = ok_shells = True
+    ok_dist = ok_layout = ok_shells = True
     for seed in range(3):
         graph = sample_graph(params, seed + rng_seed).graph
         dist = _apsp(graph)
         for ell in (1, 2, 3):
-            mine = distance_matrix(graph, ell).to_dense()
-            ok_dist &= np.array_equal(mine, _oracle_distance_matrix(graph, ell))
+            mine = distance_matrix(graph, ell)
+            dense, csr = mine.to_dense(), mine._full  # to_csr()'s int64 cast would sort rows
+            ok_dist &= np.array_equal(dense, _oracle_distance_matrix(graph, ell))
+            ok_layout &= np.array_equal(dense, dense.T) and all(  # rows strictly increasing
+                (np.diff(csr.indices[a:b]) > 0).all() for a, b in itertools.pairwise(csr.indptr))
             sizes = np.stack([(dist == t).sum(axis=1) for t in range(ell + 1)], axis=1)
             ok_shells &= np.array_equal(shell_sizes_all(graph, ell), sizes)
             tf, offenders = tangle_free_check(graph, ell)
@@ -495,6 +498,8 @@ def _verify_oracles(rng_seed: int = 7) -> list[tuple[str, bool, str]]:
                 ok_shells &= set_shell_sizes(graph, x, ell).tolist() == [len(t) for t in layers]
     results.append(("oracles.distance_matrix_matches_apsp", bool(ok_dist),
                     "3 seeds x ell in {1,2,3} at n=120"))
+    results.append(("oracles.distance_matrix_layout", bool(ok_layout),
+                    "sorted rows without duplicates and exact symmetry, same graphs"))
     results.append(("oracles.shells_and_tangle_match_apsp", bool(ok_shells),
                     "shell sizes, tangle offenders and 20 cycle shells, same graphs"))
     params_small = SbmParams(r=2, W=np.array([[6.0, 2.0], [2.0, 6.0]]),

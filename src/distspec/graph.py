@@ -201,7 +201,9 @@ def frontiers(g: SparseGraph, sources: sp.spmatrix, ell: int) -> list[sp.csr_mat
     step is ``next = bool(front @ A) & ~ball``, the linear-algebra BFS of
     Kepner and Gilbert (*Graph Algorithms in the Language of Linear
     Algebra*, SIAM 2011), so the work is the sum over rows of ball sizes.
-    Rows hold no duplicate entries; their indices need not be sorted.
+    The ball is extended only while another step reads it: the final ball,
+    which nothing reads, is never formed.  Rows hold no duplicate entries;
+    their indices need not be sorted.
     """
     if ell < 0:
         raise ValueError("ell must be nonnegative")
@@ -214,9 +216,10 @@ def frontiers(g: SparseGraph, sources: sp.spmatrix, ell: int) -> list[sp.csr_mat
     front.eliminate_zeros()
     ball = front
     out = [front]
-    for _ in range(ell):
+    for step in range(ell):
+        if step:
+            ball = ball + front
         front = (front @ adj) > ball
-        ball = ball + front
         out.append(front)
     return out
 
@@ -277,15 +280,21 @@ def _vertex_pass(g: SparseGraph, ell: int, distance: bool = True,
                  tangle: bool = True) -> tuple[Optional[SparseSymMatrix], list[int]]:
     """``(D^ell or None, tangle offenders)`` from one single-vertex expansion.
 
-    Row v of ``D^ell`` is v's last frontier.  A ball's cycle count is its
-    edge excess ``edges - vertices + 1`` (balls are connected); twice its
-    edges are its inner vertices' degrees plus the row sums of
-    ``(last @ A) * (shell_{ell-1} + last)``.
+    Row v of ``D^ell`` is v's last frontier.  The matrix is symmetric, so
+    the CSR form of the stack's transpose is the same matrix with its rows
+    sorted: scipy's CSC-to-CSR conversion is an O(nnz + n) counting sort.
+    The bool stack is transposed before the float64 conversion, and each
+    copy is dropped once the next exists, so at most two are alive.
+
+    A ball's cycle count is its edge excess ``edges - vertices + 1``
+    (balls are connected); twice its edges are its inner vertices'
+    degrees plus the row sums of ``(last @ A) * (shell_{ell-1} + last)``.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    adj = g.to_csr()
-    deg = np.diff(g.indptr)
+    if tangle:
+        adj = g.to_csr()
+        deg = np.diff(g.indptr)
     lasts, offenders = [], []
     for lo, fronts in _vertex_frontiers(g, ell):
         last = fronts[-1]
@@ -296,8 +305,14 @@ def _vertex_pass(g: SparseGraph, ell: int, distance: bool = True,
             twice = sum(f @ deg for f in fronts[:-1]) + np.asarray(rim).ravel()
             excess = twice // 2 - sum(np.diff(f.indptr) for f in fronts) + 1
             offenders.extend((np.nonzero(excess > 1)[0] + lo).tolist())
-    full = sp.vstack(lasts, format="csr") if lasts else sp.csr_matrix((g.n, g.n))
-    return (SparseSymMatrix(g.n, ell, "distance", full) if distance else None), offenders
+        del fronts, last
+    if not distance:
+        return None, offenders
+    stack = sp.vstack(lasts, format="csr") if lasts else sp.csr_matrix((g.n, g.n), dtype=bool)
+    del lasts
+    full = stack.T.tocsr()
+    del stack
+    return SparseSymMatrix(g.n, ell, "distance", full), offenders
 
 
 def distance_matrix(g: SparseGraph, ell: int) -> SparseSymMatrix:
@@ -468,27 +483,3 @@ def fundamental_cycles(g: SparseGraph) -> list[np.ndarray]:
     keys = keys[np.diff(keys, prepend=-1) != 0]
     ends, vertices = (np.flatnonzero(np.diff(keys // n, append=-1)) + 1).tolist(), keys % n
     return [vertices[a:b] for a, b in zip([0] + ends, ends)]
-
-
-def dump_matrix(mat: SparseSymMatrix, path) -> None:
-    """Text dump for oracle cross-checks: header ``n ell kind``, lines ``i j v``."""
-    entries = mat.entries()
-    order = np.lexsort((entries[:, 1], entries[:, 0])) if len(entries) else []
-    with open(path, "w") as fh:
-        fh.write(f"{mat.n} {mat.ell} {mat.kind}\n")
-        for idx in order:
-            i, j, v = entries[idx]
-            fh.write(f"{int(i)} {int(j)} {int(v)}\n")
-
-
-def load_matrix(path) -> SparseSymMatrix:
-    with open(path) as fh:
-        header = fh.readline().split()
-        n, ell, kind = int(header[0]), int(header[1]), header[2]
-        rows, cols, vals = [], [], []
-        for line in fh:
-            i, j, v = line.split()
-            rows.append(int(i))
-            cols.append(int(j))
-            vals.append(int(v))
-    return SparseSymMatrix.from_pairs(n, ell, kind, rows, cols, vals)

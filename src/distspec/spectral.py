@@ -28,10 +28,6 @@ class DegenerateOperator(ValueError):
     """The operator acts on a zero-dimensional space."""
 
 
-class ZeroGap(ValueError):
-    """Eigenvalue gap must be positive for a perturbation bound."""
-
-
 class NoConvergence(UserWarning):
     """The matvec budget ran out before k pairs converged or before the
     multiplicity check finished; the pairs found are returned."""
@@ -100,8 +96,10 @@ def top_eigenpairs(
     ``make_rng(seed)``, then the multiplicity check: the operator is
     deflated by every vector found, ``(I - V V^T) A (I - V V^T)``, and
     solved for its top pair; a pair beating the k-th by modulus is
-    merged and the check repeats.  Operators under 64 rows, or with
-    ``k >= n - 1``, go to dense ``eigh``.  ``max_iter`` bounds the
+    merged and the check repeats.  The first run, with no vector found,
+    applies the operator bare (projecting out nothing subtracts zero, so
+    no bit changes).  Operators under 64 rows, or with ``k >= n - 1``,
+    go to dense ``eigh``.  ``max_iter`` bounds the
     matvecs; when it runs out a :class:`NoConvergence` warning is issued
     and the pairs converged by then are returned.  Results are
     deterministic given the seed; eigenvector signs are canonicalized
@@ -124,6 +122,8 @@ def top_eigenpairs(
         if used >= max_iter:
             raise _BudgetSpent
         used += 1
+        if not vecs.shape[1]:
+            return matvec(x)
         y = matvec(x - vecs @ (vecs.T @ x))
         return y - vecs @ (vecs.T @ y)
 
@@ -279,10 +279,3 @@ def delta_radius_check(
     log_bound = float(np.log(g.n) * alpha ** (ell / 2.0)) if g.n > 1 else 0.0
     return DeltaRadiusReport(rho=rho, cycle_bound=cycle_bound, log_bound=log_bound,
                              tangle_free=not offenders, n_cycles=len(cycles))
-
-
-def davis_kahan_bound(gap: float, perturbation_norm: float, d: int) -> float:
-    """Eigenspace rotation bound 2*sqrt(2d)*norm/gap (diagnostic scalar)."""
-    if gap <= 0:
-        raise ZeroGap("eigenvalue gap must be positive")
-    return float(2.0 * np.sqrt(2.0 * d) * perturbation_norm / gap)

@@ -333,4 +333,4 @@ def _certificate_digest() -> str:
 
 def test_certificate_outputs_are_pinned():
     assert _certificate_digest() == (
-        "cb1f5e4090f55edd613cb576fb170eac2d8e379773b42719d1771226af71919a")
+        "ad0b71198c275029038ccbb69386c4f71ab6eaae7be6a9156ffc53bedb6d37d2")

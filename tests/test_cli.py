@@ -264,7 +264,7 @@ class TestSweep:
         assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         rows = read_rows(out)
         assert len(rows) == 1 and rows[0].split(",")[11] == ""
-        assert "# ROGUE seed=1 gamma=20: only 0 of 20 vertices could be separated" \
+        assert "# ROGUE seed=1 gamma=20: no candidate hub has degree >= 20" \
             in out.read_text().splitlines()
 
     def test_other_rogue_errors_fail_the_row(self, tmp_path, monkeypatch):
@@ -291,6 +291,10 @@ class TestVerify:
     def test_oracles_suite_checks_shells_and_tangles(self, capsys):
         assert cli.main(["verify", "oracles"]) == 0
         assert "PASS oracles.shells_and_tangle_match_apsp" in capsys.readouterr().out
+
+    def test_oracles_suite_checks_the_distance_matrix_layout(self, capsys):
+        assert cli.main(["verify", "oracles"]) == 0
+        assert "PASS oracles.distance_matrix_layout" in capsys.readouterr().out
 
     def test_oracles_suite_checks_the_sampler(self, capsys):
         assert cli.main(["verify", "oracles"]) == 0

@@ -66,6 +66,18 @@ def test_distance_matrix_matches_apsp(g, ell):
 
 
 @SETTINGS
+@given(graphs(), depths)
+def test_distance_matrix_rows_are_sorted_and_symmetric(g, ell):
+    csr = ds.distance_matrix(g, ell)._full  # stored arrays: to_csr()'s int64 cast sorts rows
+    for v in range(g.n):
+        row = csr.indices[csr.indptr[v]:csr.indptr[v + 1]]
+        assert (np.diff(row) > 0).all()  # sorted, no duplicates
+    back = csr.T.tocsr()
+    for a, b in ((csr.indptr, back.indptr), (csr.indices, back.indices), (csr.data, back.data)):
+        assert np.array_equal(a, b)
+
+
+@SETTINGS
 @given(graphs(), st.integers(0, 7))
 def test_shell_sizes_count_apsp_distances(g, ell):
     dist = _apsp(g)

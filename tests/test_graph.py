@@ -88,6 +88,20 @@ class TestDistanceMatrix:
         prof = ds.bfs_shells(g, 3, 4)
         assert prof.sizes.tolist() == [1, 0, 0, 0, 0]
 
+    def test_pipeline_layout_is_pinned(self):
+        # The pipeline benchmark's graph (n = 4000, W = [[11, 1], [1, 11]],
+        # seed 1) at ell = 3: dtype, shape and raw bytes of every stored CSR
+        # array, so a change in row order, index width or value type shows.
+        # (``to_csr()`` would not do: its int64 cast sorts the rows.)
+        g = ds.sample_graph(small_params(4000, W=[[11.0, 1.0], [1.0, 11.0]]), 1).graph
+        d3 = ds.distance_matrix(g, 3)._full
+        h = hashlib.sha256()
+        for arr in (d3.indptr, d3.indices, d3.data):
+            h.update(f"{arr.dtype.str} {arr.shape}".encode())
+            h.update(np.ascontiguousarray(arr).tobytes())
+        assert h.hexdigest() == \
+            "6b535dbdd1c2351a8b2030d2abe2ba5285140f870bf8a355264fe75ca0d26564"
+
 
 class TestPathExpansionMatrix:
     def test_square_two_routes(self, square_graph):
@@ -263,15 +277,3 @@ def _component_count(g):
                     seen[w] = True
                     stack.append(w)
     return comps
-
-
-class TestMatrixDump:
-    def test_round_trip(self, tmp_path, square_graph):
-        mat = ds.distance_matrix(square_graph, 2)
-        path = tmp_path / "mat.txt"
-        ds.dump_matrix(mat, path)
-        text = path.read_text().splitlines()
-        assert text[0] == "4 2 distance"
-        assert text[1:] == ["0 2 1", "1 3 1"]
-        back = ds.load_matrix(path)
-        assert np.array_equal(back.to_dense(), mat.to_dense())

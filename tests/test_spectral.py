@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import distspec as ds
 import distspec.graph as graph
 import distspec.spectral as spectral
-from distspec.spectral import DegenerateOperator, NoConvergence, ZeroGap
+from distspec.spectral import DegenerateOperator, NoConvergence
 
 from conftest import small_params
 
@@ -194,16 +194,3 @@ class TestDeltaRadius:
         got = ds.delta_radius_check(g, 3, alpha=3.0, bl=bl)
         assert len(calls) == 1
         assert vars(got) == vars(want)
-
-
-class TestDavisKahan:
-    def test_zero_perturbation(self):
-        assert ds.davis_kahan_bound(1.0, 0.0, 1) == 0.0
-
-    def test_formula_values(self):
-        assert ds.davis_kahan_bound(2.0, 1.0, 1) == pytest.approx(np.sqrt(2.0))
-        assert ds.davis_kahan_bound(1.0, 1.0, 2) == pytest.approx(4.0)
-
-    def test_zero_gap(self):
-        with pytest.raises(ZeroGap):
-            ds.davis_kahan_bound(0.0, 1.0, 1)
