@@ -45,8 +45,9 @@ class InconsistentEdit(ValueError):
 
 class GreedyExhausted(RuntimeError):
     """Could not build a vertex set of the requested size: too few
-    vertices could be separated, or no candidate hub had enough
-    neighbours (``message`` then says so)."""
+    vertices could be separated, or (in sphere mode, where ``message``
+    says which) no candidate hub had enough neighbours or no hub's
+    neighbours shared a large enough shell."""
 
     def __init__(self, requested: int, achieved: int, message: Optional[str] = None):
         self.requested = requested
@@ -282,7 +283,8 @@ def _common_sphere_candidates(g: SparseGraph, dl: SparseSymMatrix, gamma: int,
         if len(shell) >= 2:
             out.append((k_set, shell.astype(np.int64)))
     if not out:
-        raise GreedyExhausted(gamma, 0)
+        raise GreedyExhausted(gamma, 0, f"no {gamma} neighbours of a hub share a distance-"
+                                        f"{dl.ell} shell of 2 or more vertices")
     return out
 
 

@@ -552,7 +552,28 @@ def _verify_spectra() -> list[tuple[str, bool, str]]:
                     and np.abs(V @ V.T - np.eye(k)).max() <= 1e-8)
     results.append(("spectra.multiplicity_matches_dense", ok,
                     "3 and 5 copies of a 40-vertex graph, ell in {1,2,3}, k in {4,6}"))
+    # lambda_4 sits 1e-6 below lambda_3 over a bulk up to 7.5: the check's
+    # screening run cannot settle k = 3 and hands over to the tight run.
+    ok = True
+    for seed in (0, 1, 2):
+        A = _explicit_spectrum([10.0, 9.0, 8.0, 8.0 * (1 - 1e-6)], 7.5, seed)
+        dense = np.linalg.eigvalsh(A)
+        dense = dense[np.argsort(-np.abs(dense))][:3]
+        pairs = top_eigenpairs(lambda x: A @ x, len(A), 3, seed=seed)
+        ok = ok and len(pairs) == 3 and all(
+            abs(p.value - t) <= 1e-8 * max(1.0, abs(t)) for p, t in zip(pairs, dense))
+    results.append(("spectra.multiplicity_screen_near_ties", ok,
+                    "top-3 of Q diag(10, 9, 8, 8(1-1e-6), bulk) Q^T at n=200, 3 seeds"))
     return results
+
+
+def _explicit_spectrum(top, bulk: float, seed: int) -> np.ndarray:
+    """Q diag(lambda) Q^T at n = 200 for a seeded orthogonal Q: ``top``
+    followed by 200 - len(top) eigenvalues drawn uniformly from [-bulk, bulk]."""
+    n, rng = 200, make_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = np.concatenate([top, rng.uniform(-bulk, bulk, n - len(top))])
+    return (Q * lam) @ Q.T
 
 
 def _verify_bounds() -> list[tuple[str, bool, str]]:

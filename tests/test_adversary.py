@@ -291,6 +291,15 @@ class TestRogueCertificate:
         assert calls == []
         assert np.array_equal(got.support, want.support) and got.rayleigh == want.rayleigh
 
+    def test_sphere_mode_without_common_shell_says_so(self):
+        # Hubs of degree >= 8 exist here, but no 8 neighbours of one share a
+        # distance-2 shell of two vertices; sphere mode separates nothing.
+        g = ds.sample_graph(small_params(500), 1).graph
+        prof = ds.derive_spectral_profile(small_params(500))
+        with pytest.raises(GreedyExhausted, match="^no 8 neighbours of a hub share a "
+                                                  "distance-2 shell of 2 or more vertices$"):
+            ds.build_rogue_certificate(g, prof, 2, 8, mode="sphere", seed=1)
+
     def test_epsilon_validated(self, two_type_params, two_type_profile):
         sample = ds.sample_graph(two_type_params, 1)
         with pytest.raises(ValueError):
@@ -333,4 +342,4 @@ def _certificate_digest() -> str:
 
 def test_certificate_outputs_are_pinned():
     assert _certificate_digest() == (
-        "ad0b71198c275029038ccbb69386c4f71ab6eaae7be6a9156ffc53bedb6d37d2")
+        "b1ba67149ce5b0f0e40293935f3c0fd7d3288b55418e037c09ad84d9368d5358")

@@ -314,6 +314,7 @@ class TestVerify:
         assert cli.main(["verify", "spectra"]) == 0
         out = capsys.readouterr().out
         assert "PASS spectra.multiplicity_matches_dense" in out
+        assert "PASS spectra.multiplicity_screen_near_ties" in out
         assert "FAIL" not in out
 
 

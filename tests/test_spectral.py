@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 import distspec as ds
 import distspec.graph as graph
 import distspec.spectral as spectral
+from distspec.cli import _explicit_spectrum
 from distspec.spectral import DegenerateOperator, NoConvergence
 
 from conftest import small_params
@@ -86,16 +89,23 @@ class TestTopEigenpairs:
         with pytest.raises(DegenerateOperator):
             ds.top_eigenpairs(lambda x: x, 0, 1)
 
+    def test_negative_k_raises(self):
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            ds.top_eigenpairs(dense_op(np.eye(100)), 100, -1)
+
+    @pytest.mark.parametrize("tol", [-1e-8, float("nan")])
+    def test_negative_or_nan_tol_raises(self, tol):
+        # Either would spend the whole matvec budget: no residual is below it.
+        with pytest.raises(ValueError, match="tol must be"):
+            ds.top_eigenpairs(dense_op(np.eye(100)), 100, 3, tol=tol)
+
     @pytest.mark.parametrize("k", [4, 6])
     @pytest.mark.parametrize("ell", [1, 2, 3])
     @pytest.mark.parametrize("copies", [3, 5])
     def test_repeated_components_match_dense(self, copies, ell, k):
         # D^ell of disjoint copies of one graph is block diagonal, so every
         # eigenvalue repeats `copies` times; one Krylov run sees one copy.
-        g = ds.sample_graph(small_params(40), 3).graph
-        edges = g.edge_array()
-        union = ds.SparseGraph.from_edges(
-            copies * g.n, np.concatenate([edges + c * g.n for c in range(copies)]))
+        union = _copies(copies)
         dl = ds.distance_matrix(union, ell)
         pairs = ds.top_eigenpairs(dl, union.n, k, seed=1)
         assert len(pairs) == k
@@ -103,6 +113,90 @@ class TestTopEigenpairs:
         assert np.abs(np.abs([p.value for p in pairs]) - dense).max() <= 1e-6
         V = np.stack([p.vector for p in pairs])
         assert np.abs(V @ V.T - np.eye(k)).max() <= 1e-8
+
+
+class TestMultiplicityScreen:
+    """The multiplicity check first runs ARPACK at ``_SCREEN_TOL``; only a
+    screen that cannot show that nothing left beats the k-th pair hands
+    over to the run at tol / 10."""
+
+    @pytest.fixture
+    def tols(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        seen = []
+        eigsh = scipy.sparse.linalg.eigsh
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
+                            lambda *args, **kw: seen.append(kw["tol"]) or eigsh(*args, **kw))
+        return seen
+
+    def test_gap_is_settled_by_the_screen(self, tols):
+        g = ds.sample_graph(small_params(500), 1).graph
+        ds.top_eigenpairs(ds.distance_matrix(g, 4), g.n, 4, tol=1e-8, seed=1)
+        assert tols == [1e-9, spectral._SCREEN_TOL]
+
+    @pytest.mark.parametrize("top, k, bulk", [
+        # One copy of the 4th eigenvalue hides from the first run and is merged.
+        ([10.0, 9.0, 8.0, 8.0], 4, 7.9),
+        # lambda_4 sits 1e-6 below lambda_3: the screen cannot settle it and
+        # the tight run must not merge it.
+        ([10.0, 9.0, 8.0, 8.0 * (1 - 1e-6)], 3, 7.5),
+    ])
+    def test_unsettled_screen_falls_back_and_matches_dense(self, tols, top, k, bulk):
+        A = _explicit_spectrum(top, bulk, seed=0)
+        inputs = []
+        pairs = ds.top_eigenpairs(lambda x: inputs.append(x.tobytes()) or A @ x, len(A), k,
+                                  tol=1e-8, seed=0)
+        # The first run and one check that the screen handed over.
+        assert tols.count(1e-9) == 2
+        # The tight run reads the screen's products back, not recomputing one.
+        assert len(set(inputs)) == len(inputs)
+        dense = np.linalg.eigvalsh(A)
+        dense = dense[np.argsort(-np.abs(dense))][:k]
+        assert len(pairs) == k
+        for p, t in zip(pairs, dense):
+            assert abs(p.value - t) <= 1e-8 * max(1.0, abs(t))
+        kth = top[k - 1]
+        assert sum(abs(p.value - kth) <= 1e-7 for p in pairs) == top[:k].count(kth)
+
+
+def _copies(copies: int) -> ds.SparseGraph:
+    """``copies`` disjoint copies of one 40-vertex graph."""
+    g = ds.sample_graph(small_params(40), 3).graph
+    edges = g.edge_array()
+    return ds.SparseGraph.from_edges(
+        copies * g.n, np.concatenate([edges + c * g.n for c in range(copies)]))
+
+
+def _pinned_solves():
+    """(name, D^ell, k) for the pipeline benchmark's graphs (n = 4,000,
+    W = [[11, 1], [1, 11]], ell = 3, seeds 1 and 2), the sweep benchmark's
+    graph (n = 500, W = [[5, 1], [1, 5]], seed 1) at ell 2 and 4, and 3 and
+    5 disjoint copies of a 40-vertex graph, whose eigenvalues all repeat."""
+    for seed in (1, 2):
+        g = ds.sample_graph(small_params(4000, W=[[11.0, 1.0], [1.0, 11.0]]), seed).graph
+        yield f"pipeline seed={seed}", ds.distance_matrix(g, 3), 4
+    g = ds.sample_graph(small_params(500), 1).graph
+    for ell in (2, 4):
+        yield f"sweep ell={ell}", ds.distance_matrix(g, ell), 4
+    for copies in (3, 5):
+        union = _copies(copies)
+        for ell in (1, 2, 3):
+            for k in (4, 6):
+                yield f"copies={copies} ell={ell} k={k}", ds.distance_matrix(union, ell), k
+
+
+def test_eigenpairs_are_pinned():
+    # SHA-256 of every returned value, vector and residual, with floats as
+    # hex and arrays as raw bytes, so a change in the last bit shows.
+    h = hashlib.sha256()
+    for name, dl, k in _pinned_solves():
+        h.update(f"|{name}:".encode())
+        for p in ds.top_eigenpairs(dl, dl.n, k, seed=1):
+            h.update(f"{p.value.hex()} {p.residual.hex()} {p.vector.dtype.str}".encode())
+            h.update(np.ascontiguousarray(p.vector).tobytes())
+    assert h.hexdigest() == (
+        "72a2c1dca4ffc412c21e62b7ac6286b0167afede22f96e6331640e4e06ee8747")
 
 
 class TestSeparationReport:
