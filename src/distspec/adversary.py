@@ -23,6 +23,7 @@ import numpy as np
 from .graph import (
     SparseGraph,
     SparseSymMatrix,
+    _require_built,
     _source_rows,
     distance_matrix,
     frontiers,
@@ -354,9 +355,8 @@ def build_rogue_certificate(
         raise ValueError(f"unknown mode {mode!r}")
     if dl is None:
         dl = distance_matrix(g, ell)
-    elif (dl.n, dl.ell, dl.kind) != (g.n, ell, "distance"):
-        raise ValueError(f"dl is a {dl.kind} matrix on {dl.n} vertices at depth {dl.ell}, "
-                         f"not the distance matrix of this graph at depth {ell}")
+    else:
+        _require_built(dl, "dl", g, ell, "distance")
 
     pool_size = max(gamma, int(np.ceil(g.n ** (1.0 - epsilon))))
     pool = np.argsort(-dl.matvec(np.ones(g.n)), kind="stable")[:pool_size]

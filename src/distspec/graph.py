@@ -163,7 +163,14 @@ class SparseSymMatrix:
         return self._full.toarray()
 
     def to_csr(self) -> sp.csr_matrix:
-        return self._full.astype(np.int64)
+        """An int64 copy of the stored CSR, rows in their stored order.
+
+        The data is cast on its own: ``astype`` would sum duplicates first,
+        which sorts every row.
+        """
+        full = self._full
+        return sp.csr_matrix((full.data.astype(np.int64), full.indices.copy(), full.indptr.copy()),
+                             shape=full.shape)
 
     def entries(self) -> np.ndarray:
         """Upper-triangle entries as an (nnz, 3) int64 array of (i, j, value)."""
@@ -224,20 +231,32 @@ def frontiers(g: SparseGraph, sources: sp.spmatrix, ell: int) -> list[sp.csr_mat
     return out
 
 
-def _vertex_frontiers(g: SparseGraph, ell: int):
-    """``(first row, frontiers)`` over row blocks of one single-vertex source
-    per vertex.
+def _blocked_frontiers(g: SparseGraph, sources: sp.csr_matrix, ell: int,
+                       reach: Optional[int] = None):
+    """``(first row, frontiers)`` over row blocks of ``sources``, expanded to ``ell``.
 
-    A block holds about ``_BLOCK_ENTRIES`` ball entries, estimating each
-    ball as min(n, (1 + mean degree)^ell).
+    A block holds about ``_BLOCK_ENTRIES`` entries of radius-``reach``
+    balls (at least one row), estimating the ball of a row of s sources
+    as min(n, s * (1 + mean degree)^reach).  ``reach`` defaults to
+    ``ell``; a caller whose own products go past the last frontier sizes
+    its blocks for the depth they reach.
     """
-    if g.n == 0:
+    if sources.shape[0] == 0:
         return
-    growth = math.exp(min(ell * math.log1p(2.0 * g.m / g.n), math.log(g.n)))
-    step = max(1, int(_BLOCK_ENTRIES // min(g.n, growth)))
-    sources = sp.identity(g.n, dtype=bool, format="csr")
-    for lo in range(0, g.n, step):
-        yield lo, frontiers(g, sources[lo:lo + step], ell)
+    reach = ell if reach is None else reach
+    growth = math.exp(min(reach * math.log1p(2.0 * g.m / g.n), math.log(g.n)))
+    ends = np.cumsum(np.minimum(g.n, np.diff(sources.indptr) * growth))
+    lo = 0
+    while lo < len(ends):
+        start = ends[lo - 1] if lo else 0.0
+        hi = max(lo + 1, int(np.searchsorted(ends, start + _BLOCK_ENTRIES, side="right")))
+        yield lo, frontiers(g, sources[lo:hi], ell)
+        lo = hi
+
+
+def _vertex_frontiers(g: SparseGraph, ell: int, reach: Optional[int] = None):
+    """:func:`_blocked_frontiers` of one single-vertex source per vertex."""
+    return _blocked_frontiers(g, sp.identity(g.n, dtype=bool, format="csr"), ell, reach)
 
 
 def _source_rows(g: SparseGraph, sets) -> sp.csr_matrix:
@@ -296,7 +315,8 @@ def _vertex_pass(g: SparseGraph, ell: int, distance: bool = True,
         adj = g.to_csr()
         deg = np.diff(g.indptr)
     lasts, offenders = [], []
-    for lo, fronts in _vertex_frontiers(g, ell):
+    # The rim product reaches depth ell + 1, so tangle blocks are sized for it.
+    for lo, fronts in _vertex_frontiers(g, ell, ell + 1 if tangle else ell):
         last = fronts[-1]
         if distance:
             lasts.append(last)
@@ -371,6 +391,13 @@ def path_expansion_matrix(g: SparseGraph, ell: int, cap: int = 2) -> SparseSymMa
         warnings.warn(CapSaturated(zip(rows[over].tolist(), upper.indices[over].tolist())))
         upper.data[over] = cap
     return SparseSymMatrix(n, ell, "path", upper + upper.T)
+
+
+def _require_built(mat: SparseSymMatrix, name: str, g: SparseGraph, ell: int, kind: str) -> None:
+    """Raise ``ValueError`` unless ``mat`` is g's ``kind`` matrix at depth ``ell``."""
+    if (mat.n, mat.ell, mat.kind) != (g.n, ell, kind):
+        raise ValueError(f"{name} is a {mat.kind} matrix on {mat.n} vertices at depth {mat.ell}, "
+                         f"not the {kind} matrix of this graph at depth {ell}")
 
 
 def difference_matrix(a: SparseSymMatrix, b: SparseSymMatrix, kind: str = "diff") -> SparseSymMatrix:

@@ -12,8 +12,9 @@ closed-form solves and by Monte Carlo.
 from __future__ import annotations
 
 import warnings
+from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -101,12 +102,16 @@ class MartingaleSample:
     capped_runs: int
 
 
-def simulate_population(cfg: GwConfig) -> PopulationSample:
-    """Exact multitype branching with Poisson offspring, vectorized over runs.
+def _branching(cfg: GwConfig) -> tuple[np.ndarray, np.ndarray, Iterator[np.ndarray]]:
+    """``(root types, cap flags, generations)`` of one simulation.
 
-    Runs whose total population exceeds the cap are frozen at that state
-    and flagged; moment estimators should exclude them (the flags say how
-    many there were).
+    ``generations`` yields Z_0, ..., Z_depth as fresh (runs, r) int64
+    arrays, each drawn from the one before, so a caller holds only the
+    generations it keeps.  The draws are the root types, then one Poisson
+    array per generation.  A run whose total passes the cap is frozen at
+    its previous state; the flags are final, and one
+    :class:`PopulationCapHit` warned if any run froze, once the iterator
+    is exhausted.
     """
     rng = make_rng(cfg.seed)
     r = cfg.r
@@ -114,24 +119,48 @@ def simulate_population(cfg: GwConfig) -> PopulationSample:
         root_types = np.full(cfg.runs, int(cfg.root_law), dtype=np.int64)
     else:
         root_types = rng.choice(r, size=cfg.runs, p=cfg.root_law)
-    # Generation-major, so each step reads and writes one contiguous slab.
-    Zt = np.zeros((cfg.depth + 1, cfg.runs, r), dtype=np.int64)
-    Zt[0, np.arange(cfg.runs), root_types] = 1
     capped = np.zeros(cfg.runs, dtype=bool)
-    MT = cfg.M.T
-    for t in range(cfg.depth):
-        Zt[t + 1] = rng.poisson(Zt[t] @ MT)
-        # No total can pass the cap while r times the largest entry does not.
-        if not capped.any() and int(Zt[t + 1].max()) * r <= cfg.cap:
-            continue
-        frozen = capped | (Zt[t + 1].sum(axis=1) > cfg.cap)
-        if frozen.any():
-            Zt[t + 1, frozen] = Zt[t, frozen]
-            capped |= frozen
-    Z = Zt.transpose(1, 0, 2)
-    if capped.any():
-        warnings.warn(PopulationCapHit(int(capped.sum()), cfg.runs))
-    return PopulationSample(Z=Z, root_types=root_types, capped=capped, cfg=cfg)
+
+    def generations():
+        Z = np.zeros((cfg.runs, r), dtype=np.int64)
+        Z[np.arange(cfg.runs), root_types] = 1
+        yield Z
+        MT = cfg.M.T
+        for _ in range(cfg.depth):
+            nxt = rng.poisson(Z @ MT)
+            # No total can pass the cap while r times the largest entry does not.
+            if capped.any() or int(nxt.max()) * r > cfg.cap:
+                frozen = capped | (nxt.sum(axis=1) > cfg.cap)
+                nxt[frozen] = Z[frozen]
+                capped[frozen] = True
+            Z = nxt
+            yield Z
+        if capped.any():
+            warnings.warn(PopulationCapHit(int(capped.sum()), cfg.runs))
+
+    return root_types, capped, generations()
+
+
+def simulate_population(cfg: GwConfig) -> PopulationSample:
+    """Exact multitype branching with Poisson offspring, vectorized over runs.
+
+    Runs whose total population exceeds the cap are frozen at that state
+    and flagged; moment estimators should exclude them (the flags say how
+    many there were).  The branching checks read the same generations
+    without storing the history.
+    """
+    root_types, capped, generations = _branching(cfg)
+    # Generation-major, so each generation fills one contiguous slab.
+    Zt = np.empty((cfg.depth + 1, cfg.runs, cfg.r), dtype=np.int64)
+    for t, Z in enumerate(generations):
+        Zt[t] = Z
+    return PopulationSample(Z=Zt.transpose(1, 0, 2), root_types=root_types, capped=capped,
+                            cfg=cfg)
+
+
+def _rescaled(Z_t: np.ndarray, phi: np.ndarray, mu: float, t: int) -> np.ndarray:
+    """mu^(-t) <phi, Z_t> per run of one (runs, r) generation."""
+    return (Z_t @ np.asarray(phi, dtype=float)) / float(mu) ** t
 
 
 def martingale_values(sample: PopulationSample, phi: np.ndarray, mu: float,
@@ -140,29 +169,35 @@ def martingale_values(sample: PopulationSample, phi: np.ndarray, mu: float,
     t = sample.cfg.depth if depth is None else int(depth)
     if not 0 <= t <= sample.cfg.depth:
         raise ValueError(f"depth must be in 0..{sample.cfg.depth}, got {t}")
-    return (sample.Z[:, t, :] @ np.asarray(phi, dtype=float)) / float(mu) ** t
+    return _rescaled(sample.Z[:, t, :], phi, mu, t)
 
 
 def martingale_limit_check(cfg: GwConfig, phi: np.ndarray, mu: float) -> MartingaleSample:
     """Estimate the limit's mean and variance; the mean should match <phi, nu>.
 
     Requires mu^2 > alpha (the largest eigenvalue of M) for the limit to
-    carry finite variance.  Capped runs are excluded from the estimates.
+    carry finite variance.  Capped runs are excluded from the estimates,
+    and at least 2 uncapped runs must remain.  Only the last generation
+    is kept; X is what :func:`martingale_values` gives on
+    :func:`simulate_population` of the same config.
     """
     alpha = float(np.max(np.abs(np.linalg.eigvals(cfg.M))))
     if mu**2 <= alpha:
         raise SingularSystem(f"need mu^2 > alpha, got mu^2 = {mu**2}, alpha = {alpha}")
-    sample = simulate_population(cfg)
+    root_types, capped, generations = _branching(cfg)
+    (last,) = deque(generations, maxlen=1)
     phi = np.asarray(phi, dtype=float)
-    X_all = martingale_values(sample, phi, mu)
-    ok = sample.ok
+    X_all = _rescaled(last, phi, mu, cfg.depth)
+    ok = ~capped
     X = X_all[ok]
+    if len(X) < 2:
+        raise ValueError(f"need at least 2 uncapped runs for a variance, got {len(X)}")
     r = cfg.r
     per_mean = np.full(r, np.nan)
     per_var = np.full(r, np.nan)
     per_count = np.zeros(r, dtype=np.int64)
     for i in range(r):
-        mask = ok & (sample.root_types == i)
+        mask = ok & (root_types == i)
         per_count[i] = mask.sum()
         if per_count[i] > 1:
             per_mean[i] = X_all[mask].mean()
@@ -176,7 +211,7 @@ def martingale_limit_check(cfg: GwConfig, phi: np.ndarray, mu: float) -> Marting
         per_type_mean=per_mean,
         per_type_var=per_var,
         per_type_count=per_count,
-        capped_runs=int(sample.capped.sum()),
+        capped_runs=int(capped.sum()),
     )
 
 
@@ -264,15 +299,21 @@ class CumulantCheck:
 
 def _matched_depths(profile: SpectralProfile, phi: np.ndarray, mu: float, runs: int,
                     seed: int, depth: int) -> tuple[list, list]:
-    """Uncapped X at ``depth`` and ``depth - 1``, one simulation per root type."""
+    """Uncapped X at ``depth`` and ``depth - 1``, one simulation per root type.
+
+    Each simulation keeps only its last two generations, and only the X
+    values outlive it.
+    """
     deep, shallow = [], []
     for i in range(profile.M.shape[0]):
         cfg = GwConfig(M=profile.M, root_law=i, depth=depth, runs=runs,
                        seed=derive_seed(seed, f"gw-root-{i}"))
-        sample = simulate_population(cfg)
-        ok = sample.ok
-        deep.append(martingale_values(sample, phi, mu)[ok])
-        shallow.append(martingale_values(sample, phi, mu, depth=depth - 1)[ok])
+        _, capped, generations = _branching(cfg)
+        before, last = deque(generations, maxlen=2)
+        ok = ~capped
+        deep.append(_rescaled(last, phi, mu, depth)[ok])
+        shallow.append(_rescaled(before, phi, mu, depth - 1)[ok])
+        del before, last  # not alive through the next root type's simulation
     return deep, shallow
 
 

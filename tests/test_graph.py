@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import distspec as ds
 from distspec.graph import CapSaturated, NegativeEntry
@@ -92,7 +93,7 @@ class TestDistanceMatrix:
         # The pipeline benchmark's graph (n = 4000, W = [[11, 1], [1, 11]],
         # seed 1) at ell = 3: dtype, shape and raw bytes of every stored CSR
         # array, so a change in row order, index width or value type shows.
-        # (``to_csr()`` would not do: its int64 cast sorts the rows.)
+        # (The stored data is float64; ``to_csr()`` hands it back as int64.)
         g = ds.sample_graph(small_params(4000, W=[[11.0, 1.0], [1.0, 11.0]]), 1).graph
         d3 = ds.distance_matrix(g, 3)._full
         h = hashlib.sha256()
@@ -101,6 +102,18 @@ class TestDistanceMatrix:
             h.update(np.ascontiguousarray(arr).tobytes())
         assert h.hexdigest() == \
             "6b535dbdd1c2351a8b2030d2abe2ba5285140f870bf8a355264fe75ca0d26564"
+
+
+    def test_to_csr_shows_the_stored_layout(self):
+        mat = ds.SparseSymMatrix.from_pairs(3, 1, "distance", [0, 0, 1], [1, 2, 2], [1, 1, 1])
+        # Rows stored in descending order, which the constructor would sort.
+        mat._full = sp.csr_matrix((np.ones(6), [2, 1, 2, 0, 1, 0], [0, 2, 4, 6]), shape=(3, 3))
+        csr = mat.to_csr()
+        assert csr.indices.tolist() == [2, 1, 2, 0, 1, 0]
+        assert csr.indptr.tolist() == [0, 2, 4, 6]
+        assert csr.data.dtype == np.int64 and csr.data.tolist() == [1] * 6
+        csr.sort_indices()  # a copy: the stored arrays stay as they were
+        assert mat._full.indices.tolist() == [2, 1, 2, 0, 1, 0]
 
 
 class TestPathExpansionMatrix:

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -269,3 +270,71 @@ class TestCumulants:
         assert got.max_z == pytest.approx(want.max_z, rel=1e-12, abs=0)
         for field in ("order", "cumulants", "predicted", "residual", "residual_inf"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+class TestGenerationLoop:
+    """The branching checks read the simulator's generations without its history."""
+
+    @pytest.mark.parametrize("kind, cap", [("two", 10**7), ("two", 10**4), ("three", 10**7),
+                                           ("three", 10**5)])
+    def test_checks_see_the_simulated_values(self, two_type_profile, three_type_profile,
+                                             monkeypatch, kind, cap):
+        profile = {"two": two_type_profile, "three": three_type_profile}[kind]
+        r = profile.M.shape[0]
+        phi, mu = profile.phi[1], float(profile.mu[1])
+        cfg = ds.GwConfig(M=profile.M, root_law=np.full(r, 1.0 / r), depth=8, runs=2000,
+                          seed=3, cap=cap)
+        monkeypatch.setattr(gw, "GwConfig", functools.partial(ds.GwConfig, cap=cap))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PopulationCapHit)
+            sample = ds.simulate_population(cfg)
+            mart = ds.martingale_limit_check(cfg, phi, mu)
+            deep, shallow = gw._matched_depths(profile, phi, mu, 2000, 5, 8)
+            roots = [ds.simulate_population(ds.GwConfig(
+                M=profile.M, root_law=i, depth=8, runs=2000, cap=cap,
+                seed=ds.derive_seed(5, f"gw-root-{i}"))) for i in range(r)]
+        assert sample.capped.any() == (cap < 10**7) and not sample.capped.all()
+        assert mart.capped_runs == sample.capped.sum()
+        X = ds.martingale_values(sample, phi, mu)
+        assert np.array_equal(mart.X, X[sample.ok])
+        for i, root in enumerate(roots):
+            assert np.array_equal(deep[i], ds.martingale_values(root, phi, mu)[root.ok])
+            assert np.array_equal(shallow[i],
+                                  ds.martingale_values(root, phi, mu, depth=7)[root.ok])
+
+    def test_cap_is_warned_once_per_simulation(self, two_type_profile):
+        phi, mu = two_type_profile.phi[1], 2.0
+        cfg = ds.GwConfig(M=two_type_profile.M, root_law=0, depth=8, runs=500, seed=1, cap=10**3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ds.martingale_limit_check(cfg, phi, mu)
+            ds.simulate_population(cfg)
+        assert [type(w.message) for w in caught] == [PopulationCapHit] * 2
+
+    def test_no_full_history_is_held(self, two_type_profile):
+        phi, mu = two_type_profile.phi[1], float(two_type_profile.mu[1])
+        runs, depth = 2 * 10**4, 8
+        cfg = ds.GwConfig(M=two_type_profile.M, root_law=np.array([0.5, 0.5]), depth=depth,
+                          runs=runs, seed=1)
+        history = (depth + 1) * runs * 2 * 8
+        checks = {"martingale": lambda: ds.martingale_limit_check(cfg, phi, mu),
+                  "cumulant": lambda: ds.cumulant_relation_check(two_type_profile, phi, mu,
+                                                                 runs=runs, depth=depth)}
+        for name, check in checks.items():
+            check()  # first-call allocations are not the check's working set
+            tracemalloc.start()
+            try:
+                check()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < history, (name, peak, history)
+
+    def test_martingale_needs_two_uncapped_runs(self):
+        with pytest.raises(ValueError, match="at least 2 uncapped runs"):
+            ds.martingale_limit_check(single_type_cfg(runs=1), np.array([1.0]), 3.0)
+        capped = ds.GwConfig(M=np.array([[4.0]]), root_law=0, depth=8, runs=20, seed=1, cap=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PopulationCapHit)
+            with pytest.raises(ValueError, match="at least 2 uncapped runs"):
+                ds.martingale_limit_check(capped, np.array([1.0]), 3.0)

@@ -288,3 +288,39 @@ class TestDeltaRadius:
         got = ds.delta_radius_check(g, 3, alpha=3.0, bl=bl)
         assert len(calls) == 1
         assert vars(got) == vars(want)
+
+    @pytest.mark.parametrize("kind", ["cyclic", "forest"])
+    def test_cycle_shells_in_small_blocks_give_the_same_report(self, monkeypatch, kind):
+        if kind == "cyclic":
+            g = ds.sample_graph(small_params(300), 4).graph
+        else:  # a random recursive tree: no cycles, so no cycle bound
+            parents = np.random.default_rng(0).integers(0, np.arange(1, 200))
+            g = ds.SparseGraph.from_edges(200, np.stack([np.arange(1, 200), parents], 1))
+        bl = ds.path_expansion_matrix(g, 3, cap=10**6)
+        want = ds.delta_radius_check(g, 3, alpha=3.0, bl=bl)
+        monkeypatch.setattr(graph, "_BLOCK_ENTRIES", 64)
+        rows = graph._source_rows(g, ds.fundamental_cycles(g))
+        blocks = list(graph._blocked_frontiers(g, rows, 3))
+        got = ds.delta_radius_check(g, 3, alpha=3.0, bl=bl)
+        assert vars(got) == vars(want)
+        if kind == "cyclic":
+            assert len(blocks) > 1 and want.n_cycles > 1 and want.cycle_bound > 0
+            assert [lo for lo, _ in blocks] == np.cumsum(
+                [0] + [f[0].shape[0] for _, f in blocks[:-1]]).tolist()
+            assert np.array_equal(np.concatenate([graph._shell_sizes(f) for _, f in blocks]),
+                                  graph._shell_sizes(ds.frontiers(g, rows, 3)))
+        else:
+            assert blocks == [] and want.n_cycles == 0 and want.cycle_bound == 0.0
+
+    @pytest.mark.parametrize("which, mismatch", [
+        (which, mismatch) for which in ("dl", "bl") for mismatch in ("kind", "ell", "n")])
+    def test_passed_matrices_must_fit_the_graph(self, square_graph, which, mismatch):
+        builders = {"dl": ds.distance_matrix, "bl": ds.path_expansion_matrix}
+        other = {"dl": ds.path_expansion_matrix, "bl": ds.distance_matrix}[which]
+        five = ds.SparseGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4)])
+        wrong = {"kind": lambda: other(square_graph, 2),
+                 "ell": lambda: builders[which](square_graph, 1),
+                 "n": lambda: builders[which](five, 2)}[mismatch]()
+        with pytest.raises(ValueError, match=f"{which} is a .* not the "
+                                             f"{'distance' if which == 'dl' else 'path'} matrix"):
+            ds.delta_radius_check(square_graph, 2, alpha=2.0, **{which: wrong})
