@@ -23,10 +23,8 @@ from .model import (
 )
 from .graph import (
     CapSaturated,
-    ShellProfile,
     SparseGraph,
     SparseSymMatrix,
-    bfs_shells,
     delta_matrix,
     difference_matrix,
     distance_matrix,
@@ -59,13 +57,11 @@ from .reconstruct import (
 )
 from .adversary import (
     Perturbation,
-    QkReport,
     RogueCertificate,
     apply_perturbation,
     build_rogue_certificate,
     plant_clique,
     qk_bound,
-    qk_bound_report,
     robustness_budget,
 )
 from .gw import (
@@ -80,7 +76,7 @@ from .gw import (
     moment_closed_forms,
     simulate_population,
 )
-from .diagnostics import LocalMomentReport, local_moment_report, shell_type_counts
+from .diagnostics import LocalMomentReport, local_moment_report
 from .util import derive_seed, make_rng
 
 __version__ = "0.1.0"

@@ -93,9 +93,6 @@ class Perturbation:
                 f"{len(touched)} vertices touched but budget is {self.gamma_budget}"
             )
 
-    def inverse(self) -> "Perturbation":
-        return Perturbation(self.removed_edges, self.added_edges, self.gamma_budget)
-
     def to_json(self) -> dict:
         return {
             "gamma": int(self.gamma_budget),
@@ -179,35 +176,10 @@ def robustness_budget(profile: SpectralProfile, ell: int, n: int) -> tuple[float
     return t_ell / float(np.log(n)), t_ell
 
 
-@dataclass(frozen=True, eq=False)
-class QkReport:
-    bound: float          # exact spectral radius of the shell-size matrix
-    row_sum_bound: float
-    shell_sizes: np.ndarray
-    growth_ratio: float   # max_t S_t / (|K| * log(n) * alpha^t), nan if alpha unknown
-
-
-def qk_bound_report(
-    g: SparseGraph,
-    k_set: Sequence[int],
-    ell: int,
-    alpha: Optional[float] = None,
-) -> QkReport:
-    sizes = set_shell_sizes(g, k_set, ell)
-    exact, rowsum = qc_bound(sizes)
-    growth = float("nan")
-    if alpha is not None and g.n > 2:
-        scale = len(set(int(v) for v in k_set)) * np.log(g.n) * alpha ** np.arange(ell + 1)
-        growth = float((sizes / scale).max())
-    return QkReport(bound=exact, row_sum_bound=rowsum, shell_sizes=sizes,
-                    growth_ratio=growth)
-
-
-def qk_bound(g: SparseGraph, k_set: Sequence[int], ell: int,
-             alpha: Optional[float] = None) -> float:
+def qk_bound(g: SparseGraph, k_set: Sequence[int], ell: int) -> float:
     """Upper bound on the spectral radius of any distance-matrix change
     caused by edits supported on ``k_set``, from that set's shell sizes."""
-    return qk_bound_report(g, k_set, ell, alpha=alpha).bound
+    return qc_bound(set_shell_sizes(g, k_set, ell))[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,6 +20,7 @@ import argparse
 import functools
 import itertools
 import json
+import numbers
 import sys
 import time
 import warnings
@@ -42,6 +43,7 @@ from .gw import (
     moment_closed_forms,
 )
 from .model import (
+    InvalidKappa,
     SbmParams,
     choose_ell,
     derive_spectral_profile,
@@ -75,6 +77,14 @@ class ExperimentConfig:
             raise ValueError("gamma values must be nonnegative")
         if self.matrix_kind not in MATRIX_KINDS:
             raise ValueError(f"unknown matrix kind {self.matrix_kind!r}")
+        if self.ell is not None and (isinstance(self.ell, bool)
+                                     or not isinstance(self.ell, numbers.Integral)
+                                     or self.ell < 1):
+            raise ValueError(f"ell must be a positive integer, got {self.ell!r}")
+        if self.kappa is not None and (isinstance(self.kappa, bool)
+                                       or not isinstance(self.kappa, numbers.Real)
+                                       or not 0 < self.kappa < np.inf):
+            raise InvalidKappa(f"kappa must be a positive number, got {self.kappa!r}")
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
@@ -421,7 +431,7 @@ def _oracle_path_counts(graph: SparseGraph, ell: int) -> np.ndarray:
         if len(path) - 1 == ell:
             counts[path[0], last] += 1
             return
-        for w in graph.adj[last]:
+        for w in graph.neighbors(last).tolist():
             if w not in path:
                 path.append(w)
                 extend(path, w)

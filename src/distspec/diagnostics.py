@@ -1,23 +1,21 @@
 """White-box local statistics linking neighborhoods to eigenvector signal.
 
 These reports use the hidden type assignment, so they live apart from the
-detection path: per-vertex shell type counts are projected on the model
+detection path: per-vertex shell type counts, read off the distance
+matrix as ``D^ell @ onehot(sigma)``, are projected on the model
 eigenvectors, their normalized second moments estimated, and the
-resulting vectors compared against the eigenvectors actually extracted
-from the distance matrix.
+resulting vectors compared against the eigenvectors of that same matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
-from .graph import SparseGraph, _vertex_frontiers, distance_matrix
+from .graph import SparseGraph, distance_matrix
 from .model import SpectralProfile
-from .spectral import EigenPair, top_eigenpairs
+from .spectral import top_eigenpairs
 from .util import derive_seed
 
 
@@ -41,47 +39,24 @@ class LocalMomentReport:
     ell: int
 
 
-def _onehot(sigma: np.ndarray, r: int) -> sp.csr_matrix:
-    """(n, r) int64 CSR with a single 1 per row, in column sigma[v]."""
-    sigma = np.asarray(sigma, dtype=np.int64)
-    return sp.csr_matrix((np.ones(len(sigma), dtype=np.int64), sigma,
-                          np.arange(len(sigma) + 1)), shape=(len(sigma), r))
-
-
-def shell_type_counts(g: SparseGraph, sigma: np.ndarray, r: int, ell: int) -> np.ndarray:
-    """(n, r) matrix whose row v counts types among vertices at distance ell from v."""
-    onehot = _onehot(sigma, r)
-    counts = np.zeros((g.n, r), dtype=np.int64)
-    for lo, fronts in _vertex_frontiers(g, ell):
-        last = fronts[-1]
-        counts[lo:lo + last.shape[0]] = (last @ onehot).toarray()
-    return counts
-
-
 def local_moment_report(
     g: SparseGraph,
     sigma: np.ndarray,
     profile: SpectralProfile,
     ell: int,
-    eigenpairs: Optional[Sequence[EigenPair]] = None,
     seed: int = 0,
 ) -> LocalMomentReport:
     """Compute the shell-count moments and their alignment with the spectrum.
 
-    Without ``eigenpairs`` the report builds ``D^ell`` for its own solve;
-    row v of ``D^ell`` is v's last frontier, so the shell type counts are
-    ``D^ell @ onehot(sigma)`` and need no second expansion.
+    The report builds ``D^ell`` for its own solve; row v of ``D^ell`` is
+    v's last frontier, so the shell type counts are ``D^ell @ onehot(sigma)``.
     """
     r = profile.params.r
     n = g.n
-    if eigenpairs is None:
-        dmat = distance_matrix(g, ell)
-        counts = dmat.matvec(np.eye(r)[sigma])
-        eigenpairs = top_eigenpairs(dmat, n, k=min(max(profile.r0, 2), n),
-                                    seed=derive_seed(seed, "diag-eig"))
-    else:
-        counts = shell_type_counts(g, sigma, r, ell)
-    counts = counts.astype(np.float64)
+    dmat = distance_matrix(g, ell)
+    counts = dmat.matvec(np.eye(r)[sigma])
+    eigenpairs = top_eigenpairs(dmat, n, k=min(max(profile.r0, 2), n),
+                                seed=derive_seed(seed, "diag-eig"))
     proj = counts @ profile.phi.T        # column k holds <phi_k, Y_ell(v)>
     diag_raw = (proj**2).mean(axis=0)
     mu_sq = profile.mu.astype(np.float64) ** (2 * ell)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -42,27 +41,16 @@ class SparseGraph:
     """Undirected simple graph with sorted per-vertex neighbor lists.
 
     Immutable after construction; edits go through rebuilds (see the
-    adversary module).  ``adj`` holds plain Python lists for walks written
-    in Python (the CLI's path-count oracle); it is built on first access.
+    adversary module).
     """
 
-    __slots__ = ("n", "m", "indptr", "indices", "_adj")
+    __slots__ = ("n", "m", "indptr", "indices")
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray):
         self.n = int(n)
         self.m = int(len(indices) // 2)
         self.indptr = indptr
         self.indices = indices
-        self._adj = None
-
-    @property
-    def adj(self) -> list:
-        if self._adj is None:
-            indptr, indices = self.indptr, self.indices
-            self._adj = [
-                indices[indptr[v]:indptr[v + 1]].tolist() for v in range(self.n)
-            ]
-        return self._adj
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "SparseGraph":
@@ -184,16 +172,6 @@ class SparseSymMatrix:
         return int(self._full.data.min()) if self._full.nnz else 0
 
 
-@dataclass(frozen=True, eq=False)
-class ShellProfile:
-    """Distance layers around one vertex: vertex lists, sizes, type counts."""
-
-    v: int
-    layers: tuple
-    sizes: np.ndarray
-    type_counts: Optional[np.ndarray] = None  # (ell+1, r) when labels given
-
-
 # Ball entries (summed over rows) that one block of single-vertex or set
 # sources may hold: keeps the blocked expansions at a few tens of MB.
 _BLOCK_ENTRIES = 1 << 20
@@ -270,29 +248,6 @@ def _source_rows(g: SparseGraph, sets) -> sp.csr_matrix:
     indptr = np.cumsum([0] + [len(x) for x in members])
     return sp.csr_matrix((np.ones(len(flat), dtype=bool), flat, indptr),
                          shape=(len(members), g.n))
-
-
-def bfs_shells(
-    g: SparseGraph,
-    v: int,
-    ell: int,
-    sigma: Optional[np.ndarray] = None,
-    r: Optional[int] = None,
-) -> ShellProfile:
-    """Exact distance layers 0..ell around v; per-type counts when sigma given."""
-    layers = [np.sort(f.indices).astype(np.int64)
-              for f in frontiers(g, _source_rows(g, [[v]]), ell)]
-    sizes = np.array([len(layer) for layer in layers], dtype=np.int64)
-    type_counts = None
-    if sigma is not None:
-        sigma = np.asarray(sigma)
-        nr = int(r if r is not None else sigma.max() + 1)
-        type_counts = np.zeros((ell + 1, nr), dtype=np.int64)
-        for t, layer in enumerate(layers):
-            if len(layer):
-                type_counts[t] = np.bincount(sigma[layer], minlength=nr)
-    return ShellProfile(v=int(v), layers=tuple(layers), sizes=sizes,
-                        type_counts=type_counts)
 
 
 def _vertex_pass(g: SparseGraph, ell: int, distance: bool = True,

@@ -93,10 +93,6 @@ class SpectralProfile:
     column_sums: np.ndarray = field(repr=False, default=None)
 
     @property
-    def subcritical(self) -> bool:
-        return self.mu[0] <= 1.0
-
-    @property
     def above_threshold(self) -> bool:
         return self.r0 > 1
 
@@ -127,8 +123,8 @@ def derive_spectral_profile(params: SbmParams) -> SpectralProfile:
     ``S = diag(pi)^(1/2) W diag(pi)^(1/2)``, which shares eigenvalues with
     ``M = diag(pi) W`` and guarantees a real spectrum.  Raises
     :class:`NotPositiveRegular` when no power ``M^t`` with ``t <= r`` is
-    entrywise positive.  Degree irregularity and subcriticality are
-    recorded as flags, not errors.
+    entrywise positive.  Degree irregularity is recorded as a flag, not an
+    error; a subcritical model (``mu[0] <= 1``) is not rejected here.
     """
     r = params.r
     M = np.diag(params.pi) @ params.W
@@ -257,7 +253,7 @@ def choose_ell(
         return EllChoice(int(override), True, False, kappa < 1.0 / 12.0)
     if kappa <= 0:
         raise InvalidKappa(f"kappa must be positive, got {kappa}")
-    if profile.mu[0] <= 1.0:
+    if profile.alpha <= 1.0:
         raise ValueError("alpha must exceed 1 to choose a depth")
     # Small epsilon guards floor() against float dust at exact integer targets.
     raw = math.floor(kappa * math.log(n) / math.log(profile.alpha) + 1e-9)

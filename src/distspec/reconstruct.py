@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -161,17 +161,15 @@ def solve_pairs(mat: SparseSymMatrix, n: int, profile: SpectralProfile,
     return top_eigenpairs(mat, n, k=k, seed=derive_seed(seed, "eig"))
 
 
-def round_labels(pairs: Sequence[EigenPair], profile: SpectralProfile, ell: int, seed: int,
-                 k_override: Optional[float] = None) -> tuple[LabelAssignment, SeparationReport]:
+def round_labels(pairs: Sequence[EigenPair], profile: SpectralProfile, ell: int,
+                 seed: int) -> tuple[LabelAssignment, SeparationReport]:
     """Round stage: round the signal eigenvector to two labels with K =
-    ``k_override``, else the closed form above threshold, else ``FALLBACK_K``."""
+    the closed form above threshold, else ``FALLBACK_K``."""
     n = len(pairs[0].vector)
     idx = _pick_second(pairs, float(profile.mu[1] ** ell))
-    report = replace(separation_report(pairs, profile, ell, n=n), chosen_second=idx)
+    report = replace(separation_report(pairs, profile, ell), chosen_second=idx)
     xi = normalize_for_algorithm(pairs[idx].vector, n)
-    if k_override is not None:
-        K = float(k_override)
-    elif profile.tau > 1.0:
+    if profile.tau > 1.0:
         K = explicit_K(profile.params.r, profile.tau, profile.d)
     else:
         K = FALLBACK_K
@@ -185,7 +183,6 @@ def detect(
     ell: int,
     seed: int,
     matrix_kind: str = "distance",
-    k_override: Optional[float] = None,
 ) -> tuple[LabelAssignment, SeparationReport]:
     """Full pipeline: build the matrix, solve, round the second eigenvector.
 
@@ -193,4 +190,4 @@ def detect(
     derived from labeled hashes.
     """
     pairs = solve_pairs(build_matrix(g, ell, matrix_kind), g.n, profile, seed)
-    return round_labels(pairs, profile, ell, seed, k_override)
+    return round_labels(pairs, profile, ell, seed)

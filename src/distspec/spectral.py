@@ -217,18 +217,15 @@ def separation_report(
     pairs: Sequence[EigenPair],
     profile,
     ell: int,
-    n: Optional[int] = None,
-    factor: float = 10.0,
 ) -> SeparationReport:
     """Compare measured eigenvalues with the predicted powers.
 
-    Informative eigenvalues should track mu_k^ell within ``factor``;
+    Informative eigenvalues should track mu_k^ell within a factor of 10;
     everything below the informative range should stay under
-    log(n)^2 * alpha^(ell/2).
+    log(n)^2 * alpha^(ell/2), where n is the eigenvectors' length.
     """
     lam = np.array([p.value for p in pairs])
-    if n is None:
-        n = len(pairs[0].vector) if pairs else 1
+    n = len(pairs[0].vector) if pairs else 1
     r0 = profile.r0
     mu_powers = np.array([profile.mu[j] ** ell for j in range(min(r0, len(lam)))])
     ratios = np.array([
@@ -241,7 +238,7 @@ def separation_report(
     else:
         bulk_ratio = float("nan")
     informative_ok = bool(
-        len(ratios) and all(1.0 / factor <= rr <= factor for rr in np.abs(ratios))
+        len(ratios) and all(0.1 <= rr <= 10.0 for rr in np.abs(ratios))
     )
     logn2 = float(np.log(n) ** 2)
     bulk_ok = bool(np.isnan(bulk_ratio) or bulk_ratio <= logn2)

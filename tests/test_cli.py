@@ -57,6 +57,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown matrix kind"):
             cli.main(["detect", str(tmp_path / "missing.json"), "--config", str(cfg)])
 
+    @pytest.mark.parametrize("field, value", [
+        ("ell", 2.7), ("ell", "3"), ("ell", True), ("ell", 0),
+        ("kappa", "3"), ("kappa", True), ("kappa", 0), ("kappa", -0.5)])
+    def test_non_positive_or_mistyped_depth_fields_are_rejected(self, tmp_path, field, value):
+        cfg = write_config(tmp_path, **{"ell": None, field: value})
+        with pytest.raises(ValueError, match=f"{field} must be a positive"):
+            cli.ExperimentConfig.load(str(cfg))
+
     def test_unused_keys_still_load(self, tmp_path):
         cfg = write_config(tmp_path, perturbation="clique")
         assert cli.ExperimentConfig.load(str(cfg)).matrix_kind == "distance"

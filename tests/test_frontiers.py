@@ -117,7 +117,7 @@ def _queue_bfs_cycles(g):
             continue
         depth[root], queue = 0, [root]
         for u in queue:
-            for w in g.adj[u]:
+            for w in g.neighbors(u).tolist():
                 if depth[w] < 0:
                     depth[w], parent[w] = depth[u] + 1, u
                     queue.append(w)
@@ -148,22 +148,6 @@ def test_set_shell_matches_apsp(case, ell):
     layers = _oracle_set_layers(_apsp(g), x, ell)
     assert np.array_equal(ds.set_shell(g, x, ell), layers[ell])
     assert ds.set_shell_sizes(g, x, ell).tolist() == [len(t) for t in layers]
-
-
-@SETTINGS
-@given(graphs().filter(lambda g: g.n > 0), st.integers(0, 7), st.data())
-def test_bfs_shells_and_type_counts_match_apsp(g, ell, data):
-    sigma = np.array(data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n)))
-    dist = _apsp(g)
-    v = data.draw(st.integers(0, g.n - 1))
-    prof = ds.bfs_shells(g, v, ell, sigma=sigma, r=3)
-    layers = _oracle_set_layers(dist, [v], ell)
-    assert all(np.array_equal(a, b) for a, b in zip(prof.layers, layers))
-    assert prof.type_counts.tolist() == [np.bincount(sigma[t], minlength=3).tolist()
-                                         for t in layers]
-    counts = ds.shell_type_counts(g, sigma, 3, ell)
-    want = [np.bincount(sigma[dist[u] == ell], minlength=3) for u in range(g.n)]
-    assert np.array_equal(counts, np.array(want).reshape(g.n, 3))
 
 
 @SETTINGS
@@ -212,7 +196,6 @@ class TestEdgeCases:
         assert ds.distance_matrix(g, 2).nnz == 0
         assert ds.tangle_free_check(g, 2) == (True, [])
         assert ds.shell_sizes_all(g, 3).shape == (0, 4)
-        assert ds.shell_type_counts(g, np.zeros(0, dtype=np.int64), 2, 2).shape == (0, 2)
         assert [f.shape for f in ds.frontiers(g, sp.csr_matrix((0, 0)), 2)] == [(0, 0)] * 3
 
     def test_single_vertex(self):
@@ -220,7 +203,6 @@ class TestEdgeCases:
         assert ds.distance_matrix(g, 1).nnz == 0
         assert ds.shell_sizes_all(g, 2).tolist() == [[1, 0, 0]]
         assert ds.set_shell(g, [0], 3).tolist() == []
-        assert ds.bfs_shells(g, 0, 2).sizes.tolist() == [1, 0, 0]
 
     def test_duplicate_and_zero_source_entries_are_dropped(self, path_graph):
         rows = sp.csr_matrix((np.array([1, 1, 0]), np.array([0, 0, 2]), np.array([0, 3])),
@@ -241,12 +223,8 @@ class TestEdgeCases:
             ds.tangle_free_check(path_graph, 0)
         with pytest.raises(ValueError, match="ell must be nonnegative"):
             ds.frontiers(path_graph, sp.identity(4, format="csr"), -1)
-        with pytest.raises(ValueError, match="ell must be nonnegative"):
-            ds.bfs_shells(path_graph, 0, -1)
         with pytest.raises(ValueError, match="one column per vertex"):
             ds.frontiers(path_graph, sp.identity(3, format="csr"), 1)
-        with pytest.raises(ValueError, match="vertex out of range"):
-            ds.bfs_shells(path_graph, 4, 1)
         for bad in ([4], [-1, 0]):
             with pytest.raises(ValueError, match="vertex out of range"):
                 ds.set_shell(path_graph, bad, 1)
@@ -256,11 +234,3 @@ class TestEdgeCases:
             ds.set_shell(path_graph, [], 1)
         with pytest.raises(ValueError, match="nonempty"):
             ds.set_shell_sizes(path_graph, [], 1)
-
-    def test_adjacency_lists_are_built_on_first_use(self, path_graph):
-        assert path_graph._adj is None
-        ds.distance_matrix(path_graph, 2)
-        ds.tangle_free_check(path_graph, 2)
-        assert path_graph._adj is None
-        assert path_graph.adj[1] == [0, 2]
-        assert path_graph.adj is path_graph.adj

@@ -21,36 +21,45 @@ class TestSparseGraph:
 
     def test_adjacency_sorted_symmetric(self):
         g = ds.SparseGraph.from_edges(4, [(2, 1), (0, 3), (0, 1)])
-        assert g.adj[1] == [0, 2]
+        assert g.neighbors(1).tolist() == [0, 2]
         for u in range(4):
-            for w in g.adj[u]:
-                assert u in g.adj[w]
+            assert (np.diff(g.neighbors(u)) > 0).all()
+            for w in g.neighbors(u):
+                assert u in g.neighbors(w)
 
     def test_has_edge(self, path_graph):
         assert path_graph.has_edge(1, 2)
         assert not path_graph.has_edge(0, 2)
 
 
+def _vertex_layers(g, v, ell):
+    source = sp.csr_matrix(([True], ([0], [v])), shape=(1, g.n))
+    return [np.sort(f.indices).tolist() for f in ds.frontiers(g, source, ell)]
+
+
 class TestBfsShells:
     def test_path_graph(self, path_graph):
-        prof = ds.bfs_shells(path_graph, 0, 2)
-        assert prof.sizes.tolist() == [1, 1, 1]
-        assert [layer.tolist() for layer in prof.layers] == [[0], [1], [2]]
+        assert ds.set_shell_sizes(path_graph, [0], 2).tolist() == [1, 1, 1]
+        assert _vertex_layers(path_graph, 0, 2) == [[0], [1], [2]]
 
     def test_five_cycle(self):
         c5 = ds.SparseGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-        prof = ds.bfs_shells(c5, 2, 2)
-        assert prof.sizes.tolist() == [1, 2, 2]
+        assert ds.set_shell_sizes(c5, [2], 2).tolist() == [1, 2, 2]
+        assert _vertex_layers(c5, 2, 2) == [[2], [1, 3], [0, 4]]
 
     def test_star_center(self):
         k = 6
         star = ds.SparseGraph.from_edges(k + 1, [(0, i) for i in range(1, k + 1)])
-        assert ds.bfs_shells(star, 0, 1).sizes.tolist() == [1, k]
+        assert ds.set_shell_sizes(star, [0], 1).tolist() == [1, k]
 
     def test_type_counts_sum_to_sizes(self):
+        # The type counts local_moment_report reads off D^t, per vertex.
         sample = ds.sample_graph(small_params(100), 3)
-        prof = ds.bfs_shells(sample.graph, 0, 3, sigma=sample.sigma, r=2)
-        assert np.array_equal(prof.type_counts.sum(axis=1), prof.sizes)
+        onehot = np.eye(2)[sample.sigma]
+        sizes = ds.shell_sizes_all(sample.graph, 3)
+        for t in (1, 2, 3):
+            counts = ds.distance_matrix(sample.graph, t).matvec(onehot)
+            assert np.array_equal(counts.sum(axis=1), sizes[:, t])
 
 
 class TestDistanceMatrix:
@@ -86,8 +95,7 @@ class TestDistanceMatrix:
         g = ds.SparseGraph.from_edges(5, [(0, 1)])  # vertices 2..4 isolated
         dense = ds.distance_matrix(g, 2).to_dense()
         assert dense.sum() == 0
-        prof = ds.bfs_shells(g, 3, 4)
-        assert prof.sizes.tolist() == [1, 0, 0, 0, 0]
+        assert ds.set_shell_sizes(g, [3], 4).tolist() == [1, 0, 0, 0, 0]
 
     def test_pipeline_layout_is_pinned(self):
         # The pipeline benchmark's graph (n = 4000, W = [[11, 1], [1, 11]],
@@ -285,7 +293,7 @@ def _component_count(g):
         seen[v] = True
         while stack:
             u = stack.pop()
-            for w in g.adj[u]:
+            for w in g.neighbors(u):
                 if not seen[w]:
                     seen[w] = True
                     stack.append(w)

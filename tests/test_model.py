@@ -59,8 +59,11 @@ class TestSpectralProfile:
             ds.derive_spectral_profile(params)
 
     def test_subcritical_flag(self):
+        # A subcritical model is accepted; only choosing a depth needs alpha > 1.
         prof = ds.derive_spectral_profile(small_params(10, W=[[0.8, 0.2], [0.2, 0.8]]))
-        assert prof.subcritical
+        assert prof.mu[0] <= 1.0
+        with pytest.raises(ValueError, match="alpha must exceed 1"):
+            ds.choose_ell(prof, 1000)
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
@@ -153,6 +156,15 @@ class TestChooseEll:
     def test_invalid_kappa(self, two_type_profile):
         with pytest.raises(InvalidKappa):
             ds.choose_ell(two_type_profile, 1000, kappa=0.0)
+
+    @pytest.mark.parametrize("W", [[[3.0, 0.5], [0.5, 0.0]], [[3.8, 0.01], [0.01, 0.01]]])
+    def test_alpha_at_or_below_one_is_rejected(self, W):
+        # mu1 exceeds 1 in both, but the depth formula divides by log(alpha):
+        # alpha = 1 would divide by zero, alpha < 1 would clamp to depth 1.
+        prof = ds.derive_spectral_profile(small_params(100, W=W))
+        assert prof.alpha <= 1.0 < prof.mu[0]
+        with pytest.raises(ValueError, match="alpha must exceed 1"):
+            ds.choose_ell(prof, 10**6)
 
     def test_regime_flag(self, two_type_profile):
         assert ds.choose_ell(two_type_profile, 10**6, kappa=1.0 / 13.0).kappa_in_regime

@@ -206,13 +206,6 @@ class TestDetect:
             asg, _ = ds.detect(sample.graph, profile, 3, seed=1)
         assert asg.K_used == pytest.approx(ds.reconstruct.FALLBACK_K)
 
-    def test_k_override(self):
-        params = small_params(300)
-        profile = ds.derive_spectral_profile(params)
-        sample = ds.sample_graph(params, 2)
-        asg, _ = ds.detect(sample.graph, profile, 2, seed=1, k_override=2.5)
-        assert asg.K_used == 2.5
-
     def test_path_matrix_kind(self):
         params = small_params(200)
         profile = ds.derive_spectral_profile(params)

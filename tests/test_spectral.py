@@ -207,7 +207,7 @@ class TestSeparationReport:
                               vector=vec, residual=0.0)
                  for k in range(2)]
         pairs.append(ds.EigenPair(value=1.0, vector=vec, residual=0.0))
-        rep = ds.separation_report(pairs, two_type_profile, ell, n=100)
+        rep = ds.separation_report(pairs, two_type_profile, ell)
         assert np.allclose(rep.ratios, 1.0)
         assert rep.informative_ok
         assert rep.bulk_ok
@@ -217,7 +217,7 @@ class TestSeparationReport:
         vec = np.ones(4) / 2.0
         lam = [9.0, 4.0, 1e6]
         pairs = [ds.EigenPair(value=v, vector=vec, residual=0.0) for v in lam]
-        rep = ds.separation_report(pairs, two_type_profile, ell, n=2000)
+        rep = ds.separation_report(pairs, two_type_profile, ell)
         assert not rep.bulk_ok
 
 
