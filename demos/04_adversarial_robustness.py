@@ -66,8 +66,7 @@ w_ell = 3
 w_sample = ds.sample_graph(w_params, seed)
 _, w_breaking = ds.robustness_budget(w_profile, w_ell, w_params.n)
 gamma = int(np.ceil(w_breaking))
-cert = ds.build_rogue_certificate(w_sample.graph, w_profile, w_ell, gamma,
-                                  mode="sphere", seed=seed)
+cert = ds.build_rogue_certificate(w_sample.graph, w_profile, w_ell, gamma, seed=seed)
 print(f"tau = {w_profile.tau:.3f}, depth {w_ell}: breaking scale "
       f"tau^ell = {w_breaking:.2f} -> gamma = {gamma}")
 print(f"set of {cert.gamma} co-neighbors of a hub, common sphere of size "

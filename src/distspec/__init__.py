@@ -31,7 +31,6 @@ from .graph import (
     frontiers,
     fundamental_cycles,
     path_expansion_matrix,
-    set_shell,
     set_shell_sizes,
     shell_growth_report,
     shell_sizes_all,

@@ -24,16 +24,15 @@ from .graph import (
     SparseGraph,
     SparseSymMatrix,
     _require_built,
-    _source_rows,
     distance_matrix,
-    frontiers,
-    set_shell,
     set_shell_sizes,
 )
 from .model import SpectralProfile
 from .reconstruct import AtOrBelowThreshold
 from .spectral import EigenPair, qc_bound, top_eigenpairs
 from .util import derive_seed, make_rng
+
+EPSILON = 0.2  # the candidate pool is the top n^(1 - EPSILON) vertices by shell size
 
 
 class BudgetExceeded(ValueError):
@@ -45,17 +44,15 @@ class InconsistentEdit(ValueError):
 
 
 class GreedyExhausted(RuntimeError):
-    """Could not build a vertex set of the requested size: too few
-    vertices could be separated, or (in sphere mode, where ``message``
-    says which) no candidate hub had enough neighbours or no hub's
-    neighbours shared a large enough shell."""
+    """No certificate of the requested size exists on this graph; ``message``
+    says what was missing: a hub with gamma neighbours, a common shell of
+    two or more vertices for a hub's neighbours, or (gamma = 1) any vertex
+    at distance ell from the top pool vertex."""
 
-    def __init__(self, requested: int, achieved: int, message: Optional[str] = None):
+    def __init__(self, requested: int, achieved: int, message: str):
         self.requested = requested
         self.achieved = achieved
-        super().__init__(
-            message or f"only {achieved} of {requested} vertices could be separated"
-        )
+        super().__init__(message)
 
 
 def _normalize_edges(edges) -> tuple:
@@ -202,34 +199,11 @@ class RogueCertificate:
     cosines: np.ndarray
     gamma: int
     shell_size: int
-    mode: str
-    perturbation: Optional[Perturbation] = None
 
     def vector(self, n: int) -> np.ndarray:
         v = np.zeros(n)
         v[self.support] = self.values
         return v
-
-
-def _greedy_separated(g: SparseGraph, pool: np.ndarray, gamma: int, ell: int) -> np.ndarray:
-    """Greedily pick pool vertices with pairwise distance > 2*ell.
-
-    Each chosen vertex blocks its whole 2*ell-ball.
-    """
-    blocked = np.zeros(g.n, dtype=bool)
-    chosen: list[int] = []
-    for cand in pool:
-        cand = int(cand)
-        if blocked[cand]:
-            continue
-        chosen.append(cand)
-        if len(chosen) == gamma:
-            break
-        for front in frontiers(g, _source_rows(g, [[cand]]), 2 * ell):
-            blocked[front.indices] = True
-    if len(chosen) < gamma:
-        raise GreedyExhausted(gamma, len(chosen))
-    return np.array(sorted(chosen), dtype=np.int64)
 
 
 def _common_sphere_candidates(g: SparseGraph, dl: SparseSymMatrix, gamma: int,
@@ -275,68 +249,56 @@ def _cosines(v: np.ndarray, pairs: Sequence[EigenPair]) -> np.ndarray:
                      for p in pairs])
 
 
-def _informative_pairs(dmat: SparseSymMatrix, profile: SpectralProfile,
-                       seed: int) -> list[EigenPair]:
-    """The top max(r0, 1) eigenpairs of ``dmat`` from one solve."""
-    pairs = top_eigenpairs(dmat, dmat.n, k=min(max(profile.r0, 2), dmat.n),
-                           seed=derive_seed(seed, "rogue-eig"))
-    return list(pairs)[: max(profile.r0, 1)]
-
-
 def build_rogue_certificate(
     g: SparseGraph,
     profile: SpectralProfile,
     ell: int,
     gamma: int,
-    epsilon: float = 0.2,
-    mode: str = "sphere",
     seed: int = 0,
     dl: Optional[SparseSymMatrix] = None,
 ) -> RogueCertificate:
     """Construct the rogue test vector and measure it against the spectrum.
 
     Everything is read off one matrix, ``dl = D^ell`` of ``g`` (built here
-    when not passed): the candidate pool is the top n^(1-epsilon) vertices
-    by row sum of ``D^ell``, which is the shell size S_ell(v).  Modes:
+    when not passed), and nothing is expanded in the graph.  The candidate
+    pool is the top n^(1-EPSILON) vertices by row sum of ``D^ell``, which
+    is the shell size S_ell(v).  For gamma > 1 the set is gamma
+    co-neighbours of a hub, so the whole reported shell is at distance
+    exactly ell from every member and the closed form is attained in the
+    unedited graph; among candidate hubs the one least aligned with the
+    informative eigenvectors of ``D^ell`` is chosen (the adversary sees
+    the graph, so it may optimize against the spectrum).  For gamma = 1
+    the set is the top pool vertex and its shell that vertex's row of
+    ``D^ell``.  Shells come from products of ``D^ell`` with the sets'
+    indicators.
 
-    - ``"sphere"`` (default): the set is gamma co-neighbors of a hub, so
-      the whole reported shell is at distance exactly ell from every
-      member and the closed form is attained in the unedited graph;
-      among candidate hubs the one least aligned with the informative
-      eigenvectors of ``D^ell`` is chosen (the adversary sees the graph,
-      so it may optimize against the spectrum).  The shells come from one
-      product of ``D^ell`` with the hub sets' indicators, so this mode
-      expands nothing in the graph.
-    - ``"separated"``: greedy set with pairwise distance > 2*ell
-      (disjoint neighborhoods, the largest shells); each shell vertex
-      then sits at distance ell from exactly one member, so the measured
-      quadratic form stays below the closed form by about a factor gamma.
-    - ``"separated_clique"``: as above, plus a clique edit on the set
-      (within budget); the value and the cosines are measured on the
-      edited graph's ``D^ell``.
-
-    Each call runs one eigensolve, of the matrix it measures on.  Requires
-    ``epsilon < 1/4``, ``gamma >= 1`` and, if given, ``dl`` built from
-    ``g`` at depth ``ell``.
+    Each call runs one eigensolve, of ``D^ell``.  Requires ``gamma >= 1``
+    and, if given, ``dl`` built from ``g`` at depth ``ell``; raises
+    :class:`GreedyExhausted`, saying what was missing, when no set and
+    shell are found.
     """
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
-    if not 0 < epsilon < 0.25:
-        raise ValueError("epsilon must lie in (0, 1/4)")
-    if mode not in ("sphere", "separated", "separated_clique"):
-        raise ValueError(f"unknown mode {mode!r}")
     if dl is None:
         dl = distance_matrix(g, ell)
     else:
         _require_built(dl, "dl", g, ell, "distance")
 
-    pool_size = max(gamma, int(np.ceil(g.n ** (1.0 - epsilon))))
+    pool_size = max(gamma, int(np.ceil(g.n ** (1.0 - EPSILON))))
     pool = np.argsort(-dl.matvec(np.ones(g.n)), kind="stable")[:pool_size]
 
-    perturbation = None
-    dmat = dl
-    if mode == "sphere" and gamma > 1:
-        top = _informative_pairs(dl, profile, seed)
+    if gamma == 1:
+        k_set = pool[:1]
+        indicator = np.zeros(g.n)
+        indicator[k_set] = 1.0
+        shell = np.nonzero(dl.matvec(indicator))[0]
+        if not len(shell):
+            raise GreedyExhausted(1, 1, f"no vertex lies at distance {ell} from vertex "
+                                        f"{k_set[0]}")
+    # The informative eigenvectors: the top max(r0, 1) pairs of one solve.
+    top = list(top_eigenpairs(dl, g.n, k=min(max(profile.r0, 2), g.n),
+                              seed=derive_seed(seed, "rogue-eig")))[: max(profile.r0, 1)]
+    if gamma > 1:
         scored = [(float(np.abs(_cosines(_unit_mass_vector(g.n, k_set, shell), top)).max()),
                    k_set, shell)
                   for k_set, shell in _common_sphere_candidates(g, dl, gamma, pool)]
@@ -347,19 +309,6 @@ def build_rogue_certificate(
             _, k_set, shell = max(safe, key=lambda c: len(c[2]))
         else:
             _, k_set, shell = min(scored, key=lambda c: c[0])
-    else:
-        k_set = _greedy_separated(g, pool, gamma, ell)
-        measured = g
-        if mode == "separated_clique" and gamma > 1:
-            perturbation = Perturbation(_missing_clique_edges(g, k_set), (),
-                                        gamma_budget=int(gamma))
-            measured = apply_perturbation(g, perturbation)
-        shell = set_shell(measured, k_set, ell)
-        if len(shell) == 0:
-            raise GreedyExhausted(gamma, len(k_set))
-        if measured is not g:
-            dmat = distance_matrix(measured, ell)
-        top = _informative_pairs(dmat, profile, seed)
 
     v = _unit_mass_vector(g.n, k_set, shell)
     support = np.concatenate([k_set, shell])
@@ -368,11 +317,9 @@ def build_rogue_certificate(
         shell=np.asarray(shell, dtype=np.int64),
         support=support,
         values=v[support],
-        rayleigh=float(v @ dmat.matvec(v)) / float(v @ v),
+        rayleigh=float(v @ dl.matvec(v)) / float(v @ v),
         closed_form=float(2.0 * np.sqrt(gamma * len(shell))),
         cosines=_cosines(v, top),
         gamma=int(gamma),
         shell_size=int(len(shell)),
-        mode=mode,
-        perturbation=perturbation,
     )

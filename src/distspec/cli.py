@@ -31,7 +31,7 @@ import numpy as np
 
 from .adversary import GreedyExhausted, build_rogue_certificate, plant_clique, qk_bound
 from .graph import CapSaturated, SparseGraph, distance_matrix, fundamental_cycles, \
-    path_expansion_matrix, set_shell, set_shell_sizes, shell_sizes_all, tangle_free_check
+    path_expansion_matrix, set_shell_sizes, shell_sizes_all, tangle_free_check
 from .gw import (
     CumulantCheck,
     GwConfig,
@@ -51,7 +51,7 @@ from .model import (
     sample_graph,
     sample_to_json,
 )
-from .reconstruct import MATRIX_KINDS, build_matrix, overlap, round_labels, solve_pairs
+from .reconstruct import overlap, round_labels, solve_pairs
 from .spectral import delta_radius_check, qc_bound, top_eigenpairs
 from .util import derive_seed, make_rng
 
@@ -60,13 +60,16 @@ CSV_HEADER = ("seed,n,r,ell,gamma,overlap,lambda1,lambda2,lambda3,lambda4,"
 CSV_VERSION = "# distspec-records v1"
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     params: SbmParams
     ell: Optional[int] = None
     kappa: Optional[float] = None
     seeds: tuple = (1,)
-    matrix_kind: str = "distance"
     gammas: tuple = ()
     rogue: bool = False
 
@@ -75,11 +78,7 @@ class ExperimentConfig:
             raise ValueError("need at least one seed")
         if any(gamma < 0 for gamma in self.gammas):
             raise ValueError("gamma values must be nonnegative")
-        if self.matrix_kind not in MATRIX_KINDS:
-            raise ValueError(f"unknown matrix kind {self.matrix_kind!r}")
-        if self.ell is not None and (isinstance(self.ell, bool)
-                                     or not isinstance(self.ell, numbers.Integral)
-                                     or self.ell < 1):
+        if self.ell is not None and (not _is_int(self.ell) or self.ell < 1):
             raise ValueError(f"ell must be a positive integer, got {self.ell!r}")
         if self.kappa is not None and (isinstance(self.kappa, bool)
                                        or not isinstance(self.kappa, numbers.Real)
@@ -88,18 +87,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
-        p = doc["params"]
-        params = SbmParams(r=int(p["r"]), W=np.asarray(p["W"], dtype=float),
-                           pi=np.asarray(p["pi"], dtype=float), n=int(p["n"]))
-        return cls(
-            params=params,
-            ell=doc.get("ell"),
-            kappa=doc.get("kappa"),
-            seeds=tuple(int(s) for s in doc.get("seeds", [1])),
-            matrix_kind=doc.get("matrix", "distance"),
-            gammas=tuple(int(x) for x in doc.get("gammas", [])),
-            rogue=bool(doc.get("rogue", False)),
-        )
+        p, seeds, gammas = doc["params"], doc.get("seeds", [1]), doc.get("gammas", [])
+        for name, values in (("r", [p["r"]]), ("n", [p["n"]]), ("seed", seeds), ("gamma", gammas)):
+            bad = [x for x in values if not _is_int(x)]
+            if bad:
+                raise ValueError(f"{name} must be an integer, got {bad[0]!r}")
+        rogue = doc.get("rogue", False)
+        if not isinstance(rogue, bool):
+            raise ValueError(f"rogue must be true or false, got {rogue!r}")
+        if doc.get("matrix", "distance") != "distance":
+            raise ValueError(f"unknown matrix kind {doc['matrix']!r}")
+        params = SbmParams(r=p["r"], W=np.asarray(p["W"], dtype=float),
+                           pi=np.asarray(p["pi"], dtype=float), n=p["n"])
+        return cls(params=params, ell=doc.get("ell"), kappa=doc.get("kappa"),
+                   seeds=tuple(seeds), gammas=tuple(gammas), rogue=rogue)
 
     @classmethod
     def load(cls, path: str) -> "ExperimentConfig":
@@ -192,7 +193,7 @@ def cmd_detect(args) -> int:
     ell = _resolve_ell(args, config)
     seed = args.seed if args.seed is not None else sample.seed
 
-    mat, ms_build = _timed(build_matrix, sample.graph, ell, args.matrix or config.matrix_kind)
+    mat, ms_build = _timed(distance_matrix, sample.graph, ell)
     pairs, ms_eig = _timed(solve_pairs, mat, sample.graph.n, profile, seed)
     (assignment, _), ms_label = _timed(round_labels, pairs, profile, ell, seed)
 
@@ -275,9 +276,9 @@ def cmd_sweep(args) -> int:
     failures = rogue_failures = 0
     for seed in config.seeds:
         sample = sample_graph(config.params, seed)
-        # (matrix, build ms) of the unedited graph by matrix kind, built on
-        # first use: the gamma = 0 row and every rogue certificate share it.
-        unedited = functools.cache(functools.partial(_timed, build_matrix, sample.graph, ell))
+        # (D^ell, build ms) of the unedited graph, built on first use: the
+        # gamma = 0 row and every rogue certificate share it.
+        unedited = functools.cache(functools.partial(_timed, distance_matrix, sample.graph, ell))
         for gamma in gammas:
             try:
                 record, rogue_error = _sweep_row(config, profile, sample, unedited,
@@ -305,9 +306,9 @@ def _sweep_row(config, profile, sample, unedited, ell, seed, gamma):
         if p.affected:
             qk = qk_bound(graph, sorted(p.affected), ell)
         graph = perturbed
-        mat, ms_build = _timed(build_matrix, graph, ell, config.matrix_kind)
+        mat, ms_build = _timed(distance_matrix, graph, ell)
     else:
-        mat, ms_build = unedited(config.matrix_kind)
+        mat, ms_build = unedited()
 
     pairs, ms_eig = _timed(top_eigenpairs, mat, graph.n, k=min(4, graph.n),
                            seed=derive_seed(seed, f"eig:{gamma}"))
@@ -325,7 +326,7 @@ def _sweep_row(config, profile, sample, unedited, ell, seed, gamma):
         try:
             cert = build_rogue_certificate(sample.graph, profile, ell, gamma,
                                            seed=derive_seed(seed, f"rogue:{gamma}"),
-                                           dl=unedited("distance")[0])
+                                           dl=unedited()[0])
             rogue_r = cert.rayleigh
         except GreedyExhausted as exc:
             rogue_error = str(exc)
@@ -504,7 +505,6 @@ def _verify_oracles(rng_seed: int = 7) -> list[tuple[str, bool, str]]:
             ok_shells &= offenders == _oracle_tangle_offenders(graph, dist, ell)
             for x in fundamental_cycles(graph)[:20]:
                 layers = _oracle_set_layers(dist, x, ell)
-                ok_shells &= np.array_equal(set_shell(graph, x, ell), layers[ell])
                 ok_shells &= set_shell_sizes(graph, x, ell).tolist() == [len(t) for t in layers]
     results.append(("oracles.distance_matrix_matches_apsp", bool(ok_dist),
                     "3 seeds x ell in {1,2,3} at n=120"))
@@ -684,8 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="master 64-bit seed")
         p.add_argument("--ell", type=int, help="matrix depth override")
         p.add_argument("--kappa", type=float, help="depth exponent")
-        p.add_argument("--matrix", choices=MATRIX_KINDS,
-                       help="which matrix powers the detection")
         p.add_argument("--gamma", type=int, nargs="*",
                        help="perturbation strengths")
         p.add_argument("--out", help="output path")

@@ -2,7 +2,7 @@
 
 The production object is the distance matrix ``D^ell`` (entry 1 exactly at
 pairs whose graph distance equals ell).  It and every other ball-walking
-check (shell sizes, tangles, set shells) are read off one primitive,
+check (shell sizes, tangles, set shell sizes) are read off one primitive,
 :func:`frontiers`, a truncated BFS from many source sets at once written as
 sparse products, so the total cost is the sum of ball sizes.  The path-expansion
 matrix ``B^ell`` (counts of self-avoiding walks of length ell) is kept as
@@ -419,12 +419,6 @@ def shell_growth_report(g: SparseGraph, ell: int, alpha: float) -> tuple[float, 
 def set_shell_sizes(g: SparseGraph, vertex_set: Sequence[int], ell: int) -> np.ndarray:
     """Multi-source layer sizes S_t(X) for t = 0..ell (S_0 = |X|)."""
     return _shell_sizes(frontiers(g, _source_rows(g, [vertex_set]), ell))[0]
-
-
-def set_shell(g: SparseGraph, vertex_set: Sequence[int], ell: int) -> np.ndarray:
-    """Vertices at distance exactly ell from the set (multi-source BFS)."""
-    last = frontiers(g, _source_rows(g, [vertex_set]), ell)[-1]
-    return np.sort(last.indices).astype(np.int64)
 
 
 def fundamental_cycles(g: SparseGraph) -> list[np.ndarray]:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import SparseGraph, SparseSymMatrix, distance_matrix, path_expansion_matrix
+from .graph import SparseGraph, SparseSymMatrix, distance_matrix
 from .model import SpectralProfile
 from .spectral import EigenPair, SeparationReport, separation_report, top_eigenpairs
 from .util import canonical_sign, derive_seed, make_rng
@@ -138,18 +138,6 @@ def _pick_second(pairs: Sequence[EigenPair], mu2_power: float) -> int:
     return min(group, key=lambda i: (abs(pairs[i].value - mu2_power), i))
 
 
-MATRIX_KINDS = ("distance", "path")
-
-
-def build_matrix(g: SparseGraph, ell: int, matrix_kind: str = "distance") -> SparseSymMatrix:
-    """Build stage: ``D^ell`` for ``"distance"``, ``B^ell`` for ``"path"``."""
-    if matrix_kind == "distance":
-        return distance_matrix(g, ell)
-    if matrix_kind == "path":
-        return path_expansion_matrix(g, ell)
-    raise ValueError(f"unknown matrix kind {matrix_kind!r}")
-
-
 def solve_pairs(mat: SparseSymMatrix, n: int, profile: SpectralProfile,
                 seed: int) -> list[EigenPair]:
     """Solve stage: the top max(4, r0 + 1) eigenpairs, at most n; warns
@@ -182,12 +170,11 @@ def detect(
     profile: SpectralProfile,
     ell: int,
     seed: int,
-    matrix_kind: str = "distance",
 ) -> tuple[LabelAssignment, SeparationReport]:
-    """Full pipeline: build the matrix, solve, round the second eigenvector.
+    """Full pipeline: build ``D^ell``, solve, round the second eigenvector.
 
     Deterministic given (graph, seed): solver and coin streams use seeds
     derived from labeled hashes.
     """
-    pairs = solve_pairs(build_matrix(g, ell, matrix_kind), g.n, profile, seed)
+    pairs = solve_pairs(distance_matrix(g, ell), g.n, profile, seed)
     return round_labels(pairs, profile, ell, seed)

@@ -281,7 +281,7 @@ def test_criterion_8_rogue_certificate(two_type_params, two_type_profile):
     for seed in (1, 2, 3):
         sample = ds.sample_graph(two_type_params, seed)
         cert = ds.build_rogue_certificate(sample.graph, two_type_profile, ell,
-                                          gamma, mode="sphere", seed=seed)
+                                          gamma, seed=seed)
         r_ok = cert.rayleigh >= 0.5 * cert.closed_form - 1e-9
         c_ok = np.abs(cert.cosines).max() <= 0.2
         ok = ok and r_ok and c_ok

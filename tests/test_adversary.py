@@ -1,15 +1,11 @@
 import hashlib
-import itertools
-import json
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import distspec as ds
-import distspec.adversary as adversary
 import distspec.graph as graph
 from distspec.adversary import (
     AtOrBelowThreshold,
@@ -200,7 +196,7 @@ class TestRogueCertificate:
         star = ds.SparseGraph.from_edges(k + 1, [(0, i) for i in range(1, k + 1)])
         params = small_params(k + 1)
         prof = ds.derive_spectral_profile(params)
-        cert = ds.build_rogue_certificate(star, prof, 1, 1, mode="separated")
+        cert = ds.build_rogue_certificate(star, prof, 1, 1)
         assert cert.shell_size == k
         assert cert.rayleigh == pytest.approx(np.sqrt(k))
         assert cert.closed_form == pytest.approx(2 * np.sqrt(k))
@@ -212,14 +208,13 @@ class TestRogueCertificate:
         edges = [(i, gamma + j) for i in range(gamma) for j in range(m)]
         g = ds.SparseGraph.from_edges(gamma + m, edges)
         prof = ds.derive_spectral_profile(small_params(gamma + m))
-        cert = ds.build_rogue_certificate(g, prof, 1, gamma, mode="sphere")
+        cert = ds.build_rogue_certificate(g, prof, 1, gamma)
         assert cert.rayleigh >= 0.5 * cert.closed_form - 1e-9
         assert cert.gamma + cert.shell_size == len(cert.support)
 
     def test_vector_invariants(self, two_type_params, two_type_profile):
         sample = ds.sample_graph(two_type_params, 4)
-        cert = ds.build_rogue_certificate(sample.graph, two_type_profile, 3, 3,
-                                          mode="sphere", seed=4)
+        cert = ds.build_rogue_certificate(sample.graph, two_type_profile, 3, 3, seed=4)
         v = cert.vector(two_type_params.n)
         assert np.dot(v, v) == pytest.approx(2.0, abs=1e-10)
         assert len(cert.support) == cert.gamma + cert.shell_size
@@ -229,37 +224,9 @@ class TestRogueCertificate:
     def test_sphere_mode_meets_own_closed_form(self, two_type_params, two_type_profile):
         for seed in (1, 2):
             sample = ds.sample_graph(two_type_params, seed)
-            cert = ds.build_rogue_certificate(sample.graph, two_type_profile, 3, 3,
-                                              mode="sphere", seed=seed)
+            cert = ds.build_rogue_certificate(sample.graph, two_type_profile, 3, 3, seed=seed)
             assert cert.rayleigh >= 0.5 * cert.closed_form - 1e-9
             assert np.abs(cert.cosines).max() <= 0.2
-
-    def test_separated_pairwise_distance(self, two_type_params, two_type_profile):
-        sample = ds.sample_graph(two_type_params, 5)
-        ell = 2
-        cert = ds.build_rogue_certificate(sample.graph, two_type_profile, ell, 3,
-                                          mode="separated", seed=5)
-        for idx, u in enumerate(cert.k_set):
-            source = sp.csr_matrix(([True], ([0], [int(u)])), shape=(1, sample.graph.n))
-            reached = np.concatenate([f.indices for f in ds.frontiers(sample.graph, source,
-                                                                        2 * ell)])
-            for w in cert.k_set[idx + 1:]:
-                assert int(w) not in reached
-
-    def test_clique_mode_carries_perturbation(self, two_type_params, two_type_profile):
-        # Depth 2 leaves room for three pairwise-separated picks at n=2000.
-        sample = ds.sample_graph(two_type_params, 6)
-        cert = ds.build_rogue_certificate(sample.graph, two_type_profile, 2, 3,
-                                          mode="separated_clique", seed=6)
-        assert cert.perturbation is not None
-        assert len(cert.perturbation.affected) <= 3
-        assert len(cert.perturbation.added_edges) == 3
-
-    def test_greedy_exhausted(self):
-        g = ds.SparseGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        prof = ds.derive_spectral_profile(small_params(4))
-        with pytest.raises(GreedyExhausted):
-            ds.build_rogue_certificate(g, prof, 1, 4, mode="separated")
 
     @pytest.mark.parametrize("wrong", ["vertices", "depth", "kind"])
     def test_rejects_a_dl_that_is_not_this_graphs_distance_matrix(self, wrong):
@@ -269,58 +236,62 @@ class TestRogueCertificate:
                   ds.SparseGraph.from_edges(301, g.edge_array()), 3),
               "depth": lambda: ds.distance_matrix(g, 2),
               "kind": lambda: ds.path_expansion_matrix(g, 3, cap=10**6)}[wrong]()
-        for mode in ("sphere", "separated", "separated_clique"):
-            with pytest.raises(ValueError, match="not the distance matrix"):
-                ds.build_rogue_certificate(g, prof, 3, 3, mode=mode, dl=dl)
+        with pytest.raises(ValueError, match="not the distance matrix"):
+            ds.build_rogue_certificate(g, prof, 3, 3, dl=dl)
 
     def test_sphere_mode_with_dl_expands_nothing(self, monkeypatch):
         g = ds.sample_graph(small_params(500), 1).graph
         prof = ds.derive_spectral_profile(small_params(500))
         dl = ds.distance_matrix(g, 4)
-        want = ds.build_rogue_certificate(g, prof, 4, 3, seed=1, dl=dl)
+        want = {gamma: ds.build_rogue_certificate(g, prof, 4, gamma, seed=1, dl=dl)
+                for gamma in (1, 3)}
         calls = []
         expand = graph.frontiers
-        for module in (graph, adversary):
-            monkeypatch.setattr(module, "frontiers",
-                                lambda *args: calls.append(args) or expand(*args))
-        got = ds.build_rogue_certificate(g, prof, 4, 3, seed=1, dl=dl)
-        assert calls == []
-        assert np.array_equal(got.support, want.support) and got.rayleigh == want.rayleigh
+        monkeypatch.setattr(graph, "frontiers",
+                            lambda *args: calls.append(args) or expand(*args))
+        for gamma in (1, 3):
+            got = ds.build_rogue_certificate(g, prof, 4, gamma, seed=1, dl=dl)
+            assert calls == []
+            assert np.array_equal(got.support, want[gamma].support)
+            assert got.rayleigh == want[gamma].rayleigh
+            # The shell is every vertex at distance 4 from all of the set.
+            assert np.array_equal(got.shell,
+                                  np.nonzero(dl.to_dense()[got.k_set].min(axis=0))[0])
 
     def test_sphere_mode_without_common_shell_says_so(self):
         # Hubs of degree >= 8 exist here, but no 8 neighbours of one share a
-        # distance-2 shell of two vertices; sphere mode separates nothing.
+        # distance-2 shell of two vertices, so no certificate is built.
         g = ds.sample_graph(small_params(500), 1).graph
         prof = ds.derive_spectral_profile(small_params(500))
         with pytest.raises(GreedyExhausted, match="^no 8 neighbours of a hub share a "
                                                   "distance-2 shell of 2 or more vertices$"):
-            ds.build_rogue_certificate(g, prof, 2, 8, mode="sphere", seed=1)
+            ds.build_rogue_certificate(g, prof, 2, 8, seed=1)
 
-    def test_epsilon_validated(self, two_type_params, two_type_profile):
-        sample = ds.sample_graph(two_type_params, 1)
-        with pytest.raises(ValueError):
-            ds.build_rogue_certificate(sample.graph, two_type_profile, 3, 2,
-                                       epsilon=0.3)
+    def test_single_vertex_without_a_shell_says_so(self):
+        # K_4 has diameter 1, so the top pool vertex has no distance-2 shell.
+        g = ds.SparseGraph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+        prof = ds.derive_spectral_profile(small_params(4))
+        with pytest.raises(GreedyExhausted, match="^no vertex lies at distance 2 from vertex 0$"):
+            ds.build_rogue_certificate(g, prof, 2, 1)
 
 
 def _certificate_digest() -> str:
     """SHA-256 over every certificate field, or the ``GreedyExhausted``
-    message, for 3 modes x ``dl`` given or not x gamma in {1, 3, 8, 20} on
-    the sweep benchmark's graphs (n = 500, W = [[5, 1], [1, 5]], seeds 1
-    and 2) at its depth ell = 4 and at ell = 2, where the separated modes
-    succeed and the clique edit is measured.  Arrays enter as dtype plus raw bytes and floats as hex,
-    so any change in the last bit shows."""
+    message, for ``dl`` given or not x gamma in {1, 3, 8, 20} on the sweep
+    benchmark's graphs (n = 500, W = [[5, 1], [1, 5]], seeds 1 and 2) at
+    its depth ell = 4 and at ell = 2.  Arrays enter as dtype plus raw bytes
+    and floats as hex, so any change in the last bit shows."""
     params = small_params(500)
     profile = ds.derive_spectral_profile(params)
     h = hashlib.sha256()
     for seed in (1, 2):
         g = ds.sample_graph(params, seed).graph
-        for ell, mode in itertools.product((4, 2), ("sphere", "separated", "separated_clique")):
+        for ell in (4, 2):
             for given_dl in (None, ds.distance_matrix(g, ell)):
                 for gamma in (1, 3, 8, 20):
-                    h.update(f"|{seed} {ell} {mode} {given_dl is None} {gamma}:".encode())
+                    h.update(f"|{seed} {ell} {given_dl is None} {gamma}:".encode())
                     try:
-                        cert = ds.build_rogue_certificate(g, profile, ell, gamma, mode=mode,
+                        cert = ds.build_rogue_certificate(g, profile, ell, gamma,
                                                           seed=seed, dl=given_dl)
                     except GreedyExhausted as exc:
                         h.update(f"GreedyExhausted {exc}".encode())
@@ -330,12 +301,10 @@ def _certificate_digest() -> str:
                         h.update(f"{name} {arr.dtype.str} {arr.shape}".encode())
                         h.update(np.ascontiguousarray(arr).tobytes())
                     h.update(f"{cert.rayleigh.hex()} {cert.closed_form.hex()} {cert.gamma} "
-                             f"{cert.shell_size} {cert.mode}".encode())
-                    p = cert.perturbation
-                    h.update(json.dumps(None if p is None else p.to_json()).encode())
+                             f"{cert.shell_size}".encode())
     return h.hexdigest()
 
 
 def test_certificate_outputs_are_pinned():
     assert _certificate_digest() == (
-        "b1ba67149ce5b0f0e40293935f3c0fd7d3288b55418e037c09ad84d9368d5358")
+        "721b7a29c775094b08434cc177d081121161dca32aec4dae0c77c63ce6a714fb")

@@ -1,4 +1,8 @@
+import dataclasses
+import itertools
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -10,9 +14,13 @@ import distspec.reconstruct as reconstruct
 from distspec.model import InvalidKappa
 
 
+PARAMS = {"r": 2, "W": [[5, 1], [1, 5]], "pi": [0.5, 0.5], "n": 300}
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def write_config(tmp_path, **overrides):
     doc = {
-        "params": {"r": 2, "W": [[5, 1], [1, 5]], "pi": [0.5, 0.5], "n": 300},
+        "params": PARAMS,
         "ell": 3,
         "seeds": [1, 2],
         "matrix": "distance",
@@ -46,7 +54,7 @@ def count_calls(monkeypatch, module, name, counts):
 
 
 class TestConfig:
-    def test_unknown_matrix_kind_fails_before_sampling(self, tmp_path, monkeypatch):
+    def test_a_matrix_other_than_distance_fails_before_sampling(self, tmp_path, monkeypatch):
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled a graph for an invalid config")
 
@@ -65,9 +73,20 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{field} must be a positive"):
             cli.ExperimentConfig.load(str(cfg))
 
+    @pytest.mark.parametrize("field, overrides", [
+        ("n", {"params": dict(PARAMS, n=300.9)}), ("r", {"params": dict(PARAMS, r="2")}),
+        ("seed", {"seeds": [1.7, True]}), ("seed", {"seeds": [1, True]}),
+        ("gamma", {"gammas": [2.5]}), ("rogue", {"rogue": "no"})],
+        ids=["n-float", "r-string", "seed-float", "seed-bool", "gamma-float", "rogue-string"])
+    def test_non_integer_counts_and_non_boolean_rogue_are_rejected(self, tmp_path, field,
+                                                                   overrides):
+        cfg = write_config(tmp_path, **overrides)
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            cli.ExperimentConfig.load(str(cfg))
+
     def test_unused_keys_still_load(self, tmp_path):
         cfg = write_config(tmp_path, perturbation="clique")
-        assert cli.ExperimentConfig.load(str(cfg)).matrix_kind == "distance"
+        assert cli.ExperimentConfig.load(str(cfg)).seeds == (1, 2)
 
 
 class TestResolveEll:
@@ -165,6 +184,12 @@ class TestDetect:
         assert doc["lambdas"] == report.lam[:4].tolist()
         assert doc["source"] == assignment.source == report.chosen_second
 
+    def test_matrix_flag_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["detect", str(tmp_path / "g.json"), "--matrix", "path"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --matrix path" in capsys.readouterr().err
+
     def test_same_seed_identical_rows(self, tmp_path):
         cfg = write_config(tmp_path)
         graph = tmp_path / "g.json"
@@ -238,7 +263,6 @@ class TestSweep:
         counts = {}
         count_calls(monkeypatch, cli, "distance_matrix", counts)
         count_calls(monkeypatch, reconstruct, "distance_matrix", counts)
-        count_calls(monkeypatch, reconstruct, "path_expansion_matrix", counts)
         count_calls(monkeypatch, adversary, "distance_matrix", counts)
         cfg = write_config(tmp_path, gammas=[0, 2, 3], seeds=[1, 2], rogue=True)
         out = tmp_path / "sweep.csv"
@@ -338,3 +362,31 @@ class TestGwCommand:
         for rec in records:
             assert set(rec) == {"statistic", "estimate", "stderr",
                                 "closed_form", "residual"}
+
+
+class TestReadme:
+    """The README's config example loads and its CLI lines parse, so a removed
+    flag or config key cannot linger there."""
+
+    @staticmethod
+    def blocks(lang):
+        fenced = re.findall(r"^```(\w*)\n(.*?)^```$", README.read_text(), re.S | re.M)
+        return [body for tag, body in fenced if tag == lang]
+
+    def test_config_example_loads(self):
+        (block,) = self.blocks("json")
+        doc = json.loads(block)
+        cli.ExperimentConfig.from_json(doc)
+        assert set(doc) <= {f.name for f in dataclasses.fields(cli.ExperimentConfig)}
+
+    def test_cli_lines_parse(self):
+        (block,) = [b for b in self.blocks("") if b.startswith("distspec ")]
+        parser = cli.build_parser()
+        lines = block.replace("\\\n", " ").splitlines()
+        for line in lines:
+            program, *tokens = shlex.split(line)
+            assert program == "distspec"
+            choices = [t[1:-1].split("|") if re.fullmatch(r"\{.*\}", t) else [t]
+                       for t in tokens]
+            for argv in itertools.product(*choices):
+                parser.parse_args(argv)

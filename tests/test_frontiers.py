@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import distspec as ds
 import distspec.graph as graph
-from distspec.adversary import GreedyExhausted, _common_sphere_candidates, _greedy_separated
+from distspec.adversary import GreedyExhausted, _common_sphere_candidates
 from distspec.cli import _apsp, _oracle_path_counts, _oracle_set_layers, _oracle_tangle_offenders
 from conftest import apsp_distance_oracle
 
@@ -146,28 +146,7 @@ def test_fundamental_cycles_match_a_queue_bfs_forest(g):
 def test_set_shell_matches_apsp(case, ell):
     g, (x,) = case
     layers = _oracle_set_layers(_apsp(g), x, ell)
-    assert np.array_equal(ds.set_shell(g, x, ell), layers[ell])
     assert ds.set_shell_sizes(g, x, ell).tolist() == [len(t) for t in layers]
-
-
-@SETTINGS
-@given(graphs().filter(lambda g: g.n > 0), st.integers(1, 3), st.integers(1, 4), st.data())
-def test_greedy_separated_matches_apsp_greedy(g, ell, gamma, data):
-    pool = np.array(data.draw(st.permutations(range(g.n))), dtype=np.int64)
-    dist = _apsp(g)
-    blocked = np.zeros(g.n, dtype=bool)
-    chosen = []
-    for cand in pool:
-        if not blocked[cand]:
-            chosen.append(int(cand))
-            blocked |= dist[cand] <= 2 * ell
-            if len(chosen) == gamma:
-                break
-    if len(chosen) < gamma:
-        with pytest.raises(GreedyExhausted):
-            _greedy_separated(g, pool, gamma, ell)
-    else:
-        assert _greedy_separated(g, pool, gamma, ell).tolist() == sorted(chosen)
 
 
 @SETTINGS
@@ -202,7 +181,7 @@ class TestEdgeCases:
         g = ds.SparseGraph.from_edges(1, [])
         assert ds.distance_matrix(g, 1).nnz == 0
         assert ds.shell_sizes_all(g, 2).tolist() == [[1, 0, 0]]
-        assert ds.set_shell(g, [0], 3).tolist() == []
+        assert ds.set_shell_sizes(g, [0], 3).tolist() == [1, 0, 0, 0]
 
     def test_duplicate_and_zero_source_entries_are_dropped(self, path_graph):
         rows = sp.csr_matrix((np.array([1, 1, 0]), np.array([0, 0, 2]), np.array([0, 3])),
@@ -214,7 +193,6 @@ class TestEdgeCases:
     def test_repeated_members_count_once(self, path_graph):
         for x in ([1, 1, 2], {1, 2}, np.array([2, 1])):
             assert ds.set_shell_sizes(path_graph, x, 1).tolist() == [2, 2]
-            assert ds.set_shell(path_graph, x, 1).tolist() == [0, 3]
 
     def test_bad_inputs_raise(self, path_graph):
         with pytest.raises(ValueError, match="ell must be >= 1"):
@@ -227,10 +205,6 @@ class TestEdgeCases:
             ds.frontiers(path_graph, sp.identity(3, format="csr"), 1)
         for bad in ([4], [-1, 0]):
             with pytest.raises(ValueError, match="vertex out of range"):
-                ds.set_shell(path_graph, bad, 1)
-            with pytest.raises(ValueError, match="vertex out of range"):
                 ds.set_shell_sizes(path_graph, bad, 1)
-        with pytest.raises(ValueError, match="nonempty"):
-            ds.set_shell(path_graph, [], 1)
         with pytest.raises(ValueError, match="nonempty"):
             ds.set_shell_sizes(path_graph, [], 1)

@@ -247,10 +247,6 @@ class TestShellStatistics:
         sizes = ds.set_shell_sizes(path_graph, [0, 3], 1)
         assert sizes.tolist() == [2, 2]
 
-    def test_set_shell_vertices(self, path_graph):
-        assert ds.set_shell(path_graph, [0], 2).tolist() == [2]
-        assert ds.set_shell(path_graph, [1, 2], 1).tolist() == [0, 3]
-
 
 class TestCycles:
     def test_tree_has_none(self, path_graph):

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,15 +203,6 @@ class TestDetect:
         with pytest.warns(BelowThreshold):
             asg, _ = ds.detect(sample.graph, profile, 3, seed=1)
         assert asg.K_used == pytest.approx(ds.reconstruct.FALLBACK_K)
-
-    def test_path_matrix_kind(self):
-        params = small_params(200)
-        profile = ds.derive_spectral_profile(params)
-        sample = ds.sample_graph(params, 2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            asg, _ = ds.detect(sample.graph, profile, 2, seed=1, matrix_kind="path")
-        assert set(np.unique(asg.labels)) <= {0, 1}
 
     def test_strong_signal_recovers(self, strong_params, strong_profile):
         # Far enough above threshold the pipeline finds real structure.
