@@ -15,7 +15,6 @@ from .model import (
     TypedGraphSample,
     check_degree_regularity,
     choose_ell,
-    circulant_connectivity,
     derive_spectral_profile,
     sample_from_json,
     sample_graph,

@@ -293,7 +293,7 @@ class CumulantCheck:
     predicted: np.ndarray       # (M / mu^j) @ raw moments at depth t-1
     residual: np.ndarray
     residual_inf: float
-    bootstrap_se: np.ndarray
+    stderr: np.ndarray
     max_z: float
 
 
@@ -325,25 +325,22 @@ def cumulant_relation_check(
     runs: int = 10**5,
     seed: int = 0,
     depth: int = 8,
-    bootstrap: int = 200,
 ) -> CumulantCheck:
     """Monte Carlo check of the cumulant/moment recursion c_j = (M / mu^j) m_j.
 
     One generation of branching relates the order-j cumulants at depth t
     to the order-j raw moments at depth t-1 exactly, so the residual of
     the recursion estimated at matched depths is pure sampling noise.
-    The standard error comes from a joint bootstrap over runs.  Each
-    resample draws its run indices as a per-resample gather would, then
-    reduces through power sums: with ``xc`` the centred deep values and
-    ``y`` the shallow ones, ``[xc, .., xc^j, y^j] @ bincount(indices)``
-    gives every k-statistic and raw moment of the resample in closed
-    form.  Orders up to 3 are supported; a root type needs at least 3
-    uncapped runs.
+    Its standard error is the infinitesimal-jackknife one, the limit of
+    the run bootstrap as the resamples grow: each root type's runs are
+    independent, and a type's cumulant and raw moment share its runs.
+    Orders up to 3 are supported; a root type needs at least 3 uncapped
+    runs.
     """
     if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2, or 3")
-    if depth < 1 or bootstrap < 2:
-        raise ValueError("need depth >= 1 and bootstrap >= 2")
+    if depth < 1:
+        raise ValueError("need depth >= 1")
     M = profile.M
     alpha = profile.alpha
     if mu**2 <= alpha:
@@ -360,27 +357,17 @@ def cumulant_relation_check(
     predicted = Mj @ raw
     residual = cum - predicted
 
-    # Centring keeps the resample variance free of cancellation.
-    centre = np.array([x.mean() for x in deep])
-    powers = [np.stack([(x - c) ** k for k in range(1, order + 1)] + [y**order])
-              for x, y, c in zip(deep, shallow, centre)]
-    sums = np.empty((bootstrap, r, order + 1))
-    rng = make_rng(derive_seed(seed, "gw-bootstrap"))
-    for b in range(bootstrap):
-        for i, p in enumerate(powers):
-            n_i = p.shape[1]
-            sums[b, i] = p @ np.bincount(rng.integers(0, n_i, size=n_i), minlength=n_i)
-    n = np.array([len(x) for x in deep], dtype=float)
-    m = sums[..., 0] / n
-    if order == 1:
-        cums = centre + m
-    elif order == 2:
-        cums = (sums[..., 1] - n * m**2) / (n - 1)
-    else:
-        cums = (n * (sums[..., 2] - 3 * m * sums[..., 1] + 2 * n * m**3)
-                / ((n - 1) * (n - 2)))
-    boot = cums - (sums[..., -1] / n) @ Mj.T
-    se = boot.std(axis=0, ddof=1)
+    # Per-run influence of each type's k-statistic (fk) and raw moment (fm).
+    A, B, C = np.empty(r), np.empty(r), np.empty(r)
+    for i, (x, y) in enumerate(zip(deep, shallow)):
+        xc = x - x.mean()
+        fk = xc**order - (xc**order).mean()
+        if order == 3:
+            fk -= 3 * (xc**2).mean() * xc
+        fm = y**order - (y**order).mean()
+        A[i], B[i], C[i] = fk @ fk, fm @ fm, fk @ fm
+    n2 = np.array([len(x) for x in deep], dtype=float) ** 2
+    se = np.sqrt((A - 2 * np.diag(Mj) * C) / n2 + Mj**2 @ (B / n2))
     z = np.abs(residual) / np.where(se > 0, se, np.inf)
     return CumulantCheck(
         order=order,
@@ -388,6 +375,6 @@ def cumulant_relation_check(
         predicted=predicted,
         residual=residual,
         residual_inf=float(np.abs(residual).max()),
-        bootstrap_se=se,
+        stderr=se,
         max_z=float(z.max()),
     )

@@ -278,11 +278,7 @@ def sample_from_json(doc: dict) -> TypedGraphSample:
     edges = np.asarray(doc["edges"], dtype=np.int64).reshape(-1, 2)
     graph = SparseGraph.from_edges(n, edges)
     sigma = np.asarray(doc["types"], dtype=np.int64)
+    r = int(doc["r"])
+    if ((sigma < 0) | (sigma >= r)).any():
+        raise ValueError(f"types must lie in 0..{r - 1}")
     return TypedGraphSample(graph=graph, sigma=sigma, seed=int(doc.get("seed", 0)))
-
-
-def circulant_connectivity(diag: float, off: float, r: int) -> np.ndarray:
-    """Connectivity matrix with one on-diagonal and one off-diagonal weight."""
-    W = np.full((r, r), float(off))
-    np.fill_diagonal(W, float(diag))
-    return W

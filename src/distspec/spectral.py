@@ -57,7 +57,9 @@ class SeparationReport:
 
     ``ratios[k]`` compares the (k+1)-th eigenvalue by modulus with
     mu_{k+1}^ell for the informative range; ``bulk_ratio`` compares the
-    first non-informative eigenvalue with alpha^(ell/2).
+    first non-informative eigenvalue with alpha^(ell/2).  A check passes
+    only on what it measured: ``informative_ok`` needs all r0 ratios, and
+    ``bulk_ok`` a pair past r0 (without one, ``bulk_ratio`` is nan).
     """
 
     lam: np.ndarray
@@ -238,10 +240,9 @@ def separation_report(
     else:
         bulk_ratio = float("nan")
     informative_ok = bool(
-        len(ratios) and all(0.1 <= rr <= 10.0 for rr in np.abs(ratios))
+        0 < len(ratios) == r0 and all(0.1 <= rr <= 10.0 for rr in np.abs(ratios))
     )
-    logn2 = float(np.log(n) ** 2)
-    bulk_ok = bool(np.isnan(bulk_ratio) or bulk_ratio <= logn2)
+    bulk_ok = bool(bulk_ratio <= float(np.log(n) ** 2))
     return SeparationReport(
         lam=lam,
         mu_powers=mu_powers,

@@ -24,7 +24,7 @@ def below_threshold_params():
 
 @pytest.fixture(scope="session")
 def three_type_params():
-    return ds.SbmParams(r=3, W=ds.circulant_connectivity(9.0, 1.5, 3),
+    return ds.SbmParams(r=3, W=np.array([[9.0, 1.5, 1.5], [1.5, 9.0, 1.5], [1.5, 1.5, 9.0]]),
                         pi=np.full(3, 1.0 / 3.0), n=2000)
 
 

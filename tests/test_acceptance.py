@@ -326,7 +326,7 @@ def test_criterion_9_branching_identities(two_type_profile, three_type_profile):
     if abs(mc3 - limit3) > 0.10 * limit3:
         ok = False
     msgs.append(f"3-type MC {mc3:.3f} vs limit {limit3:.3f}")
-    # Cumulant recursion, orders 1 and 2, within 3 bootstrap s.e.
+    # Cumulant recursion, orders 1 and 2, within 3 s.e.
     for order in (1, 2):
         chk = ds.cumulant_relation_check(two_type_profile, phi2, mu2,
                                          order=order, runs=runs, seed=903)

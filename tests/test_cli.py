@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import re
 import shlex
 from pathlib import Path
@@ -339,7 +340,7 @@ class TestVerify:
     def test_gw_suite_checks_the_bootstrap(self, capsys):
         assert cli.main(["verify", "gw"]) == 0
         out = capsys.readouterr().out
-        assert "PASS gw.bootstrap_matches_resample_loop" in out
+        assert "PASS gw.stderr_matches_bootstrap" in out
         assert "FAIL" not in out
 
     def test_spectra_suite_passes(self, capsys):
@@ -362,6 +363,20 @@ class TestGwCommand:
         for rec in records:
             assert set(rec) == {"statistic", "estimate", "stderr",
                                 "closed_form", "residual"}
+
+    def test_cumulant_stderr_is_the_checks(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "gw.json"
+        assert cli.main(["gw", "--config", str(cfg), "--runs", "20000", "--seed", "3",
+                         "--out", str(out)]) == 0
+        (rec,) = [r for r in json.loads(out.read_text())
+                  if r["statistic"] == "cumulant_relation_order2"]
+        assert math.isfinite(rec["stderr"]) and rec["stderr"] > 0
+        profile = ds.derive_spectral_profile(ds.SbmParams(**PARAMS))
+        chk = ds.cumulant_relation_check(profile, profile.phi[1], float(profile.mu[1]),
+                                         order=2, runs=20000,
+                                         seed=ds.derive_seed(3, "gw-cum"))
+        assert rec["stderr"] == float(chk.stderr.max())
 
 
 class TestReadme:

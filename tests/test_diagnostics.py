@@ -15,7 +15,7 @@ class TestShellTypeCounts:
         # The report reads its type counts off D^ell; recount them from
         # all-pairs BFS distances and project them the same way.
         for r, ell in itertools.product((2, 3), (1, 2, 3)):
-            params = small_params(150, W=ds.circulant_connectivity(6.0, 1.0, r), r=r)
+            params = small_params(150, W=np.full((r, r), 1.0) + 5.0 * np.eye(r), r=r)
             prof = ds.derive_spectral_profile(params)
             sample = ds.sample_graph(params, 10 * r + ell)
             onehot = np.eye(r, dtype=np.int64)[sample.sigma]

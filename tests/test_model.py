@@ -182,6 +182,12 @@ class TestGraphJson:
         assert np.array_equal(back.sigma, sample.sigma)
         assert back.graph.edge_set() == sample.graph.edge_set()
 
+    @pytest.mark.parametrize("types", [[0, -1, 1, 1], [0, 1, 2, 1]], ids=["negative", "r"])
+    def test_rejects_types_outside_r(self, types):
+        doc = {"n": 4, "r": 2, "seed": 0, "types": types, "edges": [[0, 1]]}
+        with pytest.raises(ValueError, match="types"):
+            ds.sample_from_json(doc)
+
 
 def full_coin_sweep(params, seed):
     """Reference sampler: one uniform for every ordered pair, drawn row-major

@@ -220,6 +220,20 @@ class TestSeparationReport:
         rep = ds.separation_report(pairs, two_type_profile, ell)
         assert not rep.bulk_ok
 
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_short_solve_passes_nothing_unmeasured(self, two_type_profile, count):
+        # r0 = 2, so one pair leaves an informative value unjudged and
+        # neither count reaches the bulk.
+        ell = 4
+        vec = np.ones(100) / 10.0
+        pairs = [ds.EigenPair(value=float(two_type_profile.mu[k] ** ell), vector=vec,
+                              residual=0.0) for k in range(count)]
+        rep = ds.separation_report(pairs, two_type_profile, ell)
+        assert two_type_profile.r0 == 2
+        assert len(rep.ratios) == count and np.allclose(rep.ratios, 1.0)
+        assert rep.informative_ok == (count == 2)
+        assert np.isnan(rep.bulk_ratio) and not rep.bulk_ok
+
 
 class TestQcBound:
     def test_point_mass(self):
