@@ -13,7 +13,6 @@ from .model import (
     SbmParams,
     SpectralProfile,
     TypedGraphSample,
-    check_degree_regularity,
     choose_ell,
     derive_spectral_profile,
     sample_from_json,

@@ -64,6 +64,11 @@ def _is_int(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+# "matrix" and "perturbation" are legacy keys, still accepted; "matrix" is still checked.
+_CONFIG_KEYS = ("params", "ell", "kappa", "seeds", "gammas", "rogue", "matrix", "perturbation")
+_PARAMS_KEYS = ("r", "W", "pi", "n")
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     params: SbmParams
@@ -87,6 +92,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
+        for where, keys, known in (("config", doc, _CONFIG_KEYS),
+                                   ("params", doc["params"], _PARAMS_KEYS)):
+            unknown = [key for key in keys if key not in known]
+            if unknown:
+                raise ValueError(f"unknown {where} key {unknown[0]!r}")
         p, seeds, gammas = doc["params"], doc.get("seeds", [1]), doc.get("gammas", [])
         for name, values in (("r", [p["r"]]), ("n", [p["n"]]), ("seed", seeds), ("gamma", gammas)):
             bad = [x for x in values if not _is_int(x)]
@@ -462,9 +472,9 @@ def _oracle_cumulant_check(profile, phi, mu: float, order: int, runs: int, seed:
     """
     deep, shallow = _matched_depths(profile, np.asarray(phi, dtype=float), mu, runs, seed,
                                     depth)
-    Mj = profile.M / mu**order
+    MjT = np.ascontiguousarray(profile.M.T) / mu**order
     cum = np.array([_cumulant(x, order) for x in deep])
-    predicted = Mj @ np.array([_raw_moment(y, order) for y in shallow])
+    predicted = MjT @ np.array([_raw_moment(y, order) for y in shallow])
     rng = make_rng(derive_seed(seed, "gw-bootstrap"))
     boot = np.empty((bootstrap, len(deep)))
     for b in range(bootstrap):
@@ -473,7 +483,7 @@ def _oracle_cumulant_check(profile, phi, mu: float, order: int, runs: int, seed:
             idx = rng.integers(0, len(x), size=len(x))
             cums[i] = _cumulant(x[idx], order)
             raws[i] = _raw_moment(y[idx], order)
-        boot[b] = cums - Mj @ raws
+        boot[b] = cums - MjT @ raws
     se = boot.std(axis=0, ddof=1)
     residual = cum - predicted
     return CumulantCheck(order=order, cumulants=cum, predicted=predicted, residual=residual,

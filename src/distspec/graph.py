@@ -2,9 +2,10 @@
 
 The production object is the distance matrix ``D^ell`` (entry 1 exactly at
 pairs whose graph distance equals ell).  It and every other ball-walking
-check (shell sizes, tangles, set shell sizes) are read off one primitive,
-:func:`frontiers`, a truncated BFS from many source sets at once written as
-sparse products, so the total cost is the sum of ball sizes.  The path-expansion
+statistic (shell sizes of vertices and of vertex sets, tangles) are read off
+one blocked expansion, :func:`_expand`, which runs :func:`frontiers`, a
+truncated BFS from many source sets at once written as sparse products, so
+the total cost is the sum of ball sizes.  The path-expansion
 matrix ``B^ell`` (counts of self-avoiding walks of length ell) is kept as
 a verification artifact: an exact level-wise enumeration over arrays (one
 vertex column per depth), feasible for small depths on sparse graphs.
@@ -209,34 +210,6 @@ def frontiers(g: SparseGraph, sources: sp.spmatrix, ell: int) -> list[sp.csr_mat
     return out
 
 
-def _blocked_frontiers(g: SparseGraph, sources: sp.csr_matrix, ell: int,
-                       reach: Optional[int] = None):
-    """``(first row, frontiers)`` over row blocks of ``sources``, expanded to ``ell``.
-
-    A block holds about ``_BLOCK_ENTRIES`` entries of radius-``reach``
-    balls (at least one row), estimating the ball of a row of s sources
-    as min(n, s * (1 + mean degree)^reach).  ``reach`` defaults to
-    ``ell``; a caller whose own products go past the last frontier sizes
-    its blocks for the depth they reach.
-    """
-    if sources.shape[0] == 0:
-        return
-    reach = ell if reach is None else reach
-    growth = math.exp(min(reach * math.log1p(2.0 * g.m / g.n), math.log(g.n)))
-    ends = np.cumsum(np.minimum(g.n, np.diff(sources.indptr) * growth))
-    lo = 0
-    while lo < len(ends):
-        start = ends[lo - 1] if lo else 0.0
-        hi = max(lo + 1, int(np.searchsorted(ends, start + _BLOCK_ENTRIES, side="right")))
-        yield lo, frontiers(g, sources[lo:hi], ell)
-        lo = hi
-
-
-def _vertex_frontiers(g: SparseGraph, ell: int, reach: Optional[int] = None):
-    """:func:`_blocked_frontiers` of one single-vertex source per vertex."""
-    return _blocked_frontiers(g, sp.identity(g.n, dtype=bool, format="csr"), ell, reach)
-
-
 def _source_rows(g: SparseGraph, sets) -> sp.csr_matrix:
     """One source row per vertex set; rejects empty sets and bad vertices."""
     members = [np.fromiter(x, dtype=np.int64) for x in sets]
@@ -250,9 +223,18 @@ def _source_rows(g: SparseGraph, sets) -> sp.csr_matrix:
                          shape=(len(members), g.n))
 
 
-def _vertex_pass(g: SparseGraph, ell: int, distance: bool = True,
-                 tangle: bool = True) -> tuple[Optional[SparseSymMatrix], list[int]]:
-    """``(D^ell or None, tangle offenders)`` from one single-vertex expansion.
+def _expand(g: SparseGraph, ell: int, sets=None, distance: bool = False,
+            tangle: bool = False) -> tuple[Optional[SparseSymMatrix], list[int], np.ndarray]:
+    """``(D^ell or None, tangle offenders, (B, ell+1) int64 layer sizes)``.
+
+    The sources are the given vertex sets, or every single vertex when
+    ``sets`` is None (``D^ell`` and the offenders need single vertices).
+    Row blocks go through :func:`frontiers` one at a time, each reduced
+    before the next is formed (to the row nnz of its frontiers, and its
+    last frontier for ``D^ell``).  A block holds about ``_BLOCK_ENTRIES``
+    ball entries (at least one row), a row of s sources estimated at
+    min(n, s * (1 + mean degree)^reach); the reach is ell + 1 when the
+    tangle check's rim product runs and ell otherwise.
 
     Row v of ``D^ell`` is v's last frontier.  The matrix is symmetric, so
     the CSR form of the stack's transpose is the same matrix with its rows
@@ -261,33 +243,44 @@ def _vertex_pass(g: SparseGraph, ell: int, distance: bool = True,
     copy is dropped once the next exists, so at most two are alive.
 
     A ball's cycle count is its edge excess ``edges - vertices + 1``
-    (balls are connected); twice its edges are its inner vertices'
-    degrees plus the row sums of ``(last @ A) * (shell_{ell-1} + last)``.
+    (balls are connected; the vertices are the row sums of the sizes);
+    twice its edges are its inner vertices' degrees plus the row sums of
+    ``(last @ A) * (shell_{ell-1} + last)``.
     """
-    if ell < 1:
+    if (distance or tangle) and ell < 1:
         raise ValueError("ell must be >= 1")
+    sources = sp.identity(g.n, dtype=bool, format="csr") if sets is None else _source_rows(g, sets)
+    sizes = np.zeros((sources.shape[0], ell + 1), dtype=np.int64)
     if tangle:
         adj = g.to_csr()
         deg = np.diff(g.indptr)
-    lasts, offenders = [], []
-    # The rim product reaches depth ell + 1, so tangle blocks are sized for it.
-    for lo, fronts in _vertex_frontiers(g, ell, ell + 1 if tangle else ell):
+    reach = ell + 1 if tangle else ell
+    n = max(g.n, 1)
+    growth = math.exp(min(reach * math.log1p(2.0 * g.m / n), math.log(n)))
+    ends = np.cumsum(np.minimum(g.n, np.diff(sources.indptr) * growth))
+    lasts, offenders, lo = [], [], 0
+    while lo < len(ends):
+        start = ends[lo - 1] if lo else 0.0
+        hi = max(lo + 1, int(np.searchsorted(ends, start + _BLOCK_ENTRIES, side="right")))
+        fronts = frontiers(g, sources[lo:hi], ell)
         last = fronts[-1]
+        sizes[lo:hi] = np.stack([np.diff(f.indptr) for f in fronts], axis=1)
         if distance:
             lasts.append(last)
         if tangle:
             rim = (last.astype(np.int32) @ adj).multiply(fronts[-2] + last).sum(axis=1)
             twice = sum(f @ deg for f in fronts[:-1]) + np.asarray(rim).ravel()
-            excess = twice // 2 - sum(np.diff(f.indptr) for f in fronts) + 1
+            excess = twice // 2 - sizes[lo:hi].sum(axis=1) + 1
             offenders.extend((np.nonzero(excess > 1)[0] + lo).tolist())
         del fronts, last
+        lo = hi
     if not distance:
-        return None, offenders
+        return None, offenders, sizes
     stack = sp.vstack(lasts, format="csr") if lasts else sp.csr_matrix((g.n, g.n), dtype=bool)
     del lasts
     full = stack.T.tocsr()
     del stack
-    return SparseSymMatrix(g.n, ell, "distance", full), offenders
+    return SparseSymMatrix(g.n, ell, "distance", full), offenders, sizes
 
 
 def distance_matrix(g: SparseGraph, ell: int) -> SparseSymMatrix:
@@ -296,7 +289,7 @@ def distance_matrix(g: SparseGraph, ell: int) -> SparseSymMatrix:
     Row v is the last frontier of v, so the stacked frontiers are the full
     matrix.  Cost is the sum over vertices of their ell-ball sizes.
     """
-    return _vertex_pass(g, ell, tangle=False)[0]
+    return _expand(g, ell, distance=True)[0]
 
 
 def path_expansion_matrix(g: SparseGraph, ell: int, cap: int = 2) -> SparseSymMatrix:
@@ -382,22 +375,14 @@ def delta_matrix(bl: SparseSymMatrix, dl: SparseSymMatrix) -> SparseSymMatrix:
 
 def tangle_free_check(g: SparseGraph, ell: int) -> tuple[bool, list[int]]:
     """True iff every radius-ell ball contains at most one independent cycle
-    (edge excess, see :func:`_vertex_pass`); also returns the offending vertices."""
-    offenders = _vertex_pass(g, ell, distance=False)[1]
+    (edge excess, see :func:`_expand`); also returns the offending vertices."""
+    offenders = _expand(g, ell, tangle=True)[1]
     return (not offenders), offenders
 
 
 def shell_sizes_all(g: SparseGraph, ell: int) -> np.ndarray:
     """(n, ell+1) array of layer sizes S_t(v) for every vertex."""
-    sizes = np.zeros((g.n, ell + 1), dtype=np.int64)
-    for lo, fronts in _vertex_frontiers(g, ell):
-        sizes[lo:lo + fronts[0].shape[0]] = _shell_sizes(fronts)
-    return sizes
-
-
-def _shell_sizes(fronts: Sequence[sp.csr_matrix]) -> np.ndarray:
-    """(B, ell+1) layer sizes: the row nnz of each frontier."""
-    return np.stack([np.diff(f.indptr) for f in fronts], axis=1).astype(np.int64)
+    return _expand(g, ell)[2]
 
 
 def shell_growth_report(g: SparseGraph, ell: int, alpha: float) -> tuple[float, float]:
@@ -418,7 +403,7 @@ def shell_growth_report(g: SparseGraph, ell: int, alpha: float) -> tuple[float, 
 
 def set_shell_sizes(g: SparseGraph, vertex_set: Sequence[int], ell: int) -> np.ndarray:
     """Multi-source layer sizes S_t(X) for t = 0..ell (S_0 = |X|)."""
-    return _shell_sizes(frontiers(g, _source_rows(g, [vertex_set]), ell))[0]
+    return _expand(g, ell, [vertex_set])[2][0]
 
 
 def fundamental_cycles(g: SparseGraph) -> list[np.ndarray]:

@@ -220,18 +220,19 @@ def moment_closed_forms(
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Exact second moments of the martingale limits by linear solve.
 
-    Returns (c2, m2, var_sum, sqmean_sum) where c2 / m2 are the per-root-
-    type variances / second moments, var_sum = sum(c2) and sqmean_sum =
-    sum(m2).  Under a uniform prior with equal column sums these equal
-    1/(tau_mu - 1) and tau_mu/(tau_mu - 1) with tau_mu = mu^2/alpha,
-    which is asserted to 1e-9.
+    The second moments solve (I - M^T / mu^2) m2 = phi^2, the fixed point
+    of :func:`finite_depth_second_moments`'s recursion.  Returns (c2, m2,
+    var_sum, sqmean_sum) where c2 / m2 are the per-root-type variances /
+    second moments, var_sum = sum(c2) and sqmean_sum = sum(m2).  Under a
+    uniform prior with equal column sums these equal 1/(tau_mu - 1) and
+    tau_mu/(tau_mu - 1) with tau_mu = mu^2/alpha, which is asserted to 1e-9.
     """
     M = profile.M
     alpha = profile.alpha
     if mu**2 <= alpha:
         raise SingularSystem(f"need mu^2 > alpha, got mu^2 = {mu**2}, alpha = {alpha}")
     phi = np.asarray(phi, dtype=float)
-    A = np.eye(len(phi)) - M / mu**2
+    A = np.eye(len(phi)) - np.ascontiguousarray(M.T) / mu**2
     m2 = np.linalg.solve(A, phi**2)
     c2 = m2 - phi**2
     var_sum = float(c2.sum())
@@ -290,7 +291,7 @@ def _raw_moment(x: np.ndarray, order: int) -> float:
 class CumulantCheck:
     order: int
     cumulants: np.ndarray       # estimated j-th cumulant per root type, depth t
-    predicted: np.ndarray       # (M / mu^j) @ raw moments at depth t-1
+    predicted: np.ndarray       # (M^T / mu^j) @ raw moments at depth t-1
     residual: np.ndarray
     residual_inf: float
     stderr: np.ndarray
@@ -326,7 +327,7 @@ def cumulant_relation_check(
     seed: int = 0,
     depth: int = 8,
 ) -> CumulantCheck:
-    """Monte Carlo check of the cumulant/moment recursion c_j = (M / mu^j) m_j.
+    """Monte Carlo check of the cumulant/moment recursion c_j = (M^T / mu^j) m_j.
 
     One generation of branching relates the order-j cumulants at depth t
     to the order-j raw moments at depth t-1 exactly, so the residual of
@@ -353,8 +354,9 @@ def cumulant_relation_check(
 
     cum = np.array([_cumulant(x, order) for x in deep])
     raw = np.array([_raw_moment(x, order) for x in shallow])
-    Mj = M / mu**order
-    predicted = Mj @ raw
+    # A type-i particle has Poisson(M[k, i]) type-k children: type i reads column i of M.
+    MjT = np.ascontiguousarray(M.T) / mu**order
+    predicted = MjT @ raw
     residual = cum - predicted
 
     # Per-run influence of each type's k-statistic (fk) and raw moment (fm).
@@ -367,7 +369,7 @@ def cumulant_relation_check(
         fm = y**order - (y**order).mean()
         A[i], B[i], C[i] = fk @ fk, fm @ fm, fk @ fm
     n2 = np.array([len(x) for x in deep], dtype=float) ** 2
-    se = np.sqrt((A - 2 * np.diag(Mj) * C) / n2 + Mj**2 @ (B / n2))
+    se = np.sqrt((A - 2 * np.diag(MjT) * C) / n2 + MjT**2 @ (B / n2))
     z = np.abs(residual) / np.where(se > 0, se, np.inf)
     return CumulantCheck(
         order=order,

@@ -175,12 +175,6 @@ def derive_spectral_profile(params: SbmParams) -> SpectralProfile:
     )
 
 
-def check_degree_regularity(profile: SpectralProfile) -> tuple[bool, np.ndarray]:
-    """Whether every column of M sums to alpha; residuals returned for diagnostics."""
-    residuals = profile.column_sums - profile.alpha
-    return bool(np.max(np.abs(residuals)) <= _TOL_REG), residuals
-
-
 def _skip(bitgen: np.random.Philox, pos: int, k: int) -> None:
     """Move a Philox stream at output position ``pos`` past ``k`` outputs."""
     head = min(k, -pos % 4)  # outputs left in the current block of four

@@ -21,9 +21,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .graph import SparseGraph, SparseSymMatrix, _blocked_frontiers, _require_built, \
-    _shell_sizes, _source_rows, _vertex_pass, delta_matrix, fundamental_cycles, \
-    path_expansion_matrix
+from .graph import SparseGraph, SparseSymMatrix, _expand, _require_built, delta_matrix, \
+    fundamental_cycles, path_expansion_matrix
 from .util import canonical_sign, make_rng
 
 
@@ -305,14 +304,14 @@ def delta_radius_check(
     matrix is (n up to a few thousand, small ell).  One vertex expansion
     gives the tangle verdict and, when ``dl`` is not passed, ``D^ell``; a
     passed ``dl`` or ``bl`` must be this graph's distance or path matrix
-    at depth ``ell``.  The cycle shells are expanded in row blocks, each
-    reduced to its layer sizes before the next is formed.
+    at depth ``ell``.  A second expansion gives the layer sizes of all
+    fundamental cycles, whose matrices are solved in one batch.
     """
     if dl is not None:
         _require_built(dl, "dl", g, ell, "distance")
     if bl is not None:
         _require_built(bl, "bl", g, ell, "path")
-    built, offenders = _vertex_pass(g, ell, distance=dl is None)
+    built, offenders, _ = _expand(g, ell, distance=dl is None, tangle=True)
     dl = built if dl is None else dl
     bl = path_expansion_matrix(g, ell) if bl is None else bl
     delta = delta_matrix(bl, dl)
@@ -322,9 +321,7 @@ def delta_radius_check(
         pairs = top_eigenpairs(delta, g.n, k=1, seed=seed)
         rho = abs(pairs[0].value) if pairs else float("nan")
     cycles = fundamental_cycles(g)
-    cycle_bound = max((_qc_radius(_shell_sizes(fronts)) for _, fronts
-                       in _blocked_frontiers(g, _source_rows(g, cycles), ell)),
-                      default=0.0)
+    cycle_bound = _qc_radius(_expand(g, ell, cycles)[2])
     log_bound = float(np.log(g.n) * alpha ** (ell / 2.0)) if g.n > 1 else 0.0
     return DeltaRadiusReport(rho=rho, cycle_bound=cycle_bound, log_bound=log_bound,
                              tangle_free=not offenders, n_cycles=len(cycles))

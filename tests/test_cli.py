@@ -24,7 +24,6 @@ def write_config(tmp_path, **overrides):
         "params": PARAMS,
         "ell": 3,
         "seeds": [1, 2],
-        "matrix": "distance",
         "gammas": [],
     }
     doc.update(overrides)
@@ -88,6 +87,14 @@ class TestConfig:
     def test_unused_keys_still_load(self, tmp_path):
         cfg = write_config(tmp_path, perturbation="clique")
         assert cli.ExperimentConfig.load(str(cfg)).seeds == (1, 2)
+
+    @pytest.mark.parametrize("where, key, overrides", [
+        ("config", "gamas", {"gamas": [5]}), ("config", "rogeu", {"rogeu": True}),
+        ("params", "nn", {"params": dict(PARAMS, nn=300)})])
+    def test_unknown_keys_are_rejected(self, tmp_path, where, key, overrides):
+        cfg = write_config(tmp_path, **overrides)
+        with pytest.raises(ValueError, match=f"^unknown {where} key '{key}'$"):
+            cli.ExperimentConfig.load(str(cfg))
 
 
 class TestResolveEll:

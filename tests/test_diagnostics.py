@@ -89,9 +89,9 @@ class TestLocalMoments:
         sample = ds.sample_graph(small_params(300), 4)
         prof = ds.derive_spectral_profile(small_params(300))
         calls = []
-        expand = graph._vertex_frontiers
-        monkeypatch.setattr(graph, "_vertex_frontiers",
-                            lambda *args: calls.append(args) or expand(*args))
+        expand = graph._expand
+        monkeypatch.setattr(graph, "_expand",
+                            lambda *a, **kw: calls.append(a) or expand(*a, **kw))
         ds.local_moment_report(sample.graph, sample.sigma, prof, 3, seed=2)
         assert len(calls) == 1
 

@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 
 import distspec as ds
 import distspec.graph as graph
+import distspec.spectral as spectral
 from distspec.adversary import GreedyExhausted, _common_sphere_candidates
 from distspec.cli import _apsp, _oracle_path_counts, _oracle_set_layers, _oracle_tangle_offenders
-from conftest import apsp_distance_oracle
+from conftest import apsp_distance_oracle, small_params
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -41,6 +42,8 @@ def graph_and_sets(draw, max_sets=5):
 
 
 depths = st.integers(1, 7)
+# Block budgets that put one row, a few rows and every row of a small graph in a block.
+blocks = st.sampled_from([1, 16, graph._BLOCK_ENTRIES])
 
 
 @SETTINGS
@@ -59,9 +62,10 @@ def test_frontier_rows_are_the_apsp_layers(case, ell):
 
 
 @SETTINGS
-@given(graphs(), depths)
-def test_distance_matrix_matches_apsp(g, ell):
-    mat = ds.distance_matrix(g, ell)
+@given(graphs(), depths, blocks)
+def test_distance_matrix_matches_apsp(g, ell, block):
+    with mock.patch.object(graph, "_BLOCK_ENTRIES", block):
+        mat = ds.distance_matrix(g, ell)
     assert np.array_equal(mat.to_dense(), apsp_distance_oracle(g, ell))
 
 
@@ -78,24 +82,26 @@ def test_distance_matrix_rows_are_sorted_and_symmetric(g, ell):
 
 
 @SETTINGS
-@given(graphs(), st.integers(0, 7))
-def test_shell_sizes_count_apsp_distances(g, ell):
+@given(graphs(), st.integers(0, 7), blocks)
+def test_shell_sizes_count_apsp_distances(g, ell, block):
     dist = _apsp(g)
     want = np.stack([(dist == t).sum(axis=1) for t in range(ell + 1)], axis=1)
-    assert np.array_equal(ds.shell_sizes_all(g, ell), want.reshape(g.n, ell + 1))
+    with mock.patch.object(graph, "_BLOCK_ENTRIES", block):
+        got = ds.shell_sizes_all(g, ell)
+    assert np.array_equal(got, want.reshape(g.n, ell + 1))
 
 
 @SETTINGS
-@given(graphs(), depths)
-def test_tangle_verdict_matches_ball_edge_excess(g, ell):
-    tf, offenders = ds.tangle_free_check(g, ell)
+@given(graphs(), depths, blocks)
+def test_tangle_verdict_matches_ball_edge_excess(g, ell, block):
+    with mock.patch.object(graph, "_BLOCK_ENTRIES", block):
+        tf, offenders = ds.tangle_free_check(g, ell)
     assert offenders == _oracle_tangle_offenders(g, _apsp(g), ell)
     assert tf == (not offenders)
 
 
 @SETTINGS
-@given(graphs(), st.integers(1, 4), st.sampled_from([1, 2, 10**6]),
-       st.sampled_from([1, 16, graph._BLOCK_ENTRIES]))
+@given(graphs(), st.integers(1, 4), st.sampled_from([1, 2, 10**6]), blocks)
 def test_path_matrix_matches_enumeration(g, ell, cap, block):
     counts = _oracle_path_counts(g, ell)
     with warnings.catch_warnings(record=True) as caught, \
@@ -142,11 +148,45 @@ def test_fundamental_cycles_match_a_queue_bfs_forest(g):
 
 
 @SETTINGS
-@given(graph_and_sets(max_sets=1), st.integers(0, 7))
-def test_set_shell_matches_apsp(case, ell):
+@given(graph_and_sets(max_sets=1), st.integers(0, 7), blocks)
+def test_set_shell_matches_apsp(case, ell, block):
     g, (x,) = case
     layers = _oracle_set_layers(_apsp(g), x, ell)
-    assert ds.set_shell_sizes(g, x, ell).tolist() == [len(t) for t in layers]
+    with mock.patch.object(graph, "_BLOCK_ENTRIES", block):
+        assert ds.set_shell_sizes(g, x, ell).tolist() == [len(t) for t in layers]
+
+
+def test_each_statistic_is_one_expansion(monkeypatch):
+    params = small_params(300)
+    sample = ds.sample_graph(params, 4)
+    g, profile = sample.graph, ds.derive_spectral_profile(params)
+    bl = ds.path_expansion_matrix(g, 3, cap=10**6)
+    k_set = g.neighbors(int(np.argmax(np.diff(g.indptr))))[:5]
+    cases = [
+        ("distance_matrix", lambda: ds.distance_matrix(g, 3), ["vertices"]),
+        ("tangle_free_check", lambda: ds.tangle_free_check(g, 3), ["vertices"]),
+        ("shell_sizes_all", lambda: ds.shell_sizes_all(g, 3), ["vertices"]),
+        ("shell_growth_report", lambda: ds.shell_growth_report(g, 3, 3.0), ["vertices"]),
+        ("set_shell_sizes", lambda: ds.set_shell_sizes(g, k_set, 3), ["sets"]),
+        ("qk_bound", lambda: ds.qk_bound(g, k_set, 3), ["sets"]),
+        ("local_moment_report",
+         lambda: ds.local_moment_report(g, sample.sigma, profile, 3, seed=2), ["vertices"]),
+        ("delta_radius_check", lambda: ds.delta_radius_check(g, 3, alpha=3.0, bl=bl),
+         ["vertices", "sets"]),
+    ]
+    calls = []
+    expand = graph._expand
+
+    def counted(g, ell, sets=None, **kwargs):
+        calls.append("vertices" if sets is None else "sets")
+        return expand(g, ell, sets, **kwargs)
+
+    for module in (graph, spectral):
+        monkeypatch.setattr(module, "_expand", counted)
+    for name, run, want in cases:
+        calls.clear()
+        run()
+        assert calls == want, name
 
 
 @SETTINGS

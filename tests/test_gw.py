@@ -176,6 +176,16 @@ class TestClosedForms:
         assert var_sum == pytest.approx(1.0 / 0.5625, abs=1e-9)
         assert sq_sum == pytest.approx(1.5625 / 0.5625, abs=1e-9)
 
+    def test_unequal_prior_matches_deep_recursion(self):
+        # M = diag(pi) W is not symmetric here, so the solve must use M^T as the recursion does.
+        prof = ds.derive_spectral_profile(ds.SbmParams(
+            r=2, W=np.array([[8.0, 1.0], [1.0, 5.0]]), pi=np.array([0.3, 0.7]), n=2000))
+        phi, mu = prof.phi[1], float(prof.mu[1])
+        c2, m2, _, _ = ds.moment_closed_forms(prof, phi, mu)
+        c2_deep, m2_deep = ds.finite_depth_second_moments(prof, phi, mu, depth=200)
+        np.testing.assert_allclose(m2, m2_deep, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(c2, c2_deep, rtol=0, atol=1e-9)
+
     def test_subcritical_raises(self, below_threshold_params):
         prof = ds.derive_spectral_profile(below_threshold_params)
         with pytest.raises(SingularSystem):
@@ -271,6 +281,8 @@ class TestCumulants:
         np.testing.assert_allclose(got.stderr, want.stderr, rtol=4 / np.sqrt(2 * resamples),
                                    atol=0)
         assert got.max_z == (np.abs(got.residual) / got.stderr).max()
+        if kind == "skew":  # the recursion reads columns of M, which differ from its rows here
+            assert got.max_z <= 3.0
         for field in ("order", "cumulants", "predicted", "residual", "residual_inf"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
 

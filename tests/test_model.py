@@ -77,19 +77,16 @@ class TestSpectralProfile:
 
 class TestDegreeRegularity:
     def test_regular(self, two_type_profile):
-        ok, resid = ds.check_degree_regularity(two_type_profile)
-        assert ok
-        assert np.allclose(resid, 0.0)
+        assert two_type_profile.degree_regular
+        assert np.allclose(two_type_profile.column_sums - two_type_profile.alpha, 0.0)
 
     def test_irregular_column_sums(self):
         prof = ds.derive_spectral_profile(small_params(10, W=[[5.0, 1.0], [1.0, 3.0]]))
-        ok, _ = ds.check_degree_regularity(prof)
-        assert not ok
+        assert not prof.degree_regular
         assert np.allclose(prof.column_sums, [3.0, 2.0])
 
     def test_circulant_regular(self, three_type_profile):
-        ok, _ = ds.check_degree_regularity(three_type_profile)
-        assert ok
+        assert three_type_profile.degree_regular
 
 
 class TestSampling:

@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -296,11 +297,16 @@ class TestDeltaRadius:
             for name in ("tangle_free_check", "distance_matrix"):
                 monkeypatch.setattr(module, name, forbidden, raising=False)
         calls = []
-        expand = graph._vertex_frontiers
-        monkeypatch.setattr(graph, "_vertex_frontiers",
-                            lambda *args: calls.append(args) or expand(*args))
+        expand = graph._expand
+
+        def counted(g, ell, sets=None, **kwargs):
+            calls.append("vertices" if sets is None else "sets")
+            return expand(g, ell, sets, **kwargs)
+
+        for module in (graph, spectral):
+            monkeypatch.setattr(module, "_expand", counted)
         got = ds.delta_radius_check(g, 3, alpha=3.0, bl=bl)
-        assert len(calls) == 1
+        assert calls == ["vertices", "sets"]  # one vertex expansion, then the cycles
         assert vars(got) == vars(want)
 
     @pytest.mark.parametrize("kind", ["cyclic", "forest"])
@@ -313,16 +319,20 @@ class TestDeltaRadius:
         bl = ds.path_expansion_matrix(g, 3, cap=10**6)
         want = ds.delta_radius_check(g, 3, alpha=3.0, bl=bl)
         monkeypatch.setattr(graph, "_BLOCK_ENTRIES", 64)
-        rows = graph._source_rows(g, ds.fundamental_cycles(g))
-        blocks = list(graph._blocked_frontiers(g, rows, 3))
         got = ds.delta_radius_check(g, 3, alpha=3.0, bl=bl)
         assert vars(got) == vars(want)
+        cycles = ds.fundamental_cycles(g)
+        blocks, expand = [], graph.frontiers
+        monkeypatch.setattr(graph, "frontiers",
+                            lambda g, rows, ell: blocks.append(rows) or expand(g, rows, ell))
+        sizes = graph._expand(g, 3, cycles)[2]
         if kind == "cyclic":
             assert len(blocks) > 1 and want.n_cycles > 1 and want.cycle_bound > 0
-            assert [lo for lo, _ in blocks] == np.cumsum(
-                [0] + [f[0].shape[0] for _, f in blocks[:-1]]).tolist()
-            assert np.array_equal(np.concatenate([graph._shell_sizes(f) for _, f in blocks]),
-                                  graph._shell_sizes(ds.frontiers(g, rows, 3)))
+            rows = graph._source_rows(g, cycles)
+            # The blocks are consecutive runs of the source rows, in order.
+            assert (sp.vstack(blocks, format="csr") != rows).nnz == 0
+            assert np.array_equal(sizes, np.stack(
+                [np.diff(f.indptr) for f in expand(g, rows, 3)], axis=1))
         else:
             assert blocks == [] and want.n_cycles == 0 and want.cycle_bound == 0.0
 
