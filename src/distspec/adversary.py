@@ -296,8 +296,8 @@ def build_rogue_certificate(
             raise GreedyExhausted(1, 1, f"no vertex lies at distance {ell} from vertex "
                                         f"{k_set[0]}")
     # The informative eigenvectors: the top max(r0, 1) pairs of one solve.
-    top = list(top_eigenpairs(dl, g.n, k=min(max(profile.r0, 2), g.n),
-                              seed=derive_seed(seed, "rogue-eig")))[: max(profile.r0, 1)]
+    top = top_eigenpairs(dl, g.n, k=profile.signal_pairs(g.n),
+                         seed=derive_seed(seed, "rogue-eig"))[: max(profile.r0, 1)]
     if gamma > 1:
         scored = [(float(np.abs(_cosines(_unit_mass_vector(g.n, k_set, shell), top)).max()),
                    k_set, shell)

@@ -55,7 +55,7 @@ def local_moment_report(
     n = g.n
     dmat = distance_matrix(g, ell)
     counts = dmat.matvec(np.eye(r)[sigma])
-    eigenpairs = top_eigenpairs(dmat, n, k=min(max(profile.r0, 2), n),
+    eigenpairs = top_eigenpairs(dmat, n, k=profile.signal_pairs(n),
                                 seed=derive_seed(seed, "diag-eig"))
     proj = counts @ profile.phi.T        # column k holds <phi_k, Y_ell(v)>
     diag_raw = (proj**2).mean(axis=0)

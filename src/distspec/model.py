@@ -96,6 +96,11 @@ class SpectralProfile:
     def above_threshold(self) -> bool:
         return self.r0 > 1
 
+    def signal_pairs(self, n: int) -> int:
+        """Eigenpairs a solve asks for to hold the r0 informative ones, and
+        the second pair below threshold: ``min(max(r0, 2), n)``."""
+        return min(max(self.r0, 2), n)
+
     @property
     def uniform_pi(self) -> bool:
         return self.params.uniform_pi

@@ -140,13 +140,15 @@ def _pick_second(pairs: Sequence[EigenPair], mu2_power: float) -> int:
 
 def solve_pairs(mat: SparseSymMatrix, n: int, profile: SpectralProfile,
                 seed: int) -> list[EigenPair]:
-    """Solve stage: the top max(4, r0 + 1) eigenpairs, at most n; warns
-    when the profile sits at or below the recovery threshold."""
+    """Solve stage: the pairs the rounding reads, ``profile.signal_pairs(n)``
+    of them (the r0 informative pairs, at least two, at most n), plus the
+    opposite-sign partner of the last when ``top_eigenpairs`` finds a
+    +-lambda tie there.  The bulk below is not solved; warns when the
+    profile sits at or below the recovery threshold."""
     if not profile.above_threshold:
         warnings.warn(BelowThreshold(
             f"r0 = {profile.r0}: no informative second eigenvalue is expected"))
-    k = min(max(4, profile.r0 + 1), n)
-    return top_eigenpairs(mat, n, k=k, seed=derive_seed(seed, "eig"))
+    return top_eigenpairs(mat, n, k=profile.signal_pairs(n), seed=derive_seed(seed, "eig"))
 
 
 def round_labels(pairs: Sequence[EigenPair], profile: SpectralProfile, ell: int,

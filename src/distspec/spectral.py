@@ -59,6 +59,10 @@ class SeparationReport:
     first non-informative eigenvalue with alpha^(ell/2).  A check passes
     only on what it measured: ``informative_ok`` needs all r0 ratios, and
     ``bulk_ok`` a pair past r0 (without one, ``bulk_ratio`` is nan).
+    ``detect`` solves only the r0 pairs it rounds, so its report leaves
+    the bulk unmeasured (``bulk_ratio`` nan, ``bulk_ok`` False);
+    ``demos/02_distance_matrix_spectrum.py`` measures it from a solve
+    with pairs past r0.
     """
 
     lam: np.ndarray
@@ -87,6 +91,13 @@ def _as_matvec(op: MatvecLike) -> Callable[[np.ndarray], np.ndarray]:
     return op
 
 
+def _opposite_tie(value: float, kth_value: float, tol: float) -> bool:
+    """``value`` has the sign opposite to the k-th pair's and its modulus
+    within ``tol * max(1, |lambda_k|)``."""
+    return bool(value * kth_value < 0
+                and abs(abs(value) - abs(kth_value)) <= tol * max(1.0, abs(kth_value)))
+
+
 def top_eigenpairs(
     op: MatvecLike,
     n: int,
@@ -102,12 +113,19 @@ def top_eigenpairs(
     deflated by every vector found, ``(I - V V^T) A (I - V V^T)``, and
     solved for its top pair; a pair beating the k-th by modulus by more
     than ``tol * max(1, |lambda_k|)`` is merged and the check repeats.
+    One Krylov run returns an arbitrary member of a +-lambda tie, so a
+    pair of the sign opposite to the k-th's, tied with it by modulus
+    within that tolerance, is merged too, the check stops, and it is
+    returned as pair k + 1 (a same-sign repeat is not merged).  Wherever
+    the pairs found include such a partner of the k-th, dense ``eigh``
+    included, k + 1 pairs are returned.
 
     Each check is screened first by a run at ``_SCREEN_TOL``: an
     eigenvalue lies within the true residual r of its Ritz value theta,
-    so if that run converged with ``|theta| + r`` under the bar, the
-    check stops; like the tight run's own stop, this trusts the run to
-    have found the top of the deflated spectrum.  Otherwise the check
+    so if that run converged with ``|theta| + r`` below the tie band
+    (``|lambda_k|`` less the tolerance), the check stops; like the tight
+    run's own stop, this trusts the run to have found the top of the
+    deflated spectrum.  Otherwise the check
     runs at ``tol / 10`` from the same start vector, reading back the
     screen's products (ARPACK's first factorization does not depend on
     tol).  The random stream is unchanged and every pair returned comes
@@ -186,23 +204,31 @@ def top_eigenpairs(
             # a tenth of the allowance keeps the true residual inside it.
             vals, vecs, complete = solve(k, rng.standard_normal(n), tol / 10)
             while complete and vecs.shape[1] < n - 1:
-                kth = np.sort(np.abs(vals))[-k]
-                bar = kth + tol * max(1.0, kth)
+                kth_value = vals[np.argsort(np.abs(vals))[-k]]
+                kth = abs(kth_value)
+                slack = tol * max(1.0, kth)
                 v0, tape = rng.standard_normal(n), {}
                 w, u, screened = solve(1, v0, _SCREEN_TOL, tape)
                 if screened and abs(w[0]) + np.linalg.norm(
-                        deflated(u[:, 0]) - w[0] * u[:, 0]) <= bar:
+                        deflated(u[:, 0]) - w[0] * u[:, 0]) < kth - slack:
                     break
                 w, u, complete = solve(1, v0, tol / 10, tape)
-                if not len(w) or abs(w[0]) <= bar:
+                if not len(w):
+                    break
+                tie = _opposite_tie(w[0], kth_value, tol)
+                if abs(w[0]) <= kth + slack and not tie:
                     break
                 x = u[:, 0] - vecs @ (vecs.T @ u[:, 0])
                 vals = np.append(vals, w[0])
                 vecs = np.column_stack([vecs, x / np.linalg.norm(x)])
+                if tie:
+                    break  # nothing left beats the k-th pair
     except _BudgetSpent:
         complete = False
 
-    order = sorted(range(len(vals)), key=lambda i: (-abs(vals[i]), -vals[i]))[:k]
+    order = sorted(range(len(vals)), key=lambda i: (-abs(vals[i]), -vals[i]))
+    tied = 0 < k < len(order) and _opposite_tie(vals[order[k]], vals[order[k - 1]], tol)
+    order = order[:k + tied]
     pairs = []
     for i in order:
         x = canonical_sign(vecs[:, i])

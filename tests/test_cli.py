@@ -211,6 +211,49 @@ class TestDetect:
         assert rows[0] == rows[1]
 
 
+class TestSolveSizes:
+    """The k of every ``top_eigenpairs`` call: the labels ask for the r0
+    signal pairs (r0 = 2 here), the sweep's CSV lambdas for four."""
+
+    @pytest.fixture
+    def ks(self, monkeypatch):
+        import distspec.diagnostics as diagnostics
+        import distspec.spectral as spectral
+
+        seen = []
+        original = spectral.top_eigenpairs
+
+        def recorded(op, n, k, *args, **kwargs):
+            seen.append(k)
+            return original(op, n, k, *args, **kwargs)
+
+        for module in (cli, reconstruct, adversary, diagnostics, spectral):
+            monkeypatch.setattr(module, "top_eigenpairs", recorded)
+        return seen
+
+    def test_detect_solves_r0_pairs_once(self, tmp_path, ks):
+        cfg = write_config(tmp_path)
+        graph = tmp_path / "g.json"
+        cli.main(["generate", "--config", str(cfg), "--seed", "1", "--out", str(graph)])
+        ks.clear()
+        assert cli.main(["detect", str(graph), "--config", str(cfg),
+                         "--out", str(tmp_path / "a.json")]) == 0
+        assert ks == [2]
+
+    def test_sweep_row_solves_four_for_the_csv_and_r0_for_the_labels(self, tmp_path, ks):
+        cfg = write_config(tmp_path, gammas=[0, 2], seeds=[1], rogue=True)
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 0
+        # gamma = 0: CSV, labels; gamma = 2: CSV, labels, rogue certificate.
+        assert ks == [4, 2, 4, 2, 2]
+
+    def test_certify_solves_are_unchanged(self, ks):
+        sample = ds.sample_graph(cli._default_config().params, 1)
+        profile = ds.derive_spectral_profile(cli._default_config().params)
+        ds.delta_radius_check(sample.graph, 2, profile.alpha, seed=1)
+        ds.local_moment_report(sample.graph, sample.sigma, profile, 2, seed=1)
+        assert ks == [1, 2]
+
+
 class TestPerturb:
     def test_writes_edit_list(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -355,6 +398,7 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "PASS spectra.multiplicity_matches_dense" in out
         assert "PASS spectra.multiplicity_screen_near_ties" in out
+        assert "PASS spectra.opposite_sign_tie_returned" in out
         assert "FAIL" not in out
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,10 @@ from distspec.reconstruct import (
     BelowThreshold,
     LabelOutOfRange,
     ZeroVector,
+    round_labels,
+    solve_pairs,
 )
+from distspec.cli import _explicit_spectrum
 
 from conftest import small_params
 
@@ -203,6 +208,21 @@ class TestDetect:
         with pytest.warns(BelowThreshold):
             asg, _ = ds.detect(sample.graph, profile, 3, seed=1)
         assert asg.K_used == pytest.approx(ds.reconstruct.FALLBACK_K)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_opposite_sign_tie_reaches_the_rounding(self, seed):
+        # The solve asks for r0 = 2 pairs of Q diag(10, 5, -5, bulk) Q^T; one
+        # Krylov run returns either of +-5, so the check must add the other
+        # and the rounding take the one with the sign of mu2^ell.
+        A = _explicit_spectrum([10.0, 5.0, -5.0], 2.0, seed)
+        profile = ds.derive_spectral_profile(small_params(len(A)))
+        pairs = solve_pairs(lambda x: A @ x, len(A), profile, seed)
+        assert sorted(round(p.value, 9) for p in pairs) == [-5.0, 5.0, 10.0]
+        for mu2 in (5.0, -5.0):  # at ell = 1, mu2^ell = mu2
+            signed = dataclasses.replace(profile, mu=np.array([10.0, mu2]))
+            labels, report = round_labels(pairs, signed, 1, seed)
+            assert pairs[labels.source].value == pytest.approx(mu2)
+            assert report.chosen_second == labels.source
 
     def test_strong_signal_recovers(self, strong_params, strong_profile):
         # Far enough above threshold the pipeline finds real structure.
