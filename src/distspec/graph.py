@@ -174,7 +174,8 @@ class SparseSymMatrix:
 
 
 # Ball entries (summed over rows) that one block of single-vertex or set
-# sources may hold: keeps the blocked expansions at a few tens of MB.
+# sources may hold: keeps the blocked expansions at a few tens of MB.  The
+# same number, read as bytes, bounds one block of paths in ``_path_ends``.
 _BLOCK_ENTRIES = 1 << 20
 
 
@@ -212,13 +213,15 @@ def frontiers(g: SparseGraph, sources: sp.spmatrix, ell: int) -> list[sp.csr_mat
 
 def _source_rows(g: SparseGraph, sets) -> sp.csr_matrix:
     """One source row per vertex set; rejects empty sets and bad vertices."""
-    members = [np.fromiter(x, dtype=np.int64) for x in sets]
-    if any(len(x) == 0 for x in members):
+    members = [x if isinstance(x, np.ndarray) else np.fromiter(x, dtype=np.int64) for x in sets]
+    lengths = [len(x) for x in members]
+    if 0 in lengths:
         raise ValueError("vertex set must be nonempty")
-    flat = np.concatenate(members) if members else np.empty(0, dtype=np.int64)
+    flat = (np.concatenate(members).astype(np.int64, copy=False) if members
+            else np.empty(0, dtype=np.int64))
     if len(flat) and (flat.min() < 0 or flat.max() >= g.n):
         raise ValueError("vertex out of range")
-    indptr = np.cumsum([0] + [len(x) for x in members])
+    indptr = np.cumsum([0] + lengths)
     return sp.csr_matrix((np.ones(len(flat), dtype=bool), flat, indptr),
                          shape=(len(members), g.n))
 
@@ -252,7 +255,8 @@ def _expand(g: SparseGraph, ell: int, sets=None, distance: bool = False,
     sources = sp.identity(g.n, dtype=bool, format="csr") if sets is None else _source_rows(g, sets)
     sizes = np.zeros((sources.shape[0], ell + 1), dtype=np.int64)
     if tangle:
-        adj = g.to_csr()
+        # int32, so the bool frontier's product counts rim neighbours past int8.
+        adj = g.to_csr().astype(np.int32)
         deg = np.diff(g.indptr)
     reach = ell + 1 if tangle else ell
     n = max(g.n, 1)
@@ -268,7 +272,7 @@ def _expand(g: SparseGraph, ell: int, sets=None, distance: bool = False,
         if distance:
             lasts.append(last)
         if tangle:
-            rim = (last.astype(np.int32) @ adj).multiply(fronts[-2] + last).sum(axis=1)
+            rim = (last @ adj).multiply(fronts[-2] + last).sum(axis=1)
             twice = sum(f @ deg for f in fronts[:-1]) + np.asarray(rim).ravel()
             excess = twice // 2 - sizes[lo:hi].sum(axis=1) + 1
             offenders.extend((np.nonzero(excess > 1)[0] + lo).tolist())
@@ -292,30 +296,27 @@ def distance_matrix(g: SparseGraph, ell: int) -> SparseSymMatrix:
     return _expand(g, ell, distance=True)[0]
 
 
-def path_expansion_matrix(g: SparseGraph, ell: int, cap: int = 2) -> SparseSymMatrix:
-    """Counts of self-avoiding paths of length exactly ell, saturated at cap.
+def _path_ends(g: SparseGraph, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """int32 ``(first, last)`` of every self-avoiding path of length ell with
+    first < last, one entry per path.
 
-    Exact enumeration level by level: paths of depth t are t+1 int32 vertex
-    columns, extended to each neighbour of the last vertex that differs from
-    all earlier columns; a block of paths is halved while its next level would
-    exceed ``_BLOCK_ENTRIES``.  For small ell on sparse graphs.  Pairs whose
-    raw count exceeds ``cap`` are clamped and reported, in (v, w) order, via
-    a :class:`CapSaturated` warning (they indicate tangles).
+    Paths of depth t are t+1 int32 vertex columns, extended level by level
+    to each neighbour of the last vertex that differs from all earlier
+    columns.  A block of paths is halved while its next level, counted as
+    t+2 int32 columns plus the int64 row and gather temporaries per path,
+    would take more than ``_BLOCK_ENTRIES`` bytes; a finished block keeps
+    only its endpoints.
     """
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    n, indptr, indices = g.n, g.indptr, g.indices.astype(np.int32)
+    indptr, indices = g.indptr, g.indices.astype(np.int32)
     deg = np.diff(indptr)
-    blocks: list[sp.csr_matrix] = []
-    todo = [[np.arange(n, dtype=np.int32)]]
+    firsts, lasts = [], []
+    todo = [[np.arange(g.n, dtype=np.int32)]]
     while todo:
         cols = todo.pop()
         last = cols[-1]
         reps = deg[last]
         size = int(reps.sum())
-        if size > _BLOCK_ENTRIES and len(last) > 1:
+        if size * (4 * len(cols) + 20) > _BLOCK_ENTRIES and len(last) > 1:
             todo += [[c[len(last) // 2:] for c in cols], [c[:len(last) // 2] for c in cols]]
             continue
         row = np.repeat(np.arange(len(last)), reps)
@@ -329,15 +330,37 @@ def path_expansion_matrix(g: SparseGraph, ell: int, cap: int = 2) -> SparseSymMa
             continue
         first = cols[0][row]
         up = first < nxt
-        blocks.append(sp.csr_matrix((np.ones(int(up.sum()), dtype=np.int64), (first[up], nxt[up])),
-                                    shape=(n, n)))
-    upper = sum(blocks[1:], blocks[0])
-    upper.sum_duplicates()
-    over = upper.data > cap
-    if over.any():
-        rows = np.repeat(np.arange(n), np.diff(upper.indptr))
-        warnings.warn(CapSaturated(zip(rows[over].tolist(), upper.indices[over].tolist())))
+        firsts.append(first[up])
+        lasts.append(nxt[up])
+    return np.concatenate(firsts), np.concatenate(lasts)
+
+
+def path_expansion_matrix(g: SparseGraph, ell: int, cap: int = 2) -> SparseSymMatrix:
+    """Counts of self-avoiding paths of length exactly ell, saturated at cap.
+
+    Enumerated in byte-bounded blocks by :func:`_path_ends`; the upper
+    triangle is assembled once from every path's endpoints, duplicates
+    summed as exact int64 counts.  For small ell on sparse graphs.  Pairs
+    whose raw count exceeds ``cap`` are clamped and reported, in (v, w)
+    order, via a :class:`CapSaturated` warning (they indicate tangles).
+    """
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    n = g.n
+    first, last = _path_ends(g, ell)
+    # The constructor sums duplicate pairs and sorts every row.
+    upper = sp.csr_matrix((np.ones(len(first), dtype=np.int64), (first, last)), shape=(n, n))
+    del first, last
+    over = np.flatnonzero(upper.data > cap)
+    if len(over):
+        rows = np.searchsorted(upper.indptr, over, side="right") - 1
+        warnings.warn(CapSaturated(zip(rows.tolist(), upper.indices[over].tolist())))
         upper.data[over] = cap
+    # Symmetrize in float64, the stored type, so no int64 full copy is formed.
+    upper = sp.csr_matrix((upper.data.astype(np.float64), upper.indices, upper.indptr),
+                          shape=(n, n))
     return SparseSymMatrix(n, ell, "path", upper + upper.T)
 
 

@@ -302,19 +302,22 @@ def _matched_depths(profile: SpectralProfile, phi: np.ndarray, mu: float, runs: 
                     seed: int, depth: int) -> tuple[list, list]:
     """Uncapped X at ``depth`` and ``depth - 1``, one simulation per root type.
 
-    Each simulation keeps only its last two generations, and only the X
-    values outlive it.
+    Each simulation keeps one generation between draws: X at ``depth - 1``
+    is read off as soon as that generation is drawn, and only the X values
+    outlive the simulation.
     """
     deep, shallow = [], []
     for i in range(profile.M.shape[0]):
         cfg = GwConfig(M=profile.M, root_law=i, depth=depth, runs=runs,
                        seed=derive_seed(seed, f"gw-root-{i}"))
         _, capped, generations = _branching(cfg)
-        before, last = deque(generations, maxlen=2)
-        ok = ~capped
-        deep.append(_rescaled(last, phi, mu, depth)[ok])
-        shallow.append(_rescaled(before, phi, mu, depth - 1)[ok])
-        del before, last  # not alive through the next root type's simulation
+        for t, Z in enumerate(generations):
+            if t == depth - 1:
+                before = _rescaled(Z, phi, mu, t)
+        ok = ~capped  # final only once the generations are exhausted
+        deep.append(_rescaled(Z, phi, mu, depth)[ok])
+        shallow.append(before[ok])
+        del before, Z  # not alive through the next root type's simulation
     return deep, shallow
 
 

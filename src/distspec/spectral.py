@@ -341,11 +341,13 @@ def delta_radius_check(
     dl = built if dl is None else dl
     bl = path_expansion_matrix(g, ell) if bl is None else bl
     delta = delta_matrix(bl, dl)
-    if delta.nnz == 0:
-        rho = 0.0
-    else:
+    del built, dl, bl  # the cycle-set expansion below runs without the matrices
+    rho = 0.0
+    if delta.nnz:
         pairs = top_eigenpairs(delta, g.n, k=1, seed=seed)
         rho = abs(pairs[0].value) if pairs else float("nan")
+        del pairs
+    del delta
     cycles = fundamental_cycles(g)
     cycle_bound = _qc_radius(_expand(g, ell, cycles)[2])
     log_bound = float(np.log(g.n) * alpha ** (ell / 2.0)) if g.n > 1 else 0.0

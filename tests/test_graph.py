@@ -1,4 +1,7 @@
+import functools
 import hashlib
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +162,68 @@ class TestPathExpansionMatrix:
         assert np.all(bl[dl > 0] >= 1)
 
 
+@functools.cache
+def _bench_graph(name):
+    """The certify benchmark's graph (n = 3000, seed 1) or a sweep graph
+    (n = 500, seeds 1 and 2), all with W = [[5, 1], [1, 5]]."""
+    n, seed = {"certify": (3000, 1), "sweep-1": (500, 1), "sweep-2": (500, 2)}[name]
+    return ds.sample_graph(small_params(n), seed).graph
+
+
+# SHA-256 of B^ell's stored CSR arrays (dtype, shape, raw bytes) and its
+# CapSaturated pair list at caps 1, 2 and 999; no count passes 999 on these
+# graphs, so cap 10^9 gives the cap-999 digest.
+_PATH_PINS = {
+    ("certify", 2): ("437bb059346280a8139a2e0b420a3112e76b26e2ce98840cdd62dc51305c9143",
+                     "a64b3d228b05da867fd424da20d1783ee9e65ab64252dfc9c342a322914edccb",
+                     "a64b3d228b05da867fd424da20d1783ee9e65ab64252dfc9c342a322914edccb"),
+    ("certify", 3): ("8f88ddfdb07e5882daf8cc0ddfceebb7cc283e4eaae7c9204b9e5f3c318b3963",
+                     "bdffb6c0c94060e7a52cfd304cf3c4279525c7fe30b0b68f8110ef573407ceb3",
+                     "bdffb6c0c94060e7a52cfd304cf3c4279525c7fe30b0b68f8110ef573407ceb3"),
+    ("certify", 4): ("7cb50a69bb341852b76d4bb2a0a42ae9bfc4cb1c7a2a75be8ff361b0e99e93db",
+                     "ab22badd848f59022ab9bca2f50dce2009522acb9895d8d5fb6c89c164b9168d",
+                     "9fec454a3e126ee57c330f75a0f7f8971826719e4848c4b705bf770b5922b84e"),
+    ("sweep-1", 4): ("46ba5fe861056e38e87e6f810ea921fb78321b90526dafd7dced32efd5580c48",
+                     "b34a5e2a3632b7d971ace9263d95ab7d2753cb02a61d4e2af97efa24a27bc19e",
+                     "2ca85a3dcad7721398f220beda51b9d040d456cd7932a20abe6bd6806e14fcae"),
+    ("sweep-2", 4): ("eab10c4c12cbc91049d4171ad8e60250ae8218412daa70c22303e1b869c67e1a",
+                     "65e1fe78ce7c32da19b2f3c4d937b36f54cf0e704d8846b804081cdff792ddee",
+                     "3e50fb28d977df823b3ab30f229412cb39591f8b8e0041b70834ef45e6bb1653"),
+}
+
+
+class TestPathMatrixLayout:
+    @pytest.mark.parametrize("name, ell", list(_PATH_PINS))
+    @pytest.mark.parametrize("cap", [1, 2, 999, 10**9])
+    def test_layout_and_saturated_pairs_are_pinned(self, name, ell, cap):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            full = ds.path_expansion_matrix(_bench_graph(name), ell, cap=cap)._full
+        h = hashlib.sha256()
+        for arr in (full.indptr, full.indices, full.data):
+            h.update(f"{arr.dtype.str} {arr.shape}".encode())
+            h.update(np.ascontiguousarray(arr).tobytes())
+        h.update(repr([w.message.pairs for w in caught
+                       if isinstance(w.message, CapSaturated)]).encode())
+        assert h.hexdigest() == _PATH_PINS[name, ell][min(cap, 3) - 1]
+
+    def test_peak_memory_stays_near_the_matrix(self):
+        # One assembly from int32 endpoints in byte-sized blocks; an int64
+        # CSR per block, summed at the end, peaked at 4.8x the result.
+        g = _bench_graph("certify")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CapSaturated)
+            ds.path_expansion_matrix(g, 4)  # first-call allocations are not the build's
+            tracemalloc.start()
+            try:
+                full = ds.path_expansion_matrix(g, 4)._full
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        held = full.data.nbytes + full.indices.nbytes + full.indptr.nbytes
+        assert peak <= 2.5 * held, (peak, held)
+
+
 class TestDeltaMatrix:
     def test_tree_is_zero(self, path_graph):
         delta = ds.delta_matrix(ds.path_expansion_matrix(path_graph, 2),
@@ -204,6 +269,12 @@ class TestTangleFree:
         for ell in (1, 3, 5):
             ok, _ = ds.tangle_free_check(cyc, ell)
             assert ok
+
+    def test_rim_counts_pass_int8(self):
+        # K_{2,200}: from a leaf at ell = 2 each hub has 199 neighbours on
+        # the rim, a count an int8 product wraps; every ball holds 199 cycles.
+        g = ds.SparseGraph.from_edges(202, [(h, 2 + i) for h in (0, 1) for i in range(200)])
+        assert ds.tangle_free_check(g, 2) == (False, list(range(202)))
 
     def test_tangle_free_implies_small_counts(self):
         # On a certified graph the path counts stay at most 2 and the
