@@ -207,17 +207,18 @@ class RogueCertificate:
 
 
 def _common_sphere_candidates(g: SparseGraph, dl: SparseSymMatrix, gamma: int,
-                              hub_candidates: np.ndarray, limit: int = 25):
+                              hub_candidates: np.ndarray):
     """Candidate (k_set, shell) pairs built around hubs, read off ``dl = D^ell``.
 
-    The set is gamma neighbors of a hub, the shell the vertices outside it
+    The set is gamma neighbors of a hub (one of the first 25 candidates of
+    degree at least gamma), the shell the vertices outside it
     at distance exactly ell from every member; every set-to-shell pair then
     sits at distance exactly ell, so the certificate's closed form is
     attained in the unedited graph.  Column j of ``D^ell`` times the 0/1
     indicator block of all tried sets counts, per vertex, the members of
     set j at distance ell; the shell is where that count reaches gamma.
     """
-    hubs = hub_candidates[np.diff(g.indptr)[hub_candidates] >= gamma][:limit]
+    hubs = hub_candidates[np.diff(g.indptr)[hub_candidates] >= gamma][:25]
     if not len(hubs):
         raise GreedyExhausted(gamma, 0, f"no candidate hub has degree >= {gamma}")
     k_sets = [g.neighbors(hub)[:gamma].astype(np.int64) for hub in hubs]

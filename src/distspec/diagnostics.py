@@ -72,7 +72,7 @@ def local_moment_report(
         alignment[k] = abs(float(np.dot(eigenpairs[k].vector, nk))) / denom if denom else 0.0
 
     rho_ref = float("nan")
-    if profile.uniform_pi and profile.tau > 1.0:
+    if profile.params.uniform_pi and profile.tau > 1.0:
         rho_ref = 1.0 / (r * (profile.tau - 1.0))
     return LocalMomentReport(
         diag_raw=diag_raw,

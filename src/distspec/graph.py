@@ -55,9 +55,14 @@ class SparseGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "SparseGraph":
-        """Build from an edge list; validates no self-loops or duplicates."""
+        """Build from an edge list of (u, v) rows; validates their shape and
+        that there are no self-loops or duplicates."""
         arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
-                         dtype=np.int64).reshape(-1, 2)
+                         dtype=np.int64)
+        if arr.shape == (0,):
+            arr = arr.reshape(0, 2)
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise ValueError(f"edges must be (u, v) rows, got an array of shape {arr.shape}")
         if arr.size:
             if (arr < 0).any() or (arr >= n).any():
                 raise ValueError("edge endpoint out of range")

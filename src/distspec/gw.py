@@ -19,7 +19,7 @@ from typing import Iterator, Optional, Union
 import numpy as np
 
 from .model import SpectralProfile
-from .util import derive_seed, make_rng
+from .util import derive_seed, is_int, make_rng
 
 DEFAULT_CAP = 10**7
 
@@ -54,7 +54,11 @@ class GwConfig:
             raise ValueError("need depth >= 0 and runs >= 1")
         if self.cap < 1:
             raise ValueError("cap must be >= 1: a smaller cap freezes every run")
-        if not isinstance(self.root_law, (int, np.integer)):
+        if is_int(self.root_law):
+            if not 0 <= self.root_law < M.shape[0]:
+                raise ValueError(f"root type must lie in 0..{M.shape[0] - 1}, "
+                                 f"got {self.root_law}")
+        else:  # a law; a bool lands here and fails as one
             law = np.asarray(self.root_law, dtype=float)
             if law.shape != (M.shape[0],) or (law < 0).any() or abs(law.sum() - 1) > 1e-12:
                 raise ValueError("root law must be a probability vector over types")
@@ -237,7 +241,7 @@ def moment_closed_forms(
     c2 = m2 - phi**2
     var_sum = float(c2.sum())
     sqmean_sum = float(m2.sum())
-    if profile.uniform_pi and profile.degree_regular:
+    if profile.params.uniform_pi and profile.degree_regular:
         tau_mu = mu**2 / alpha
         expect_var = 1.0 / (tau_mu - 1.0)
         expect_sq = tau_mu / (tau_mu - 1.0)

@@ -101,10 +101,6 @@ class SpectralProfile:
         the second pair below threshold: ``min(max(r0, 2), n)``."""
         return min(max(self.r0, 2), n)
 
-    @property
-    def uniform_pi(self) -> bool:
-        return self.params.uniform_pi
-
 
 @dataclass(frozen=True, eq=False)
 class TypedGraphSample:
@@ -274,8 +270,7 @@ def sample_to_json(sample: TypedGraphSample, params: SbmParams) -> dict:
 
 def sample_from_json(doc: dict) -> TypedGraphSample:
     n = int(doc["n"])
-    edges = np.asarray(doc["edges"], dtype=np.int64).reshape(-1, 2)
-    graph = SparseGraph.from_edges(n, edges)
+    graph = SparseGraph.from_edges(n, doc["edges"])
     sigma = np.asarray(doc["types"], dtype=np.int64)
     r = int(doc["r"])
     if ((sigma < 0) | (sigma >= r)).any():

@@ -14,7 +14,6 @@ of the distance matrix are read off.
 
 from __future__ import annotations
 
-import hashlib
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -78,6 +77,8 @@ class SeparationReport:
 MatvecLike = Union[Callable[[np.ndarray], np.ndarray], SparseSymMatrix]
 
 _DENSE_BELOW = 64  # operators with fewer rows are solved densely
+_TOL = 1e-8  # a returned pair's residual stays below _TOL * max(1, |lambda|)
+_MAX_MATVECS = 5000  # operator applications one call may spend
 _SCREEN_TOL = 1e-2  # ARPACK tolerance of the multiplicity check's screening run
 
 
@@ -91,28 +92,21 @@ def _as_matvec(op: MatvecLike) -> Callable[[np.ndarray], np.ndarray]:
     return op
 
 
-def _opposite_tie(value: float, kth_value: float, tol: float) -> bool:
+def _opposite_tie(value: float, kth_value: float) -> bool:
     """``value`` has the sign opposite to the k-th pair's and its modulus
-    within ``tol * max(1, |lambda_k|)``."""
+    within ``_TOL * max(1, |lambda_k|)``."""
     return bool(value * kth_value < 0
-                and abs(abs(value) - abs(kth_value)) <= tol * max(1.0, abs(kth_value)))
+                and abs(abs(value) - abs(kth_value)) <= _TOL * max(1.0, abs(kth_value)))
 
 
-def top_eigenpairs(
-    op: MatvecLike,
-    n: int,
-    k: int,
-    tol: float = 1e-8,
-    max_iter: int = 5000,
-    seed: int = 0,
-) -> list[EigenPair]:
+def top_eigenpairs(op: MatvecLike, n: int, k: int, seed: int = 0) -> list[EigenPair]:
     """Top-k eigenpairs by absolute value of a symmetric operator.
 
     ARPACK (``eigsh``, ``which="LM"``) from a starting vector drawn from
     ``make_rng(seed)``, then the multiplicity check: the operator is
     deflated by every vector found, ``(I - V V^T) A (I - V V^T)``, and
     solved for its top pair; a pair beating the k-th by modulus by more
-    than ``tol * max(1, |lambda_k|)`` is merged and the check repeats.
+    than ``_TOL * max(1, |lambda_k|)`` is merged and the check repeats.
     One Krylov run returns an arbitrary member of a +-lambda tie, so a
     pair of the sign opposite to the k-th's, tied with it by modulus
     within that tolerance, is merged too, the check stops, and it is
@@ -125,19 +119,16 @@ def top_eigenpairs(
     so if that run converged with ``|theta| + r`` below the tie band
     (``|lambda_k|`` less the tolerance), the check stops; like the tight
     run's own stop, this trusts the run to have found the top of the
-    deflated spectrum.  Otherwise the check
-    runs at ``tol / 10`` from the same start vector, reading back the
-    screen's products (ARPACK's first factorization does not depend on
-    tol).  The random stream is unchanged and every pair returned comes
-    from a tight run, so wherever the screen stops a check the tight run
-    would stop, the output is bit for bit that of the unscreened check.
-    The first run, with no vector found,
-    applies the operator bare (projecting out nothing subtracts zero, so
-    no bit changes).  Operators under 64 rows, or with ``k >= n - 1``,
-    go to dense ``eigh``.  ``k`` must be nonnegative and ``tol`` finite
-    and nonnegative.  ``max_iter`` bounds the
-    matvecs; when it runs out a :class:`NoConvergence` warning is issued
-    and the pairs converged by then are returned.  Results are
+    deflated spectrum.  Otherwise the check runs again at ``_TOL / 10``
+    from the same start vector.  The random stream is unchanged and every
+    pair returned comes from a tight run, so wherever the screen stops a
+    check the tight run would stop, the output is bit for bit that of the
+    unscreened check.  The first run, with no vector found, applies the
+    operator bare (projecting out nothing subtracts zero, so no bit
+    changes).  Operators under 64 rows, or with ``k >= n - 1``, go to
+    dense ``eigh``.  ``k`` must be nonnegative.  ``_MAX_MATVECS`` bounds
+    the matvecs; when it runs out a :class:`NoConvergence` warning is
+    issued and the pairs converged by then are returned.  Results are
     deterministic given the seed; eigenvector signs are canonicalized
     (first nonzero coordinate positive).
     """
@@ -148,8 +139,6 @@ def top_eigenpairs(
         raise DegenerateOperator("operator dimension must be positive")
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    if not 0 <= tol < np.inf:
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     matvec = _as_matvec(op)
     k = min(int(k), n)
     rng = make_rng(seed)
@@ -159,7 +148,7 @@ def top_eigenpairs(
     def deflated(x: np.ndarray) -> np.ndarray:
         """The operator with the vectors found so far projected out."""
         nonlocal used
-        if used >= max_iter:
+        if used >= _MAX_MATVECS:
             raise _BudgetSpent
         used += 1
         if not vecs.shape[1]:
@@ -167,29 +156,13 @@ def top_eigenpairs(
         y = matvec(x - vecs @ (vecs.T @ x))
         return y - vecs @ (vecs.T @ y)
 
-    def solve(count: int, v0: np.ndarray, run_tol: float,
-              tape: Optional[dict] = None) -> tuple[np.ndarray, np.ndarray, bool]:
+    def solve(count: int, v0: np.ndarray, run_tol: float) -> tuple[np.ndarray, np.ndarray, bool]:
         ncv = min(n, max(2 * count + 1, 20))
         # ARPACK spends ncv + 1 matvecs on its first factorization and at
         # most ncv - count per restart; stop it before the budget does.
-        restarts = max(1, (max_iter - used - ncv - 1) // (ncv - count))
-
-        def product(x: np.ndarray) -> np.ndarray:
-            # The first factorization does not depend on tol, so runs from one
-            # v0 share it: ``tape`` keeps its ncv + 1 products, keyed by input
-            # bytes, for the next run to read back.
-            if tape is None:
-                return deflated(x)
-            key = hashlib.blake2b(np.ascontiguousarray(x)).digest()
-            if key in tape:
-                return tape[key]
-            y = deflated(x)
-            if len(tape) <= ncv:
-                tape[key] = y
-            return y
-
+        restarts = max(1, (_MAX_MATVECS - used - ncv - 1) // (ncv - count))
         try:
-            w, u = eigsh(LinearOperator((n, n), matvec=product, dtype=np.float64), k=count,
+            w, u = eigsh(LinearOperator((n, n), matvec=deflated, dtype=np.float64), k=count,
                          which="LM", v0=v0, ncv=ncv, tol=run_tol, maxiter=restarts)
             return w, u, True
         except ArpackNoConvergence as exc:
@@ -202,20 +175,20 @@ def top_eigenpairs(
         elif k > 0:
             # ARPACK's stopping test bounds a residual estimate by tol * |value|;
             # a tenth of the allowance keeps the true residual inside it.
-            vals, vecs, complete = solve(k, rng.standard_normal(n), tol / 10)
+            vals, vecs, complete = solve(k, rng.standard_normal(n), _TOL / 10)
             while complete and vecs.shape[1] < n - 1:
                 kth_value = vals[np.argsort(np.abs(vals))[-k]]
                 kth = abs(kth_value)
-                slack = tol * max(1.0, kth)
-                v0, tape = rng.standard_normal(n), {}
-                w, u, screened = solve(1, v0, _SCREEN_TOL, tape)
+                slack = _TOL * max(1.0, kth)
+                v0 = rng.standard_normal(n)
+                w, u, screened = solve(1, v0, _SCREEN_TOL)
                 if screened and abs(w[0]) + np.linalg.norm(
                         deflated(u[:, 0]) - w[0] * u[:, 0]) < kth - slack:
                     break
-                w, u, complete = solve(1, v0, tol / 10, tape)
+                w, u, complete = solve(1, v0, _TOL / 10)
                 if not len(w):
                     break
-                tie = _opposite_tie(w[0], kth_value, tol)
+                tie = _opposite_tie(w[0], kth_value)
                 if abs(w[0]) <= kth + slack and not tie:
                     break
                 x = u[:, 0] - vecs @ (vecs.T @ u[:, 0])
@@ -227,7 +200,7 @@ def top_eigenpairs(
         complete = False
 
     order = sorted(range(len(vals)), key=lambda i: (-abs(vals[i]), -vals[i]))
-    tied = 0 < k < len(order) and _opposite_tie(vals[order[k]], vals[order[k - 1]], tol)
+    tied = 0 < k < len(order) and _opposite_tie(vals[order[k]], vals[order[k - 1]])
     order = order[:k + tied]
     pairs = []
     for i in order:

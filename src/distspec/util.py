@@ -1,4 +1,4 @@
-"""Shared RNG plumbing and vector sign convention.
+"""Shared RNG plumbing, vector sign convention and integer check.
 
 All randomness in the package flows through Philox4x64 counter-based
 generators keyed by explicit 64-bit seeds, so identical seeds reproduce
@@ -10,6 +10,7 @@ can be rerun in isolation.
 from __future__ import annotations
 
 import hashlib
+import numbers
 
 import numpy as np
 
@@ -30,6 +31,11 @@ def derive_seed(seed: int, label: str) -> int:
     """
     digest = hashlib.sha256(f"{label}:{int(seed) & _MASK64}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
+
+
+def is_int(x) -> bool:
+    """An integer of any integral type (NumPy's included), but not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def canonical_sign(vec: np.ndarray) -> np.ndarray:

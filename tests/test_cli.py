@@ -430,6 +430,40 @@ class TestGwCommand:
         assert rec["stderr"] == float(chk.stderr.max())
 
 
+class TestFlags:
+    """Each command declares the flags its cmd_* reads and no other, so a
+    flag it would ignore is a usage error instead."""
+
+    FLAGS = {
+        "generate": {"--config", "--seed", "--out"},
+        "detect": {"--config", "--seed", "--ell", "--kappa", "--out", "--csv"},
+        "perturb": {"--seed", "--gamma", "--out", "--perturbation-out"},
+        "sweep": {"--config", "--ell", "--kappa", "--gamma", "--out"},
+        "verify": set(),
+        "gw": {"--config", "--seed", "--out", "--runs"},
+    }
+    POSITIONAL = {"detect": ["g.json"], "perturb": ["g.json"], "verify": ["all"]}
+
+    @pytest.mark.parametrize("command", list(FLAGS))
+    def test_declared_flags(self, command, capsys):
+        (commands,) = [a for a in cli.build_parser()._actions if a.choices and a.dest == "command"]
+        declared = {opt for action in commands.choices[command]._actions
+                    for opt in action.option_strings if opt not in ("-h", "--help")}
+        assert declared == self.FLAGS[command]
+        for flag in set().union(*self.FLAGS.values()) - declared:
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, *self.POSITIONAL.get(command, []), flag, "5"])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+
+    def test_sweep_seed_is_a_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--config", str(write_config(tmp_path)), "--seed", "5",
+                      "--out", str(tmp_path / "s.csv")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "s.csv").exists()
+
+
 class TestReadme:
     """The README's config example loads and its CLI lines parse, so a removed
     flag or config key cannot linger there."""

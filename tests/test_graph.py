@@ -22,6 +22,15 @@ class TestSparseGraph:
         with pytest.raises(ValueError):
             ds.SparseGraph.from_edges(3, [(0, 5)])
 
+    @pytest.mark.parametrize("edges", [
+        [[0, 1, 1], [2, 3, 1]],            # weighted rows once read as (0,1), (1,2), (1,3)
+        [0, 1, 2, 3],                      # a flat list
+        np.array([[[0, 1], [2, 3]]]),      # one level too deep
+        [[0], [1]]])
+    def test_rows_other_than_pairs_are_rejected(self, edges):
+        with pytest.raises(ValueError, match=r"edges must be \(u, v\) rows"):
+            ds.SparseGraph.from_edges(4, edges)
+
     def test_adjacency_sorted_symmetric(self):
         g = ds.SparseGraph.from_edges(4, [(2, 1), (0, 3), (0, 1)])
         assert g.neighbors(1).tolist() == [0, 2]

@@ -92,6 +92,13 @@ class TestSimulate:
             ds.GwConfig(M=np.array([[3.0]]), root_law=0, cap=0)
         assert ds.GwConfig(M=np.array([[3.0]]), root_law=0, cap=1).cap == 1
 
+    @pytest.mark.parametrize("root_law", [-1, 2, np.int64(2), True])
+    def test_root_type_outside_the_types_is_rejected(self, root_law):
+        # At r = 2, -1 once rooted every run at type 1 and 2 failed inside the simulation.
+        with pytest.raises(ValueError, match="root type must lie in 0..1|probability vector"):
+            ds.GwConfig(M=np.eye(2), root_law=root_law)
+        assert ds.GwConfig(M=np.eye(2), root_law=1).root_vector().tolist() == [0.0, 1.0]
+
     def test_determinism(self):
         a = ds.simulate_population(single_type_cfg(seed=9))
         b = ds.simulate_population(single_type_cfg(seed=9))

@@ -185,6 +185,11 @@ class TestGraphJson:
         with pytest.raises(ValueError, match="types"):
             ds.sample_from_json(doc)
 
+    def test_rejects_weighted_edge_rows(self):
+        doc = {"n": 4, "r": 2, "seed": 0, "types": [0, 1, 0, 1], "edges": [[0, 1, 1], [2, 3, 1]]}
+        with pytest.raises(ValueError, match=r"edges must be \(u, v\) rows"):
+            ds.sample_from_json(doc)
+
 
 def full_coin_sweep(params, seed):
     """Reference sampler: one uniform for every ordered pair, drawn row-major

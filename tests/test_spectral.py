@@ -42,7 +42,7 @@ class TestTopEigenpairs:
     def test_residual_and_orthogonality(self):
         sample = ds.sample_graph(small_params(300), 4)
         dl = ds.distance_matrix(sample.graph, 3)
-        pairs = ds.top_eigenpairs(dl, 300, 5, tol=1e-8, seed=3)
+        pairs = ds.top_eigenpairs(dl, 300, 5, seed=3)
         for p in pairs:
             assert p.residual <= 1e-8 * max(1.0, abs(p.value))
             assert abs(np.linalg.norm(p.vector) - 1.0) <= 1e-10
@@ -79,11 +79,12 @@ class TestTopEigenpairs:
         assert [p.value for p in pairs] == pytest.approx([4.0, 4.0])
         assert abs(np.dot(pairs[0].vector, pairs[1].vector)) <= 1e-8
 
-    def test_no_convergence_warns_and_returns_partial(self):
+    def test_no_convergence_warns_and_returns_partial(self, monkeypatch):
         sample = ds.sample_graph(small_params(300), 4)
         dl = ds.distance_matrix(sample.graph, 3)
+        monkeypatch.setattr(spectral, "_MAX_MATVECS", 3)
         with pytest.warns(NoConvergence):
-            pairs = ds.top_eigenpairs(dl, 300, 6, max_iter=3, seed=1)
+            pairs = ds.top_eigenpairs(dl, 300, 6, seed=1)
         assert len(pairs) < 6
 
     def test_empty_operator_raises(self):
@@ -93,12 +94,6 @@ class TestTopEigenpairs:
     def test_negative_k_raises(self):
         with pytest.raises(ValueError, match="k must be nonnegative"):
             ds.top_eigenpairs(dense_op(np.eye(100)), 100, -1)
-
-    @pytest.mark.parametrize("tol", [-1e-8, float("nan")])
-    def test_negative_or_nan_tol_raises(self, tol):
-        # Either would spend the whole matvec budget: no residual is below it.
-        with pytest.raises(ValueError, match="tol must be"):
-            ds.top_eigenpairs(dense_op(np.eye(100)), 100, 3, tol=tol)
 
     @pytest.mark.parametrize("k", [4, 6])
     @pytest.mark.parametrize("ell", [1, 2, 3])
@@ -133,7 +128,7 @@ class TestMultiplicityScreen:
 
     def test_gap_is_settled_by_the_screen(self, tols):
         g = ds.sample_graph(small_params(500), 1).graph
-        ds.top_eigenpairs(ds.distance_matrix(g, 4), g.n, 4, tol=1e-8, seed=1)
+        ds.top_eigenpairs(ds.distance_matrix(g, 4), g.n, 4, seed=1)
         assert tols == [1e-9, spectral._SCREEN_TOL]
 
     @pytest.mark.parametrize("top, k, bulk", [
@@ -145,13 +140,9 @@ class TestMultiplicityScreen:
     ])
     def test_unsettled_screen_falls_back_and_matches_dense(self, tols, top, k, bulk):
         A = _explicit_spectrum(top, bulk, seed=0)
-        inputs = []
-        pairs = ds.top_eigenpairs(lambda x: inputs.append(x.tobytes()) or A @ x, len(A), k,
-                                  tol=1e-8, seed=0)
+        pairs = ds.top_eigenpairs(dense_op(A), len(A), k, seed=0)
         # The first run and one check that the screen handed over.
         assert tols.count(1e-9) == 2
-        # The tight run reads the screen's products back, not recomputing one.
-        assert len(set(inputs)) == len(inputs)
         dense = np.linalg.eigvalsh(A)
         dense = dense[np.argsort(-np.abs(dense))][:k]
         assert len(pairs) == k
