@@ -45,6 +45,7 @@ from .gw import (
 from .model import (
     InvalidKappa,
     SbmParams,
+    TypedGraphSample,
     choose_ell,
     derive_spectral_profile,
     sample_from_json,
@@ -172,6 +173,13 @@ def _load_graph(path: str) -> dict:
         return json.load(fh)
 
 
+def _write_json(path: str, doc, **dump) -> None:
+    """``doc`` as JSON (``json.dump`` with the ``dump`` options) and a newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, **dump)
+        fh.write("\n")
+
+
 def _timed(fn, *args, **kwargs):
     """``fn(*args, **kwargs)`` and its wall time in ms."""
     t0 = time.perf_counter()
@@ -183,11 +191,9 @@ def cmd_generate(args) -> int:
     config = _load_config(args.config)
     seed = args.seed if args.seed is not None else config.seeds[0]
     sample = sample_graph(config.params, seed)
-    doc = sample_to_json(sample, config.params)
+    doc = sample_to_json(sample, config.params.r)
     out = args.out or f"graph-{seed}.json"
-    with open(out, "w") as fh:
-        json.dump(doc, fh, separators=(",", ":"))
-        fh.write("\n")
+    _write_json(out, doc, separators=(",", ":"))
     print(f"wrote {out}: n={doc['n']} edges={len(doc['edges'])} seed={seed}")
     return 0
 
@@ -219,9 +225,7 @@ def cmd_detect(args) -> int:
         "lambdas": [float(v) for v in lambdas],
     }
     out = args.out or "assignment.json"
-    with open(out, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    _write_json(out, doc)
     if args.csv:
         _append_rows(args.csv, [record.to_csv_row()])
     print(f"overlap={ov.value:.4f} K={assignment.K_used:.4f} "
@@ -232,24 +236,14 @@ def cmd_detect(args) -> int:
 def cmd_perturb(args) -> int:
     source = _load_graph(args.graph)
     sample = sample_from_json(source)
-    gamma = int((args.gamma or [1])[0])
+    gamma = args.gamma
     seed = args.seed if args.seed is not None else sample.seed
     perturbed, p = plant_clique(sample.graph, gamma, derive_seed(seed, f"perturb:{gamma}"))
-    doc = {
-        "n": perturbed.n,
-        "r": int(source["r"]),
-        "seed": int(seed),
-        "types": [int(t) for t in sample.sigma],
-        "edges": [[int(u), int(v)] for u, v in perturbed.edge_array()],
-    }
     out = args.out or "perturbed.json"
-    with open(out, "w") as fh:
-        json.dump(doc, fh, separators=(",", ":"))
-        fh.write("\n")
+    _write_json(out, sample_to_json(TypedGraphSample(perturbed, sample.sigma, seed),
+                                    int(source["r"])), separators=(",", ":"))
     if args.perturbation_out:
-        with open(args.perturbation_out, "w") as fh:
-            json.dump(p.to_json(), fh)
-            fh.write("\n")
+        _write_json(args.perturbation_out, p.to_json())
     print(f"wrote {out}: gamma={gamma} added={len(p.added_edges)} "
           f"affected={len(p.affected)}")
     return 0
@@ -276,7 +270,7 @@ def cmd_sweep(args) -> int:
     config = _load_config(args.config)
     ell = _resolve_ell(args, config)
     profile = derive_spectral_profile(config.params)
-    gammas = tuple(args.gamma) if args.gamma else (config.gammas or (0,))
+    gammas = tuple(args.gamma or config.gammas or (0,))
     out = args.out or "sweep.csv"
     _append_rows(out, [], fresh=True)
     failures = rogue_failures = 0
@@ -361,40 +355,16 @@ def cmd_gw(args) -> int:
     cum = cumulant_relation_check(profile, phi, mu, order=2, runs=runs,
                                   seed=derive_seed(seed, "gw-cum"))
     tau_mu = mu**2 / profile.alpha
-    records = [
-        {
-            "statistic": "variance_sum",
-            "estimate": float(np.nansum(mart.per_type_var)),
-            "stderr": mart.stderr,
-            "closed_form": var_sum,
-            "residual": float(np.nansum(mart.per_type_var)) - var_sum,
-        },
-        {
-            "statistic": "mean",
-            "estimate": mart.mean,
-            "stderr": mart.stderr,
-            "closed_form": mart.expected_mean,
-            "residual": mart.mean - mart.expected_mean,
-        },
-        {
-            "statistic": "sqmean_sum_closed_form",
-            "estimate": sq_sum,
-            "stderr": 0.0,
-            "closed_form": tau_mu / (tau_mu - 1.0),
-            "residual": sq_sum - tau_mu / (tau_mu - 1.0),
-        },
-        {
-            "statistic": "cumulant_relation_order2",
-            "estimate": cum.residual_inf,
-            "stderr": float(cum.stderr.max()),
-            "closed_form": 0.0,
-            "residual": cum.residual_inf,
-        },
+    rows = [  # (statistic, estimate, stderr, closed_form)
+        ("variance_sum", float(np.nansum(mart.per_type_var)), mart.stderr, var_sum),
+        ("mean", mart.mean, mart.stderr, mart.expected_mean),
+        ("sqmean_sum_closed_form", sq_sum, 0.0, tau_mu / (tau_mu - 1.0)),
+        ("cumulant_relation_order2", cum.residual_inf, float(cum.stderr.max()), 0.0),
     ]
+    records = [{"statistic": name, "estimate": est, "stderr": se, "closed_form": form,
+                "residual": est - form} for name, est, se, form in rows]
     out = args.out or "gw-report.json"
-    with open(out, "w") as fh:
-        json.dump(records, fh, indent=2)
-        fh.write("\n")
+    _write_json(out, records, indent=2)
     for rec in records:
         print(f"{rec['statistic']}: estimate={rec['estimate']:.6f} "
               f"closed_form={rec['closed_form']:.6f} residual={rec['residual']:.2e}")
@@ -493,7 +463,7 @@ def _verify_oracles() -> list[tuple[str, bool, str]]:
     for n in (61, 100):  # the coins start off and on a Philox block boundary
         params = SbmParams(r=3, W=np.array([[150.0, 2, 0], [2, 4, 3], [0, 3, 9]]),
                            pi=np.array([0.5, 0.3, 0.2]), n=n)
-        ok &= all(sample_to_json(sample_graph(params, s), params) == _oracle_coin_sweep(params, s)
+        ok &= all(sample_to_json(sample_graph(params, s), params.r) == _oracle_coin_sweep(params, s)
                   for s in range(7, 10))
     results = [("oracles.sampler_matches_coin_sweep", bool(ok),
                 "3 seeds x n in {61,100}, 3 blocks with clamped and zero entries")]
@@ -710,7 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed": dict(type=int, help="master 64-bit seed"),
         "--ell": dict(type=int, help="matrix depth override"),
         "--kappa": dict(type=float, help="depth exponent"),
-        "--gamma": dict(type=int, nargs="*", help="perturbation strengths"),
         "--out": dict(help="output path"),
     }
 
@@ -730,12 +699,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("perturb", help="plant a clique within a vertex budget")
     p.add_argument("graph", help="graph JSON")
-    add(p, "--seed", "--gamma", "--out")
+    add(p, "--seed", "--out")
+    p.add_argument("--gamma", type=int, default=1, help="clique size to plant")
     p.add_argument("--perturbation-out", help="write the edit list JSON here")
     p.set_defaults(func=cmd_perturb)
 
     p = sub.add_parser("sweep", help="seeds x gamma grid to CSV")
-    add(p, "--config", "--ell", "--kappa", "--gamma", "--out")
+    add(p, "--config", "--ell", "--kappa", "--out")
+    p.add_argument("--gamma", type=int, nargs="+", help="perturbation strengths")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run an invariant suite")
@@ -751,10 +722,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "perturb" and args.gamma and len(args.gamma) > 1:
-        parser.error("perturb plants one clique: give one --gamma value")
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -256,12 +256,13 @@ def choose_ell(
     return EllChoice(max(1, raw), False, clamped, kappa < 1.0 / 12.0)
 
 
-def sample_to_json(sample: TypedGraphSample, params: SbmParams) -> dict:
-    """Graph document: 0-based vertices, each edge listed once with u < v."""
+def sample_to_json(sample: TypedGraphSample, r: int) -> dict:
+    """Graph document of a sample from ``r`` blocks (``r`` is passed, as a block
+    may draw no vertex): 0-based vertices, each edge listed once with u < v."""
     edges = sample.graph.edge_array()
     return {
         "n": int(sample.graph.n),
-        "r": int(params.r),
+        "r": int(r),
         "seed": int(sample.seed),
         "types": [int(t) for t in sample.sigma],
         "edges": [[int(u), int(v)] for u, v in edges],

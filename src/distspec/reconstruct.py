@@ -157,7 +157,7 @@ def round_labels(pairs: Sequence[EigenPair], profile: SpectralProfile, ell: int,
     the closed form above threshold, else ``FALLBACK_K``."""
     n = len(pairs[0].vector)
     idx = _pick_second(pairs, float(profile.mu[1] ** ell))
-    report = replace(separation_report(pairs, profile, ell), chosen_second=idx)
+    report = separation_report(pairs, profile, ell)
     xi = normalize_for_algorithm(pairs[idx].vector, n)
     if profile.tau > 1.0:
         K = explicit_K(profile.params.r, profile.tau, profile.d)

@@ -71,7 +71,6 @@ class SeparationReport:
     bulk_ratio: float
     informative_ok: bool
     bulk_ok: bool
-    chosen_second: int = 1
 
 
 MatvecLike = Union[Callable[[np.ndarray], np.ndarray], SparseSymMatrix]
@@ -291,7 +290,6 @@ def delta_radius_check(
     ell: int,
     alpha: float,
     seed: int = 0,
-    dl: Optional[SparseSymMatrix] = None,
     bl: Optional[SparseSymMatrix] = None,
 ) -> DeltaRadiusReport:
     """Spectral radius of (path-counts minus distance-indicators) vs its bounds.
@@ -301,20 +299,17 @@ def delta_radius_check(
     (max over fundamental cycles of the exact small-matrix radius) and
     the log(n)-scaled growth bound.  Only feasible where the path
     matrix is (n up to a few thousand, small ell).  One vertex expansion
-    gives the tangle verdict and, when ``dl`` is not passed, ``D^ell``; a
-    passed ``dl`` or ``bl`` must be this graph's distance or path matrix
-    at depth ``ell``.  A second expansion gives the layer sizes of all
-    fundamental cycles, whose matrices are solved in one batch.
+    gives ``D^ell`` and the tangle verdict; a passed ``bl`` (say, one
+    built with another ``cap``) must be this graph's path matrix at depth
+    ``ell``.  A second expansion gives the layer sizes of all fundamental
+    cycles, whose matrices are solved in one batch.
     """
-    if dl is not None:
-        _require_built(dl, "dl", g, ell, "distance")
     if bl is not None:
         _require_built(bl, "bl", g, ell, "path")
-    built, offenders, _ = _expand(g, ell, distance=dl is None, tangle=True)
-    dl = built if dl is None else dl
+    dl, offenders, _ = _expand(g, ell, distance=True, tangle=True)
     bl = path_expansion_matrix(g, ell) if bl is None else bl
     delta = delta_matrix(bl, dl)
-    del built, dl, bl  # the cycle-set expansion below runs without the matrices
+    del dl, bl  # the cycle-set expansion below runs without the matrices
     rho = 0.0
     if delta.nnz:
         pairs = top_eigenpairs(delta, g.n, k=1, seed=seed)

@@ -133,7 +133,7 @@ def test_criterion_4_delta_radius_bounds():
         dl = ds.distance_matrix(sample.graph, 3)
         delta = ds.delta_matrix(bl, dl)
         dense_rho = float(np.abs(np.linalg.eigvalsh(delta.to_dense())).max())
-        rep = ds.delta_radius_check(sample.graph, 3, alpha=3.0, dl=dl, bl=bl)
+        rep = ds.delta_radius_check(sample.graph, 3, alpha=3.0, bl=bl)
         if abs(rep.rho - dense_rho) > 1e-6 * max(1.0, dense_rho):
             ok = False
         if dense_rho > 10 * np.log(500) * 3.0**1.5:

@@ -190,7 +190,7 @@ class TestDetect:
                                        3, seed=9)
         assert doc["labels"] == assignment.labels.tolist()
         assert doc["lambdas"] == report.lam[:4].tolist()
-        assert doc["source"] == assignment.source == report.chosen_second
+        assert doc["source"] == assignment.source
 
     def test_matrix_flag_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -278,6 +278,29 @@ class TestPerturb:
         assert cli.main(["perturb", str(graph), "--gamma", "3", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["r"] == 3
 
+    def test_writes_the_model_graph_document(self, tmp_path):
+        graph = tmp_path / "g.json"
+        cli.main(["generate", "--config", str(write_config(tmp_path)), "--seed", "1",
+                  "--out", str(graph)])
+        out = tmp_path / "gp.json"
+        assert cli.main(["perturb", str(graph), "--gamma", "5", "--seed", "9",
+                         "--out", str(out)]) == 0
+        sample = ds.sample_from_json(json.loads(graph.read_text()))
+        perturbed, _ = ds.plant_clique(sample.graph, 5, ds.derive_seed(9, "perturb:5"))
+        doc = ds.sample_to_json(ds.TypedGraphSample(perturbed, sample.sigma, 9), PARAMS["r"])
+        assert out.read_text() == json.dumps(doc, separators=(",", ":")) + "\n"
+
+    def test_empty_gamma_is_a_usage_error(self, tmp_path, capsys):
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps({"n": 6, "r": 2, "seed": 1, "types": [0, 1, 0, 1, 0, 1],
+                                     "edges": [[0, 1], [2, 3]]}))
+        out = tmp_path / "gp.json"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["perturb", str(graph), "--out", str(out), "--gamma"])
+        assert exc.value.code == 2
+        assert "--gamma: expected one argument" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_several_gammas_are_rejected(self, tmp_path, capsys):
         graph = tmp_path / "g.json"
         graph.write_text(json.dumps({"n": 6, "r": 2, "seed": 1, "types": [0, 1, 0, 1, 0, 1],
@@ -286,11 +309,20 @@ class TestPerturb:
         with pytest.raises(SystemExit) as exc:
             cli.main(["perturb", str(graph), "--gamma", "3", "5", "--out", str(out)])
         assert exc.value.code == 2
-        assert "one --gamma value" in capsys.readouterr().err
+        assert "unrecognized arguments: 5" in capsys.readouterr().err
         assert not out.exists()
 
 
 class TestSweep:
+    def test_empty_gamma_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--config", str(write_config(tmp_path, gammas=[0, 1])),
+                      "--out", str(out), "--gamma"])
+        assert exc.value.code == 2
+        assert "--gamma: expected at least one argument" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_gamma_grid_gives_baseline_rows(self, tmp_path):
         cfg = write_config(tmp_path, gammas=[])
         out = tmp_path / "sweep.csv"
@@ -429,6 +461,15 @@ class TestGwCommand:
                                          seed=ds.derive_seed(3, "gw-cum"))
         assert rec["stderr"] == float(chk.stderr.max())
 
+    def test_residual_is_estimate_minus_closed_form(self, tmp_path):
+        out = tmp_path / "gw.json"
+        assert cli.main(["gw", "--config", str(write_config(tmp_path)), "--runs", "2000",
+                         "--out", str(out)]) == 0
+        records = json.loads(out.read_text())
+        assert len(records) == 4
+        for rec in records:
+            assert rec["residual"] == rec["estimate"] - rec["closed_form"]
+
 
 class TestFlags:
     """Each command declares the flags its cmd_* reads and no other, so a
@@ -490,3 +531,12 @@ class TestReadme:
                        for t in tokens]
             for argv in itertools.product(*choices):
                 parser.parse_args(argv)
+
+    def test_flag_table_matches_the_parser(self):
+        rows = re.findall(r"^\| `(\w+)[^`]*` \| (.*) \|$", README.read_text(), re.M)
+        table = {command: set() if flags == "none" else set(flags.strip("`").split())
+                 for command, flags in rows}
+        (commands,) = [a for a in cli.build_parser()._actions if a.choices and a.dest == "command"]
+        assert table == {command: {opt for action in p._actions for opt in action.option_strings
+                                   if opt not in ("-h", "--help")}
+                         for command, p in commands.choices.items()}

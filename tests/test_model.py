@@ -172,7 +172,7 @@ class TestGraphJson:
     def test_round_trip(self, two_type_params):
         params = small_params(50)
         sample = ds.sample_graph(params, 9)
-        doc = ds.sample_to_json(sample, params)
+        doc = ds.sample_to_json(sample, params.r)
         assert set(doc) == {"n", "r", "seed", "types", "edges"}
         assert all(u < v for u, v in doc["edges"])
         back = ds.sample_from_json(json.loads(json.dumps(doc)))
