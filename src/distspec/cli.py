@@ -115,37 +115,6 @@ class ExperimentConfig:
             return cls.from_json(json.load(fh))
 
 
-@dataclass(eq=False)
-class ExperimentRecord:
-    seed: int
-    n: int
-    r: int
-    ell: int
-    gamma: int
-    overlap: float
-    lambdas: tuple = (float("nan"),) * 4
-    qk: Optional[float] = None
-    rogue_rayleigh: Optional[float] = None
-    ms_build: float = 0.0
-    ms_eig: float = 0.0
-    ms_label: float = 0.0
-
-    def to_csv_row(self) -> str:
-        lam = list(self.lambdas)[:4] + [float("nan")] * max(0, 4 - len(self.lambdas))
-
-        def num(x, places=6):
-            if x is None or (isinstance(x, float) and np.isnan(x)):
-                return ""
-            return f"{x:.{places}f}"
-
-        parts = [str(self.seed), str(self.n), str(self.r), str(self.ell),
-                 str(self.gamma), num(self.overlap)]
-        parts += [num(v) for v in lam]
-        parts += [num(self.qk), num(self.rogue_rayleigh),
-                  num(self.ms_build, 3), num(self.ms_eig, 3), num(self.ms_label, 3)]
-        return ",".join(parts)
-
-
 def _default_config() -> ExperimentConfig:
     params = SbmParams(r=2, W=np.array([[5.0, 1.0], [1.0, 5.0]]),
                        pi=np.array([0.5, 0.5]), n=2000)
@@ -180,6 +149,17 @@ def _write_json(path: str, doc, **dump) -> None:
         fh.write("\n")
 
 
+def _csv_row(seed, n, r, ell, gamma, overlap, lambdas, qk, rogue_rayleigh,
+             ms_build, ms_eig, ms_label) -> str:
+    """One CSV record in ``CSV_HEADER`` order.  The first four ``lambdas`` fill
+    lambda1..lambda4; missing ones and ``None`` values stay empty.  Values get
+    6 decimals, the ``ms_*`` columns 3."""
+    values = (overlap, *(list(lambdas) + [None] * 4)[:4], qk, rogue_rayleigh)
+    return ",".join([str(x) for x in (seed, n, r, ell, gamma)]
+                    + ["" if x is None else f"{x:.6f}" for x in values]
+                    + [f"{x:.3f}" for x in (ms_build, ms_eig, ms_label)])
+
+
 def _timed(fn, *args, **kwargs):
     """``fn(*args, **kwargs)`` and its wall time in ms."""
     t0 = time.perf_counter()
@@ -211,11 +191,6 @@ def cmd_detect(args) -> int:
 
     ov = overlap(sample.sigma, assignment.labels, config.params.pi)
     lambdas = tuple(p.value for p in pairs)  # the r0 solved: no bulk value
-    record = ExperimentRecord(
-        seed=seed, n=sample.graph.n, r=config.params.r, ell=ell, gamma=0,
-        overlap=ov.value, lambdas=lambdas,
-        ms_build=ms_build, ms_eig=ms_eig, ms_label=ms_label,
-    )
     doc = {
         "labels": [int(x) for x in assignment.labels],
         "overlap": ov.value,
@@ -227,7 +202,8 @@ def cmd_detect(args) -> int:
     out = args.out or "assignment.json"
     _write_json(out, doc)
     if args.csv:
-        _append_rows(args.csv, [record.to_csv_row()])
+        _append_row(args.csv, _csv_row(seed, sample.graph.n, config.params.r, ell, 0, ov.value,
+                                       lambdas, None, None, ms_build, ms_eig, ms_label))
     print(f"overlap={ov.value:.4f} K={assignment.K_used:.4f} "
           f"lambda={[round(v, 3) for v in lambdas]}")
     return 0
@@ -249,21 +225,13 @@ def cmd_perturb(args) -> int:
     return 0
 
 
-def _append_rows(path: str, rows: Sequence[str], fresh: bool = False) -> None:
-    mode = "w" if fresh else "a"
-    exists = False
-    if not fresh:
-        try:
-            with open(path) as fh:
-                exists = bool(fh.readline())
-        except FileNotFoundError:
-            exists = False
-    with open(path, mode) as fh:
-        if fresh or not exists:
+def _append_row(path: str, row: str) -> None:
+    """Append ``row`` to the CSV at ``path``, writing the version line and
+    the header first when the file is missing or empty."""
+    with open(path, "a") as fh:
+        if fh.tell() == 0:
             fh.write(CSV_VERSION + "\n" + CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(row + "\n")
-            fh.flush()
+        fh.write(row + "\n")
 
 
 def cmd_sweep(args) -> int:
@@ -272,26 +240,26 @@ def cmd_sweep(args) -> int:
     profile = derive_spectral_profile(config.params)
     gammas = tuple(args.gamma or config.gammas or (0,))
     out = args.out or "sweep.csv"
-    _append_rows(out, [], fresh=True)
     failures = rogue_failures = 0
-    for seed in config.seeds:
-        sample = sample_graph(config.params, seed)
-        # (D^ell, build ms) of the unedited graph, built on first use: the
-        # gamma = 0 row and every rogue certificate share it.
-        unedited = functools.cache(functools.partial(_timed, distance_matrix, sample.graph, ell))
-        for gamma in gammas:
-            try:
-                record, rogue_error = _sweep_row(config, profile, sample, unedited,
-                                                 ell, seed, gamma)
-            except Exception as exc:  # record and continue
-                failures += 1
-                _append_rows(out, [f"# ERROR seed={seed} gamma={gamma}: {exc}"])
-                continue
-            rows = [record.to_csv_row()]
-            if rogue_error is not None:
-                rogue_failures += 1
-                rows.append(f"# ROGUE seed={seed} gamma={gamma}: {rogue_error}")
-            _append_rows(out, rows)
+    with open(out, "w") as fh:
+        fh.write(CSV_VERSION + "\n" + CSV_HEADER + "\n")
+        for seed in config.seeds:
+            sample = sample_graph(config.params, seed)
+            # (D^ell, build ms) of the unedited graph, built on first use: the
+            # gamma = 0 row and every rogue certificate share it.
+            unedited = functools.cache(functools.partial(_timed, distance_matrix, sample.graph, ell))
+            for gamma in gammas:
+                try:
+                    row, rogue_error = _sweep_row(config, profile, sample, unedited,
+                                                  ell, seed, gamma)
+                except Exception as exc:  # record and continue
+                    failures += 1
+                    row, rogue_error = f"# ERROR seed={seed} gamma={gamma}: {exc}", None
+                if rogue_error is not None:
+                    rogue_failures += 1
+                    row += f"\n# ROGUE seed={seed} gamma={gamma}: {rogue_error}"
+                fh.write(row + "\n")
+                fh.flush()  # a finished row survives a crash in a later cell
     print(f"wrote {out}: {len(config.seeds)}x{len(gammas)} grid, "
           f"{failures} failure(s), {rogue_failures} rogue certificate(s) not built")
     return 0 if failures == 0 else 1
@@ -331,13 +299,8 @@ def _sweep_row(config, profile, sample, unedited, ell, seed, gamma):
             rogue_r = cert.rayleigh
         except GreedyExhausted as exc:
             rogue_error = str(exc)
-    record = ExperimentRecord(
-        seed=seed, n=sample.graph.n, r=config.params.r, ell=ell, gamma=gamma,
-        overlap=ov.value, lambdas=tuple(p.value for p in pairs[:4]),
-        qk=qk, rogue_rayleigh=rogue_r,
-        ms_build=ms_build, ms_eig=ms_eig, ms_label=ms_label,
-    )
-    return record, rogue_error
+    return _csv_row(seed, sample.graph.n, config.params.r, ell, gamma, ov.value,
+                    [p.value for p in pairs], qk, rogue_r, ms_build, ms_eig, ms_label), rogue_error
 
 
 def cmd_gw(args) -> int:
@@ -668,6 +631,14 @@ def cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
+def nonnegative_int(text: str) -> int:
+    """``--gamma``'s argparse type; argparse names it in its usage error."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="distspec",
@@ -700,13 +671,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("perturb", help="plant a clique within a vertex budget")
     p.add_argument("graph", help="graph JSON")
     add(p, "--seed", "--out")
-    p.add_argument("--gamma", type=int, default=1, help="clique size to plant")
+    p.add_argument("--gamma", type=nonnegative_int, default=1, help="clique size to plant")
     p.add_argument("--perturbation-out", help="write the edit list JSON here")
     p.set_defaults(func=cmd_perturb)
 
     p = sub.add_parser("sweep", help="seeds x gamma grid to CSV")
     add(p, "--config", "--ell", "--kappa", "--out")
-    p.add_argument("--gamma", type=int, nargs="+", help="perturbation strengths")
+    p.add_argument("--gamma", type=nonnegative_int, nargs="+", help="perturbation strengths")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run an invariant suite")

@@ -3,10 +3,10 @@
 A particle of type j leaves an independent Poisson(M[i, j]) number of
 type-i children, so the population vector evolves as
 Z_{t+1} ~ Poisson(M @ Z_t) componentwise.  For an eigenvalue mu of M with
-mu^2 > alpha and a matching left eigenvector phi, the rescaled projection
-mu^(-t) <phi, Z_t> is a martingale with an L2 limit; its per-root-type
-moments satisfy exact linear relations that are verified here both by
-closed-form solves and by Monte Carlo.
+mu^2 > rho(M), the spectral radius of M, and a matching left eigenvector
+phi, the rescaled projection mu^(-t) <phi, Z_t> is a martingale with an
+L2 limit; its per-root-type moments satisfy exact linear relations that
+are verified here both by closed-form solves and by Monte Carlo.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ DEFAULT_CAP = 10**7
 
 
 class SingularSystem(ValueError):
-    """The moment system needs mu^2 > alpha to be solvable."""
+    """The moment system needs mu^2 > rho(M) to be solvable."""
 
 
 class PopulationCapHit(UserWarning):
@@ -100,9 +100,7 @@ class MartingaleSample:
     variance: float
     stderr: float
     expected_mean: float
-    per_type_mean: np.ndarray
     per_type_var: np.ndarray
-    per_type_count: np.ndarray
     capped_runs: int
 
 
@@ -162,6 +160,14 @@ def simulate_population(cfg: GwConfig) -> PopulationSample:
                             cfg=cfg)
 
 
+def _check_supercritical(M: np.ndarray, mu: float) -> None:
+    """Raise :class:`SingularSystem` unless mu^2 > rho(M), the spectral radius of M,
+    which equals the mean column sum ``alpha`` on degree-regular models only."""
+    rho = float(np.max(np.abs(np.linalg.eigvals(M))))
+    if mu**2 <= rho:
+        raise SingularSystem(f"need mu^2 > rho(M), got mu^2 = {mu**2}, rho(M) = {rho}")
+
+
 def _rescaled(Z_t: np.ndarray, phi: np.ndarray, mu: float, t: int) -> np.ndarray:
     """mu^(-t) <phi, Z_t> per run of one (runs, r) generation."""
     return (Z_t @ np.asarray(phi, dtype=float)) / float(mu) ** t
@@ -179,15 +185,13 @@ def martingale_values(sample: PopulationSample, phi: np.ndarray, mu: float,
 def martingale_limit_check(cfg: GwConfig, phi: np.ndarray, mu: float) -> MartingaleSample:
     """Estimate the limit's mean and variance; the mean should match <phi, nu>.
 
-    Requires mu^2 > alpha (the largest eigenvalue of M) for the limit to
+    Requires mu^2 > rho(M) (the spectral radius of M) for the limit to
     carry finite variance.  Capped runs are excluded from the estimates,
     and at least 2 uncapped runs must remain.  Only the last generation
     is kept; X is what :func:`martingale_values` gives on
     :func:`simulate_population` of the same config.
     """
-    alpha = float(np.max(np.abs(np.linalg.eigvals(cfg.M))))
-    if mu**2 <= alpha:
-        raise SingularSystem(f"need mu^2 > alpha, got mu^2 = {mu**2}, alpha = {alpha}")
+    _check_supercritical(cfg.M, mu)
     root_types, capped, generations = _branching(cfg)
     (last,) = deque(generations, maxlen=1)
     phi = np.asarray(phi, dtype=float)
@@ -196,15 +200,10 @@ def martingale_limit_check(cfg: GwConfig, phi: np.ndarray, mu: float) -> Marting
     X = X_all[ok]
     if len(X) < 2:
         raise ValueError(f"need at least 2 uncapped runs for a variance, got {len(X)}")
-    r = cfg.r
-    per_mean = np.full(r, np.nan)
-    per_var = np.full(r, np.nan)
-    per_count = np.zeros(r, dtype=np.int64)
-    for i in range(r):
+    per_var = np.full(cfg.r, np.nan)
+    for i in range(cfg.r):
         mask = ok & (root_types == i)
-        per_count[i] = mask.sum()
-        if per_count[i] > 1:
-            per_mean[i] = X_all[mask].mean()
+        if mask.sum() > 1:
             per_var[i] = X_all[mask].var(ddof=1)
     return MartingaleSample(
         X=X,
@@ -212,9 +211,7 @@ def martingale_limit_check(cfg: GwConfig, phi: np.ndarray, mu: float) -> Marting
         variance=float(X.var(ddof=1)),
         stderr=float(X.std(ddof=1) / np.sqrt(len(X))),
         expected_mean=float(np.dot(phi, cfg.root_vector())),
-        per_type_mean=per_mean,
         per_type_var=per_var,
-        per_type_count=per_count,
         capped_runs=int(capped.sum()),
     )
 
@@ -232,9 +229,7 @@ def moment_closed_forms(
     tau_mu/(tau_mu - 1) with tau_mu = mu^2/alpha, which is asserted to 1e-9.
     """
     M = profile.M
-    alpha = profile.alpha
-    if mu**2 <= alpha:
-        raise SingularSystem(f"need mu^2 > alpha, got mu^2 = {mu**2}, alpha = {alpha}")
+    _check_supercritical(M, mu)
     phi = np.asarray(phi, dtype=float)
     A = np.eye(len(phi)) - np.ascontiguousarray(M.T) / mu**2
     m2 = np.linalg.solve(A, phi**2)
@@ -242,7 +237,7 @@ def moment_closed_forms(
     var_sum = float(c2.sum())
     sqmean_sum = float(m2.sum())
     if profile.params.uniform_pi and profile.degree_regular:
-        tau_mu = mu**2 / alpha
+        tau_mu = mu**2 / profile.alpha
         expect_var = 1.0 / (tau_mu - 1.0)
         expect_sq = tau_mu / (tau_mu - 1.0)
         if abs(var_sum - expect_var) > 1e-9 or abs(sqmean_sum - expect_sq) > 1e-9:
@@ -261,10 +256,9 @@ def finite_depth_second_moments(
     One generation of branching gives m2_t = phi^2 + (M^T / mu^2) m2_{t-1}
     with m2_0 = phi^2 (the depth-0 value is deterministic), which is what
     a depth-t simulation estimates; it converges to the closed-form limit
-    of :func:`moment_closed_forms` geometrically at rate alpha/mu^2.
+    of :func:`moment_closed_forms` geometrically at rate rho(M)/mu^2.
     """
-    if mu**2 <= profile.alpha:
-        raise SingularSystem("need mu^2 > alpha")
+    _check_supercritical(profile.M, mu)
     phi = np.asarray(phi, dtype=float)
     m2 = phi**2
     MT = profile.M.T / mu**2
@@ -350,9 +344,7 @@ def cumulant_relation_check(
     if depth < 1:
         raise ValueError("need depth >= 1")
     M = profile.M
-    alpha = profile.alpha
-    if mu**2 <= alpha:
-        raise SingularSystem(f"need mu^2 > alpha, got mu^2 = {mu**2}, alpha = {alpha}")
+    _check_supercritical(M, mu)
     r = M.shape[0]
     phi = np.asarray(phi, dtype=float)
     deep, shallow = _matched_depths(profile, phi, mu, runs, seed, depth)

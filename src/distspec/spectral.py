@@ -65,8 +65,6 @@ class SeparationReport:
     """
 
     lam: np.ndarray
-    mu_powers: np.ndarray
-    bulk_scale: float
     ratios: np.ndarray
     bulk_ratio: float
     informative_ok: bool
@@ -242,8 +240,6 @@ def separation_report(
     bulk_ok = bool(bulk_ratio <= float(np.log(n) ** 2))
     return SeparationReport(
         lam=lam,
-        mu_powers=mu_powers,
-        bulk_scale=bulk_scale,
         ratios=ratios,
         bulk_ratio=bulk_ratio,
         informative_ok=informative_ok,

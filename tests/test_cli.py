@@ -198,6 +198,18 @@ class TestDetect:
         assert exc.value.code == 2
         assert "unrecognized arguments: --matrix path" in capsys.readouterr().err
 
+    def test_csv_rows_append_under_one_header(self, tmp_path):
+        cfg = write_config(tmp_path)
+        graph = tmp_path / "g.json"
+        cli.main(["generate", "--config", str(cfg), "--seed", "1", "--out", str(graph)])
+        csv = tmp_path / "rows.csv"
+        csv.touch()  # an empty file gets the header too
+        for seed in ("3", "4"):
+            cli.main(["detect", str(graph), "--config", str(cfg), "--seed", seed,
+                      "--out", str(tmp_path / "a.json"), "--csv", str(csv)])
+        assert [row.split(",")[0] for row in read_rows(csv)] == ["3", "4"]
+        assert csv.read_text().count(cli.CSV_HEADER) == 1
+
     def test_same_seed_identical_rows(self, tmp_path):
         cfg = write_config(tmp_path)
         graph = tmp_path / "g.json"
@@ -312,6 +324,33 @@ class TestPerturb:
         assert "unrecognized arguments: 5" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_gamma_is_a_usage_error(self, tmp_path, capsys):
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps({"n": 6, "r": 2, "seed": 1, "types": [0, 1, 0, 1, 0, 1],
+                                     "edges": [[0, 1], [2, 3]]}))
+        out = tmp_path / "gp.json"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["perturb", str(graph), "--gamma", "-2", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --gamma: invalid nonnegative_int value: '-2'" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestCsvRow:
+    FIELDS = dict(seed=7, n=300, r=2, ell=3, gamma=0, overlap=0.25, qk=None,
+                  rogue_rayleigh=None, ms_build=1.5, ms_eig=2.25, ms_label=0.0625)
+
+    def test_none_and_missing_lambdas_are_empty(self):
+        row = cli._csv_row(**self.FIELDS, lambdas=[3.0, -1.5])
+        assert row == "7,300,2,3,0,0.250000,3.000000,-1.500000,,,,,1.500,2.250,0.062"
+        assert len(row.split(",")) == len(cli.CSV_HEADER.split(","))
+
+    def test_only_the_first_four_lambdas_are_written(self):
+        fields = dict(self.FIELDS, qk=41.8400144, rogue_rayleigh=6.75)
+        row = cli._csv_row(**fields, lambdas=[5.0, 4.0, 3.0, 2.0, 1.0])
+        assert row == ("7,300,2,3,0,0.250000,5.000000,4.000000,3.000000,2.000000,"
+                       "41.840014,6.750000,1.500,2.250,0.062")
+
 
 class TestSweep:
     def test_empty_gamma_is_a_usage_error(self, tmp_path, capsys):
@@ -322,6 +361,48 @@ class TestSweep:
         assert exc.value.code == 2
         assert "--gamma: expected at least one argument" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_gamma_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--config", str(write_config(tmp_path, gammas=[0, 1])),
+                      "--out", str(out), "--gamma", "0", "-2"])
+        assert exc.value.code == 2
+        assert "argument --gamma: invalid nonnegative_int value: '-2'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_opens_its_csv_once(self, tmp_path, monkeypatch):
+        out = tmp_path / "sweep.csv"
+        opened = []
+
+        def counted(path, *args, **kwargs):
+            opened.append(str(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", counted, raising=False)
+        cfg = write_config(tmp_path, gammas=[0, 2], seeds=[1, 2])
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert opened.count(str(out)) == 1
+        assert len(read_rows(out)) == 4
+
+    def test_a_finished_row_is_on_disk_when_a_later_cell_raises(self, tmp_path, monkeypatch):
+        out = tmp_path / "sweep.csv"
+        original, on_disk = cli._sweep_row, []
+
+        def interrupted(*args):
+            if on_disk:  # the second cell: read the file while the sweep holds it open
+                on_disk.append(out.read_text())
+                raise KeyboardInterrupt
+            on_disk.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(cli, "_sweep_row", interrupted)
+        cfg = write_config(tmp_path, gammas=[0, 2], seeds=[1])
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["sweep", "--config", str(cfg), "--out", str(out)])
+        lines = on_disk[1].splitlines()
+        assert lines[:2] == [cli.CSV_VERSION, cli.CSV_HEADER]
+        assert len(lines) == 3 and lines[2].startswith("1,300,2,3,0,")
 
     def test_empty_gamma_grid_gives_baseline_rows(self, tmp_path):
         cfg = write_config(tmp_path, gammas=[])
@@ -506,8 +587,9 @@ class TestFlags:
 
 
 class TestReadme:
-    """The README's config example loads and its CLI lines parse, so a removed
-    flag or config key cannot linger there."""
+    """The README's config example loads, its CLI lines parse and its CSV
+    header is the one written, so a removed flag, config key or column
+    cannot linger there."""
 
     @staticmethod
     def blocks(lang):
@@ -531,6 +613,12 @@ class TestReadme:
                        for t in tokens]
             for argv in itertools.product(*choices):
                 parser.parse_args(argv)
+
+    def test_csv_header_matches(self):
+        (header,) = re.findall(r"^`(seed,[\w.,]+)`", README.read_text(), re.M)
+        expanded = re.sub(r"([a-z]+)(\d+)\.\.\1(\d+)", lambda m: ",".join(
+            f"{m[1]}{i}" for i in range(int(m[2]), int(m[3]) + 1)), header)
+        assert expanded == cli.CSV_HEADER
 
     def test_flag_table_matches_the_parser(self):
         rows = re.findall(r"^\| `(\w+)[^`]*` \| (.*) \|$", README.read_text(), re.M)

@@ -198,6 +198,20 @@ class TestClosedForms:
         with pytest.raises(SingularSystem):
             ds.moment_closed_forms(prof, prof.phi[1], 1.0)
 
+    def test_irregular_model_between_alpha_and_spectral_radius_is_singular(self):
+        # alpha = 10.4 < mu2^2 = 10.712 < rho(M) = 11.073: second moments diverge
+        # with depth, so no closed form exists even though mu2^2 exceeds alpha.
+        prof = ds.derive_spectral_profile(ds.SbmParams(
+            r=2, W=np.array([[1.0, 13.0], [13.0, 18.0]]), pi=np.array([0.6, 0.4]), n=2000))
+        phi, mu = prof.phi[1], float(prof.mu[1])
+        assert prof.alpha < mu**2 < prof.mu[0]
+        with pytest.raises(SingularSystem):
+            ds.moment_closed_forms(prof, phi, mu)
+        with pytest.raises(SingularSystem):
+            ds.finite_depth_second_moments(prof, phi, mu, depth=50)
+        with pytest.raises(SingularSystem):
+            ds.cumulant_relation_check(prof, phi, mu, order=2, runs=100, seed=1)
+
     def test_finite_depth_converges_to_limit(self, two_type_profile):
         phi, mu = two_type_profile.phi[1], 2.0
         c2, m2, var_sum, _ = ds.moment_closed_forms(two_type_profile, phi, mu)
