@@ -115,10 +115,12 @@ class SparseSymMatrix:
     Entries are indicators or capped path counts, exact in float64.  The
     diagonal is structurally zero for every matrix built here (a
     positive-length path or distance needs two distinct endpoints).
-    ``upper`` derives the strictly upper triangle as an int64 CSR.
+    ``upper`` derives the strictly upper triangle as an int64 CSR.  The
+    weak-reference slot lets ``spectral`` remember a solved matrix's gap
+    for as long as the matrix lives.
     """
 
-    __slots__ = ("n", "ell", "kind", "_full")
+    __slots__ = ("n", "ell", "kind", "_full", "__weakref__")
 
     def __init__(self, n: int, ell: int, kind: str, full: sp.csr_matrix):
         self.n = int(n)

@@ -20,7 +20,8 @@ import numpy as np
 
 from .graph import SparseGraph, SparseSymMatrix, distance_matrix
 from .model import SpectralProfile
-from .spectral import EigenPair, SeparationReport, separation_report, top_eigenpairs
+from .spectral import EigenPair, SeparationReport, _opposite_tie, separation_report, \
+    top_eigenpairs
 from .util import canonical_sign, derive_seed, make_rng
 
 FALLBACK_K = 10.0  # used below threshold, where the closed form is undefined
@@ -126,15 +127,13 @@ def overlap(sigma: np.ndarray, sigma_hat: np.ndarray, pi: Sequence[float]) -> Ov
 
 
 def _pick_second(pairs: Sequence[EigenPair], mu2_power: float) -> int:
-    """Index of the signal eigenpair: second by modulus, ties resolved toward
-    the predicted signed power."""
+    """Index of the signal eigenpair: second by modulus, or its opposite-sign
+    partner where ``top_eigenpairs`` returned a +-lambda tie (its rule and
+    tolerance), whichever lies nearer the predicted signed power."""
     if len(pairs) < 2:
         return len(pairs) - 1
-    target = abs(pairs[1].value)
-    tol = 1e-9 * max(1.0, target)
-    group = [i for i in range(1, len(pairs)) if abs(abs(pairs[i].value) - target) <= tol]
-    if len(group) == 1:
-        return group[0]
+    group = [1] + [i for i in range(2, len(pairs))
+                   if _opposite_tie(pairs[i].value, pairs[1].value)]
     return min(group, key=lambda i: (abs(pairs[i].value - mu2_power), i))
 
 

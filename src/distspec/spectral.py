@@ -83,6 +83,31 @@ class _BudgetSpent(Exception):
     """The matvec budget ran out inside a solve."""
 
 
+# What the last passed screen on each matrix proved: its pairs by modulus and
+# the bound on everything outside their span.  A ``weakref.WeakKeyDictionary``,
+# so a record lives exactly as long as its matrix, made on first use so that
+# importing this module imports nothing more.
+_screened = None
+
+
+def _gap_known(record, vals: np.ndarray, vecs: np.ndarray) -> bool:
+    """A record of this matrix already shows that nothing outside the span of
+    the k pairs just found reaches the k-th by modulus less the tolerance:
+    they are the record's top k (values within it, every principal cosine
+    between the two spans at least 1 - 1e-6), and its other values and its
+    bound lie below that."""
+    rec_vals, rec_vecs, bound = record
+    k = len(vals)
+    if k > len(rec_vals):
+        return False
+    kth = float(np.abs(vals).min())
+    slack = _TOL * max(1.0, kth)
+    overlap = rec_vecs[:, :k].T @ vecs  # its singular values are the principal cosines
+    return bool(np.abs(np.sort(vals) - np.sort(rec_vals[:k])).max() <= slack
+                and np.linalg.eigvalsh(overlap.T @ overlap).min() >= (1 - 1e-6) ** 2
+                and max(bound, np.abs(rec_vals[k:]).max(initial=0.0)) < kth - slack)
+
+
 def _as_matvec(op: MatvecLike) -> Callable[[np.ndarray], np.ndarray]:
     if hasattr(op, "matvec"):
         return op.matvec
@@ -120,7 +145,17 @@ def top_eigenpairs(op: MatvecLike, n: int, k: int, seed: int = 0) -> list[EigenP
     from the same start vector.  The random stream is unchanged and every
     pair returned comes from a tight run, so wherever the screen stops a
     check the tight run would stop, the output is bit for bit that of the
-    unscreened check.  The first run, with no vector found, applies the
+    unscreened check.  A screen that stops the check on a
+    :class:`SparseSymMatrix` is remembered for as long as that matrix
+    lives: its pairs and the bound ``|theta| + r`` on everything outside
+    their span.  A later solve of the same object skips its checks when
+    the first run converged, k is at most the count remembered, the k
+    values match the remembered top k within the tolerance, their span
+    matches (every principal cosine at least 1 - 1e-6), and the bound and
+    the remembered values past k lie below the tie band.  The pairs
+    returned are still the first run's, so wherever a fresh solve's check
+    would stop (the record trusts its screen as the screen trusts its
+    run), they are bit for bit those of a fresh solve.  The first run, with no vector found, applies the
     operator bare (projecting out nothing subtracts zero, so no bit
     changes).  Operators under 64 rows, or with ``k >= n - 1``, go to
     dense ``eigh``.  ``k`` must be nonnegative.  ``_MAX_MATVECS`` bounds
@@ -131,6 +166,10 @@ def top_eigenpairs(op: MatvecLike, n: int, k: int, seed: int = 0) -> list[EigenP
     """
     # Imported here: at module level it adds about 0.15 s to importing distspec.
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+    global _screened
+    if _screened is None:
+        import weakref
+        _screened = weakref.WeakKeyDictionary()
 
     if n <= 0:
         raise DegenerateOperator("operator dimension must be positive")
@@ -173,14 +212,20 @@ def top_eigenpairs(op: MatvecLike, n: int, k: int, seed: int = 0) -> list[EigenP
             # ARPACK's stopping test bounds a residual estimate by tol * |value|;
             # a tenth of the allowance keeps the true residual inside it.
             vals, vecs, complete = solve(k, rng.standard_normal(n), _TOL / 10)
-            while complete and vecs.shape[1] < n - 1:
+            record = _screened.get(op) if isinstance(op, SparseSymMatrix) else None
+            settled = complete and record is not None and _gap_known(record, vals, vecs)
+            while not settled and complete and vecs.shape[1] < n - 1:
                 kth_value = vals[np.argsort(np.abs(vals))[-k]]
                 kth = abs(kth_value)
                 slack = _TOL * max(1.0, kth)
                 v0 = rng.standard_normal(n)
                 w, u, screened = solve(1, v0, _SCREEN_TOL)
-                if screened and abs(w[0]) + np.linalg.norm(
-                        deflated(u[:, 0]) - w[0] * u[:, 0]) < kth - slack:
+                bound = abs(w[0]) + np.linalg.norm(deflated(u[:, 0]) - w[0] * u[:, 0]) \
+                    if screened else np.inf
+                if bound < kth - slack:
+                    if isinstance(op, SparseSymMatrix):
+                        by_modulus = np.argsort(-np.abs(vals), kind="stable")
+                        _screened[op] = (vals[by_modulus], vecs[:, by_modulus], float(bound))
                     break
                 w, u, complete = solve(1, v0, _TOL / 10)
                 if not len(w):

@@ -88,3 +88,15 @@ def simple_path_count_oracle(g: ds.SparseGraph, ell: int) -> np.ndarray:
             if len(path) - 1 == ell:
                 counts[u, path[-1]] += 1
     return counts
+
+
+@pytest.fixture
+def tols(monkeypatch):
+    """The ``tol`` of every ARPACK run, in order."""
+    import scipy.sparse.linalg
+
+    seen = []
+    eigsh = scipy.sparse.linalg.eigsh
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
+                        lambda *args, **kw: seen.append(kw["tol"]) or eigsh(*args, **kw))
+    return seen

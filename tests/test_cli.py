@@ -258,6 +258,21 @@ class TestSolveSizes:
         # gamma = 0: CSV, labels; gamma = 2: CSV, labels, rogue certificate.
         assert ks == [4, 2, 4, 2, 2]
 
+    def test_benchmark_sweep_reuses_each_matrixs_screen(self, tmp_path, ks, tols):
+        # The benchmark's sweep: n = 500, ell = 4, seeds 1-2, gammas 0/3/8/20
+        # with rogue certificates.  Each seed's k = 4 solve of the unedited
+        # D^ell settles its gap; the labels and the three certificates solve
+        # that same matrix again, and each edited matrix is solved twice.
+        cfg = write_config(tmp_path, params={**PARAMS, "n": 500}, ell=4, seeds=[1, 2],
+                           gammas=[0, 3, 8, 20], rogue=True)
+        out = tmp_path / "s.csv"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(read_rows(out)) == 8
+        assert ks == 2 * [4, 2, 4, 2, 2, 4, 2, 2, 4, 2, 2]  # 22 solves per 8 rows
+        # A screen on the first solve of each of the 8 matrices: 22 first runs
+        # and 8 screens, where the parent ran a screen in all 22 solves (44).
+        assert len(tols) == 30 and tols.count(ds.spectral._SCREEN_TOL) == 8
+
     def test_certify_solves_are_unchanged(self, ks):
         sample = ds.sample_graph(cli._default_config().params, 1)
         profile = ds.derive_spectral_profile(cli._default_config().params)
@@ -512,6 +527,7 @@ class TestVerify:
         assert "PASS spectra.multiplicity_matches_dense" in out
         assert "PASS spectra.multiplicity_screen_near_ties" in out
         assert "PASS spectra.opposite_sign_tie_returned" in out
+        assert "PASS spectra.repeat_solve_settled" in out
         assert "FAIL" not in out
 
 
@@ -541,6 +557,18 @@ class TestGwCommand:
                                          order=2, runs=20000,
                                          seed=ds.derive_seed(3, "gw-cum"))
         assert rec["stderr"] == float(chk.stderr.max())
+
+    def test_skew_model_writes_no_uniform_prior_identity(self, tmp_path):
+        # tau_mu / (tau_mu - 1) is the sum of second moments only under a
+        # uniform prior with equal column sums; on this model the exact solve
+        # gives 2.556 and the identity 3.238.
+        cfg = write_config(tmp_path, params={"r": 2, "W": [[8, 1], [1, 5]],
+                                             "pi": [0.3, 0.7], "n": 300})
+        out = tmp_path / "gw.json"
+        assert cli.main(["gw", "--config", str(cfg), "--runs", "2000",
+                         "--out", str(out)]) == 0
+        names = [rec["statistic"] for rec in json.loads(out.read_text())]
+        assert names == ["variance_sum", "mean", "cumulant_relation_order2"]
 
     def test_residual_is_estimate_minus_closed_form(self, tmp_path):
         out = tmp_path / "gw.json"

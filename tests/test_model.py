@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 from unittest import mock
 
@@ -290,3 +291,109 @@ class TestSamplerStream:
         # SHA-256 of (sigma, indptr, indices) with dtypes: any change to the
         # sampler's RNG stream fails here and needs a sampler version bump.
         assert stream_digest(ds.sample_graph(small_params(n, W=W), seed)) == digest
+
+
+class TestSamplerLaw:
+    """The sampled graph follows its law: given the types, the pair {u, v}
+    is an edge independently with probability p = min(W[a, b] / n, 1).
+
+    Each test pools four fixed seeds and compares a statistic with its exact
+    law given the types.  The thresholds put each test's false-alarm rate
+    below 1e-4 under the normal approximation (|z| <= 4.5 on each of at most
+    six block pairs; the chi-square at its 1e-5 upper quantile for each
+    type), so a failure means the sampler left the law: a 5 % error in p or
+    an endpoint bias of a few per cent toward low ids fails them."""
+
+    SEEDS = (1, 2, 3, 4)
+    MODELS = {  # three blocks with an empty one; a complete block, W / n >= 1
+        "sparse": ds.SbmParams(r=3, W=np.array([[60.0, 20.0, 0.0], [20.0, 40.0, 10.0],
+                                                [0.0, 10.0, 30.0]]),
+                               pi=np.array([0.4, 0.3, 0.3]), n=3000),
+        "clamped": ds.SbmParams(r=2, W=np.array([[900.0, 30.0], [30.0, 50.0]]),
+                                pi=np.array([0.2, 0.8]), n=600),
+    }
+
+    @pytest.fixture(scope="class", params=sorted(MODELS))
+    def samples(self, request):
+        params = self.MODELS[request.param]
+        return params, [ds.sample_graph(params, seed) for seed in self.SEEDS]
+
+    @staticmethod
+    def block_pairs(params, sample):
+        """Per block pair a <= b: (a, b, its pair count N, p, the block
+        sizes, and its edges as the (E, 2) ranks of their endpoints within
+        their blocks)."""
+        sigma, n = sample.sigma, params.n
+        rank = np.empty(n, dtype=np.int64)
+        sizes = np.bincount(sigma, minlength=params.r)
+        for a in range(params.r):
+            rank[sigma == a] = np.arange(sizes[a])
+        edges = sample.graph.edge_array()
+        ends = np.sort(sigma[edges], axis=1)
+        for a, b in itertools.combinations_with_replacement(range(params.r), 2):
+            N = sizes[a] * (sizes[a] - 1) // 2 if a == b else sizes[a] * sizes[b]
+            p = min(params.W[a, b] / n, 1.0)
+            mine = edges[(ends[:, 0] == a) & (ends[:, 1] == b)]
+            yield a, b, N, p, sizes, rank[mine]
+
+    def test_block_pair_edge_counts_are_binomial(self, samples):
+        params, drawn = samples
+        total = {}
+        for sample in drawn:
+            for a, b, N, p, _, ranks in self.block_pairs(params, sample):
+                count, mean, var = total.get((a, b), (0, 0.0, 0.0))
+                total[a, b] = (count + len(ranks), mean + N * p, var + N * p * (1 - p))
+        for (a, b), (count, mean, var) in total.items():
+            if var == 0:  # p = 0 or a complete block, clamped from p >= 1
+                assert count == mean, (a, b)
+            else:
+                assert abs(count - mean) <= 4.5 * np.sqrt(var), (a, b, count, mean)
+
+    def test_endpoints_are_uniform_within_blocks(self, samples):
+        # Given its edge count E, a block pair's edge set is a uniform E-subset
+        # of its N pairs, so the mean over edges of the endpoints' rank sum
+        # is that of a sample drawn without replacement from all N pairs.
+        params, drawn = samples
+        total = {}
+        for sample in drawn:
+            for a, b, N, p, sizes, ranks in self.block_pairs(params, sample):
+                E = len(ranks)
+                if E == 0 or E == N:
+                    continue
+                if a == b:  # two distinct ranks of one block
+                    s2 = (sizes[a] ** 2 - 1) / 12
+                    mean, var = sizes[a] - 1.0, 2 * s2 * (sizes[a] - 2) / (sizes[a] - 1)
+                else:
+                    mean = (sizes[a] - 1) / 2 + (sizes[b] - 1) / 2
+                    var = (sizes[a] ** 2 - 1) / 12 + (sizes[b] ** 2 - 1) / 12
+                dev, v = total.get((a, b), (0.0, 0.0))
+                total[a, b] = (dev + ranks.sum() - E * mean, v + E * var * (N - E) / (N - 1))
+        assert total
+        for (a, b), (dev, var) in total.items():
+            assert abs(dev) <= 4.5 * np.sqrt(var), (a, b, dev / np.sqrt(var))
+
+    def test_degrees_follow_the_sum_of_binomials(self, samples):
+        # A type-a vertex has Binomial(n_b - [a = b], p_ab) neighbours in each
+        # block b.  Degrees are pooled over the seeds into about 20 bins of
+        # near-equal probability under the first seed's law.
+        from scipy import stats
+
+        params, drawn = samples
+        for a in range(params.r):
+            cuts, observed, expected = None, 0, 0
+            for sample in drawn:
+                sizes = np.bincount(sample.sigma, minlength=params.r)
+                pmf = np.ones(1)
+                for b in range(params.r):
+                    trials, p = sizes[b] - (a == b), min(params.W[a, b] / params.n, 1.0)
+                    pmf = np.convolve(pmf, stats.binom.pmf(np.arange(trials + 1), trials, p))
+                if cuts is None:
+                    cuts = np.unique(np.searchsorted(np.cumsum(pmf), np.linspace(0, 1, 21)[1:-1]))
+                degrees = np.diff(sample.graph.indptr)[sample.sigma == a]
+                observed = observed + np.bincount(np.searchsorted(cuts, degrees, side="right"),
+                                                  minlength=len(cuts) + 1)
+                expected = expected + sizes[a] * np.bincount(
+                    np.searchsorted(cuts, np.arange(len(pmf)), side="right"), weights=pmf,
+                    minlength=len(cuts) + 1)
+            chi2 = float(((observed - expected) ** 2 / expected).sum())
+            assert chi2 <= stats.chi2.isf(1e-5, len(cuts)), (a, chi2, len(cuts) + 1)

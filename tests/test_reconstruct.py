@@ -213,10 +213,20 @@ class TestDetect:
         # The solve asks for r0 = 2 pairs of Q diag(10, 5, -5, bulk) Q^T; one
         # Krylov run returns either of +-5, so the check must add the other
         # and the rounding take the one with the sign of mu2^ell.
-        A = _explicit_spectrum([10.0, 5.0, -5.0], 2.0, seed)
+        self.check_tie_rounding(-5.0, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_opposite_sign_near_tie_reaches_the_rounding(self, seed):
+        # -5(1 + 5e-9) ties 5 within the solver's tolerance, not within 1e-9:
+        # the -5 pair sorts first and the rounding must still group the two.
+        self.check_tie_rounding(-5.0 * (1 + 5e-9), seed)
+
+    @staticmethod
+    def check_tie_rounding(minus, seed):
+        A = _explicit_spectrum([10.0, 5.0, minus], 2.0, seed)
         profile = ds.derive_spectral_profile(small_params(len(A)))
         pairs = solve_pairs(lambda x: A @ x, len(A), profile, seed)
-        assert sorted(round(p.value, 9) for p in pairs) == [-5.0, 5.0, 10.0]
+        assert sorted(round(p.value, 9) for p in pairs) == [round(minus, 9), 5.0, 10.0]
         for mu2 in (5.0, -5.0):  # at ell = 1, mu2^ell = mu2
             signed = dataclasses.replace(profile, mu=np.array([10.0, mu2]))
             labels, _ = round_labels(pairs, signed, 1, seed)

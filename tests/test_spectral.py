@@ -1,3 +1,5 @@
+import copy
+import gc
 import hashlib
 
 import numpy as np
@@ -116,16 +118,6 @@ class TestMultiplicityScreen:
     screen that cannot show that nothing left beats the k-th pair hands
     over to the run at tol / 10."""
 
-    @pytest.fixture
-    def tols(self, monkeypatch):
-        import scipy.sparse.linalg
-
-        seen = []
-        eigsh = scipy.sparse.linalg.eigsh
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
-                            lambda *args, **kw: seen.append(kw["tol"]) or eigsh(*args, **kw))
-        return seen
-
     def test_gap_is_settled_by_the_screen(self, tols):
         g = ds.sample_graph(small_params(500), 1).graph
         ds.top_eigenpairs(ds.distance_matrix(g, 4), g.n, 4, seed=1)
@@ -189,6 +181,84 @@ def test_eigenpairs_are_pinned():
             h.update(np.ascontiguousarray(p.vector).tobytes())
     assert h.hexdigest() == (
         "72a2c1dca4ffc412c21e62b7ac6286b0167afede22f96e6331640e4e06ee8747")
+
+
+def _pair_bytes(pairs) -> list:
+    """Every value and residual as hex and every vector as raw bytes."""
+    return [(p.value.hex(), p.residual.hex(), p.vector.dtype.str, p.vector.tobytes())
+            for p in pairs]
+
+
+class TestRepeatSolve:
+    """A screen that settles a check on a ``SparseSymMatrix`` is remembered;
+    a later solve of the same object skips its checks only where that
+    record proves the gap, and returns the bytes of a fresh solve."""
+
+    def test_solve_after_a_larger_one_returns_the_bytes_of_a_fresh_one(self, tols):
+        skipped = []
+        for name, dl, k in _pinned_solves():
+            fresh = _pair_bytes(ds.top_eigenpairs(copy.copy(dl), dl.n, k, seed=1))
+            ds.top_eigenpairs(dl, dl.n, k + 2, seed=1)
+            tols.clear()
+            assert _pair_bytes(ds.top_eigenpairs(dl, dl.n, k, seed=1)) == fresh, name
+            if tols == [1e-9]:  # the first run alone
+                skipped.append(name)
+        # Every eigenvalue of the disjoint copies repeats, so no record shows a gap.
+        assert skipped == ["pipeline seed=1", "pipeline seed=2", "sweep ell=2", "sweep ell=4"]
+
+    def test_opposite_sign_near_tie_takes_the_full_check(self, tols):
+        A = _explicit_spectrum([10.0, 5.0, -5.0 * (1 + 5e-9)], 2.0, seed=0)
+        mat = graph.SparseSymMatrix(len(A), 1, "distance", sp.csr_matrix(A))
+        ds.top_eigenpairs(mat, mat.n, 4, seed=0)
+        assert mat in spectral._screened
+        tols.clear()
+        pairs = ds.top_eigenpairs(mat, mat.n, 2, seed=0)
+        assert spectral._SCREEN_TOL in tols
+        assert sorted(round(p.value, 6) for p in pairs) == [-5.0, 5.0, 10.0]
+
+    def test_disjoint_copies_take_the_full_check(self, tols):
+        union = _copies(3)
+        dl = ds.distance_matrix(union, 2)
+        ds.top_eigenpairs(dl, union.n, 6, seed=1)
+        tols.clear()
+        ds.top_eigenpairs(dl, union.n, 4, seed=1)
+        assert spectral._SCREEN_TOL in tols
+
+    def test_record_of_a_smaller_k_is_not_used(self, tols):
+        g = ds.sample_graph(small_params(500), 1).graph
+        dl = ds.distance_matrix(g, 4)
+        ds.top_eigenpairs(dl, g.n, 2, seed=1)
+        assert len(spectral._screened[dl][0]) == 2
+        tols.clear()
+        ds.top_eigenpairs(dl, g.n, 4, seed=1)
+        assert tols == [1e-9, spectral._SCREEN_TOL]
+
+    @pytest.mark.parametrize("tamper", [False, True])
+    def test_vectors_off_the_record_take_the_full_check(self, tols, tamper):
+        g = ds.sample_graph(small_params(500), 1).graph
+        dl = ds.distance_matrix(g, 4)
+        fresh = _pair_bytes(ds.top_eigenpairs(copy.copy(dl), g.n, 2, seed=2))
+        ds.top_eigenpairs(dl, g.n, 4, seed=1)
+        if tamper:  # the same values, recorded with vectors of another span
+            vals, vecs, bound = spectral._screened[dl]
+            spectral._screened[dl] = (vals, np.roll(vecs, 1, axis=0), bound)
+        tols.clear()
+        assert _pair_bytes(ds.top_eigenpairs(dl, g.n, 2, seed=2)) == fresh
+        assert tols == ([1e-9, spectral._SCREEN_TOL] if tamper else [1e-9])
+
+    def test_record_goes_with_its_matrix(self):
+        g = ds.sample_graph(small_params(500), 1).graph
+        dl = ds.distance_matrix(g, 4)
+        ds.top_eigenpairs(dl, g.n, 4, seed=1)
+        count = len(spectral._screened)
+        del dl
+        gc.collect()
+        assert len(spectral._screened) == count - 1
+
+    def test_plain_callables_are_not_recorded(self):
+        op = dense_op(_explicit_spectrum([10.0, 9.0], 2.0, seed=0))
+        ds.top_eigenpairs(op, 200, 2, seed=0)
+        assert op not in spectral._screened
 
 
 class TestSeparationReport:
