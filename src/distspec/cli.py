@@ -596,6 +596,14 @@ def _verify_bounds() -> list[tuple[str, bool, str]]:
     results.append(("bounds.delta_within_cycle_bound", ok,
                     f"rho={rep.rho:.3f} cycle_bound={rep.cycle_bound:.3f} "
                     f"tangle_free={rep.tangle_free}"))
+    # The pruned cycle bound against every fundamental cycle's layers by all-pairs BFS.
+    dist = _apsp(sample.graph)
+    radii = [qc_bound([len(t) for t in _oracle_set_layers(dist, cycle, 3)])[0]
+             for cycle in fundamental_cycles(sample.graph)]
+    want = max(radii, default=0.0)
+    results.append(("bounds.cycle_bound_matches_full_expansion", rep.cycle_bound == want,
+                    f"cycle_bound={rep.cycle_bound!r} all-pairs BFS={want!r} "
+                    f"over {len(radii)} cycles"))
     return results
 
 
@@ -667,6 +675,15 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
+def run_count(text: str) -> int:
+    """``gw --runs``'s argparse type: at least 3, the uncapped runs per root
+    type that the cumulant check needs."""
+    value = int(text)
+    if value < 3:
+        raise ValueError(text)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="distspec",
@@ -714,7 +731,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gw", help="branching-process moment checks")
     add(p, "--config", "--seed", "--out")
-    p.add_argument("--runs", type=int, default=10**5)
+    p.add_argument("--runs", type=run_count, default=10**5,
+                   help="branching runs per simulation (at least 3)")
     p.set_defaults(func=cmd_gw)
 
     return parser

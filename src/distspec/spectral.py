@@ -292,12 +292,73 @@ def separation_report(
     )
 
 
-def _qc_radius(shell_sizes: np.ndarray) -> float:
-    """Largest radius of the :func:`qc_bound` matrices of the rows of layer sizes."""
+def _qc_radii(shell_sizes: np.ndarray) -> np.ndarray:
+    """Radius of the :func:`qc_bound` matrix of each row of layer sizes, in
+    one batched ``eigvalsh`` (each matrix is solved on its own, so a row's
+    radius does not depend on the rows beside it)."""
     root = np.sqrt(shell_sizes)
     t = np.arange(root.shape[-1])
     Q = root[:, :, None] * root[:, None, :] * (t[:, None] + t[None, :] < len(t))
-    return float(np.abs(np.linalg.eigvalsh(Q)).max(initial=0.0))
+    return np.abs(np.linalg.eigvalsh(Q)).max(axis=-1, initial=0.0)
+
+
+def _qc_radius(shell_sizes: np.ndarray) -> float:
+    """Largest radius of the :func:`qc_bound` matrices of the rows of layer sizes."""
+    return float(_qc_radii(shell_sizes).max(initial=0.0))
+
+
+def _cycle_shell_bounds(g: SparseGraph, cycles: Sequence[np.ndarray], ell: int) -> np.ndarray:
+    """(C, ell+1) int64 upper bounds on the layer sizes S_t of each vertex set.
+
+    S_0 = |C|, and for t >= 1 S_t(C) <= min(n, sum of c_{t-1}(x->y) over
+    the edges x->y with x in C, y not in C), where c_s(e) counts the
+    non-backtracking walks of s steps that continue the directed edge e:
+    c_0 = 1 and c_{s+1}(x->y) = sum_{z in N(y)} c_s(y->z) - c_s(y->x).  A
+    vertex at distance t from C ends a geodesic whose first edge leaves C,
+    and a geodesic is a non-backtracking walk, so it is counted.  Each c_s
+    is clamped at n (the walks from one edge end at no more than n
+    vertices), which keeps it a bound and its integers small.  The cost is
+    O(m * ell) for the walk counts plus the members' degrees, with no
+    traversal; on a cycle with trees attached the bound is exact.  The sets
+    go in blocks whose members' edges take about ``_BLOCK_ENTRIES`` bytes,
+    counted as six int64 temporaries per edge (at least one set a block).
+    """
+    from .graph import _BLOCK_ENTRIES  # read at each call, as _expand reads it
+
+    n, indptr, dst = g.n, g.indptr, g.indices.astype(np.int64)
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    # Neighbour lists are sorted, so the edge keys are too; rev[e] is y->x for e = x->y.
+    rev = np.searchsorted(src * n + dst, dst * n + src)
+    walks = [np.ones(len(dst), dtype=np.int64)]
+    for _ in range(ell - 1):
+        total = np.concatenate([[0], np.cumsum(walks[-1])])
+        walks.append(np.minimum(n, (total[indptr[1:]] - total[indptr[:-1]])[dst] - walks[-1][rev]))
+    del src, rev
+    bounds = np.empty((len(cycles), ell + 1), dtype=np.int64)
+    bounds[:, 0] = [len(c) for c in cycles]
+    member_ends = np.cumsum(bounds[:, 0])
+    members = np.concatenate(cycles).astype(np.int64) if len(cycles) else np.empty(0, np.int64)
+    edge_ends = np.cumsum(indptr[members + 1] - indptr[members])[member_ends - 1]
+    lo = 0
+    while lo < len(cycles):
+        start = edge_ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(edge_ends, start + _BLOCK_ENTRIES // 48, side="right")))
+        # Every (set, member, edge) triple of the block, then the edges that leave their set.
+        mine = members[(member_ends[lo - 1] if lo else 0):member_ends[hi - 1]]
+        owner = np.repeat(np.arange(hi - lo), bounds[lo:hi, 0])
+        inside = np.sort(owner * n + mine)
+        deg = indptr[mine + 1] - indptr[mine]
+        edge = np.repeat(indptr[mine] - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())
+        owner = np.repeat(owner, deg)
+        key = owner * n + dst[edge]
+        leave = inside[np.minimum(np.searchsorted(inside, key), len(inside) - 1)] != key
+        edge, owner = edge[leave], owner[leave]
+        ends = np.searchsorted(owner, np.arange(hi - lo + 1))
+        for t in range(1, ell + 1):
+            total = np.concatenate([[0], np.cumsum(walks[t - 1][edge])])
+            bounds[lo:hi, t] = np.minimum(n, total[ends[1:]] - total[ends[:-1]])
+        lo = hi
+    return bounds
 
 
 def qc_bound(shell_sizes: Sequence[int]) -> tuple[float, float]:
@@ -342,8 +403,20 @@ def delta_radius_check(
     matrix is (n up to a few thousand, small ell).  One vertex expansion
     gives ``D^ell`` and the tangle verdict; a passed ``bl`` (say, one
     built with another ``cap``) must be this graph's path matrix at depth
-    ``ell``.  A second expansion gives the layer sizes of all fundamental
-    cycles, whose matrices are solved in one batch.
+    ``ell``.
+
+    The cycle bound expands only the cycles that can reach it.  Every
+    fundamental cycle's layer sizes are first bounded without a traversal
+    by :func:`_cycle_shell_bounds` (a vertex at distance t from the cycle
+    ends a geodesic that leaves it, and a geodesic is a non-backtracking
+    walk).  The entries sqrt(S_t S_u) of the :func:`qc_bound` matrix grow
+    with each S_t, so by Perron-Frobenius a cycle's radius from the
+    bounds is at least its exact radius.  The cycle of the largest bound
+    radius is expanded first; one more expansion takes every other cycle
+    whose bound radius reaches that exact radius (less 1e-9 of it, for
+    rounding).  The cycle bound is the largest exact radius among them,
+    which is the largest over all cycles, each matrix solved as in one
+    batch of all of them, so it is bit for bit the full expansion's.
     """
     if bl is not None:
         _require_built(bl, "bl", g, ell, "path")
@@ -358,7 +431,16 @@ def delta_radius_check(
         del pairs
     del delta
     cycles = fundamental_cycles(g)
-    cycle_bound = _qc_radius(_expand(g, ell, cycles)[2])
+    cycle_bound = 0.0
+    if cycles:
+        radii = _qc_radii(_cycle_shell_bounds(g, cycles, ell))
+        top = int(np.argmax(radii))
+        sizes = [_expand(g, ell, [cycles[top]])[2]]
+        rest = np.flatnonzero(radii >= _qc_radius(sizes[0]) * (1 - 1e-9))
+        rest = rest[rest != top]
+        if len(rest):
+            sizes.append(_expand(g, ell, [cycles[i] for i in rest])[2])
+        cycle_bound = _qc_radius(np.concatenate(sizes))
     log_bound = float(np.log(g.n) * alpha ** (ell / 2.0)) if g.n > 1 else 0.0
     return DeltaRadiusReport(rho=rho, cycle_bound=cycle_bound, log_bound=log_bound,
                              tangle_free=not offenders, n_cycles=len(cycles))

@@ -45,6 +45,23 @@ def strong_profile(strong_params):
     return ds.derive_spectral_profile(strong_params)
 
 
+def check_cycle_expansions(cycles, full_sizes, calls, cycle_bound):
+    """The expansion contract of ``delta_radius_check``.  ``calls`` holds the
+    ``sets`` argument of each ``_expand`` call in order (None for every
+    vertex), ``full_sizes`` the layer sizes of all ``cycles``: one vertex
+    expansion comes first, then set expansions only, no cycle is expanded
+    twice, and every cycle whose exact radius is the cycle bound is among
+    those expanded."""
+    from distspec.spectral import _qc_radii
+
+    assert calls[:1] == [None] and None not in calls[1:]
+    expanded = [tuple(c) for sets in calls[1:] for c in sets]
+    assert len(set(expanded)) == len(expanded)
+    radii = _qc_radii(full_sizes)
+    tight = {tuple(c) for c, radius in zip(cycles, radii) if radius == cycle_bound}
+    assert tight <= set(expanded) and bool(tight) == bool(len(cycles))
+
+
 def small_params(n, W=None, r=2):
     W = np.array([[5.0, 1.0], [1.0, 5.0]]) if W is None else np.asarray(W)
     return ds.SbmParams(r=r, W=W, pi=np.full(r, 1.0 / r), n=n)

@@ -513,7 +513,9 @@ class TestVerify:
 
     def test_bounds_suite_passes(self, capsys):
         assert cli.main(["verify", "bounds"]) == 0
-        assert "FAIL" not in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "PASS bounds.cycle_bound_matches_full_expansion" in out
+        assert "FAIL" not in out
 
     def test_gw_suite_checks_the_bootstrap(self, capsys):
         assert cli.main(["verify", "gw"]) == 0
@@ -532,6 +534,15 @@ class TestVerify:
 
 
 class TestGwCommand:
+    @pytest.mark.parametrize("runs", ["0", "1", "2"])
+    def test_too_few_runs_is_a_usage_error(self, tmp_path, capsys, runs):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gw", "--config", str(write_config(tmp_path)), "--runs", runs,
+                      "--out", str(tmp_path / "gw.json")])
+        assert exc.value.code == 2
+        assert f"argument --runs: invalid run_count value: '{runs}'" in capsys.readouterr().err
+        assert not (tmp_path / "gw.json").exists()
+
     def test_writes_records(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "gw.json"

@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import distspec as ds
@@ -18,7 +18,7 @@ import distspec.graph as graph
 import distspec.spectral as spectral
 from distspec.adversary import GreedyExhausted, _common_sphere_candidates
 from distspec.cli import _apsp, _oracle_path_counts, _oracle_set_layers, _oracle_tangle_offenders
-from conftest import apsp_distance_oracle, small_params
+from conftest import apsp_distance_oracle, check_cycle_expansions, small_params
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -156,6 +156,52 @@ def test_set_shell_matches_apsp(case, ell, block):
         assert ds.set_shell_sizes(g, x, ell).tolist() == [len(t) for t in layers]
 
 
+@st.composite
+def unicyclic_graphs(draw):
+    """A cycle on vertices 0..k-1 with trees attached, beside trees of its own
+    (a vertex with no parent starts one)."""
+    k = draw(st.integers(3, 6))
+    edges = [(v, (v + 1) % k) for v in range(k)]
+    n = k + draw(st.integers(0, 10))
+    for v in range(k, n):
+        parent = draw(st.integers(-1, v - 1))
+        if parent >= 0:
+            edges.append((parent, v))
+    return ds.SparseGraph.from_edges(n, edges)
+
+
+@SETTINGS
+@given(graphs(), st.integers(1, 5))
+# Two disjoint triangles: tied cycles, each bound exactly, must both be expanded.
+@example(ds.SparseGraph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]), 2)
+def test_cycle_shell_bounds_cover_the_exact_layers(g, ell):
+    cycles = ds.fundamental_cycles(g)
+    one_block = spectral._cycle_shell_bounds(g, cycles, ell)
+    calls, expand = [], graph._expand
+    with warnings.catch_warnings(), mock.patch.object(graph, "_BLOCK_ENTRIES", 16):
+        warnings.simplefilter("ignore", ds.CapSaturated)
+        bounds = spectral._cycle_shell_bounds(g, cycles, ell)  # one cycle a block
+        exact = expand(g, ell, cycles)[2]
+        with mock.patch.object(spectral, "_expand",
+                               lambda g, ell, sets=None, **kw: calls.append(sets)
+                               or expand(g, ell, sets, **kw)):
+            report = ds.delta_radius_check(g, ell, alpha=2.0)
+    assert bounds.shape == exact.shape == (len(cycles), ell + 1)
+    assert np.array_equal(bounds, one_block) and (bounds >= exact).all()
+    # Bit for bit the radius of the full cycle expansion.
+    assert report.cycle_bound.hex() == spectral._qc_radius(exact).hex()
+    assert report.n_cycles == len(cycles)
+    check_cycle_expansions(cycles, exact, calls, report.cycle_bound)
+
+
+@SETTINGS
+@given(unicyclic_graphs(), depths)
+def test_cycle_shell_bounds_are_exact_on_unicyclic_graphs(g, ell):
+    (cycle,) = ds.fundamental_cycles(g)
+    assert np.array_equal(spectral._cycle_shell_bounds(g, [cycle], ell),
+                          graph._expand(g, ell, [cycle])[2])
+
+
 def test_each_statistic_is_one_expansion(monkeypatch):
     params = small_params(300)
     sample = ds.sample_graph(params, 4)
@@ -171,14 +217,14 @@ def test_each_statistic_is_one_expansion(monkeypatch):
         ("qk_bound", lambda: ds.qk_bound(g, k_set, 3), ["sets"]),
         ("local_moment_report",
          lambda: ds.local_moment_report(g, sample.sigma, profile, 3, seed=2), ["vertices"]),
-        ("delta_radius_check", lambda: ds.delta_radius_check(g, 3, alpha=3.0, bl=bl),
-         ["vertices", "sets"]),
     ]
     calls = []
     expand = graph._expand
+    cycles = ds.fundamental_cycles(g)
+    full = expand(g, 3, cycles)[2]
 
     def counted(g, ell, sets=None, **kwargs):
-        calls.append("vertices" if sets is None else "sets")
+        calls.append(sets)
         return expand(g, ell, sets, **kwargs)
 
     for module in (graph, spectral):
@@ -186,7 +232,11 @@ def test_each_statistic_is_one_expansion(monkeypatch):
     for name, run, want in cases:
         calls.clear()
         run()
-        assert calls == want, name
+        assert ["vertices" if sets is None else "sets" for sets in calls] == want, name
+    # delta_radius_check: one vertex expansion, then the cycles that can reach its bound.
+    calls.clear()
+    report = ds.delta_radius_check(g, 3, alpha=3.0, bl=bl)
+    check_cycle_expansions(cycles, full, calls, report.cycle_bound)
 
 
 @SETTINGS

@@ -14,7 +14,7 @@ import distspec.spectral as spectral
 from distspec.cli import _explicit_spectrum
 from distspec.spectral import DegenerateOperator, NoConvergence
 
-from conftest import small_params
+from conftest import check_cycle_expansions, small_params
 
 
 def dense_op(A):
@@ -359,15 +359,19 @@ class TestDeltaRadius:
                 monkeypatch.setattr(module, name, forbidden, raising=False)
         calls = []
         expand = graph._expand
+        cycles = ds.fundamental_cycles(g)
+        full = expand(g, 3, cycles)[2]
 
         def counted(g, ell, sets=None, **kwargs):
-            calls.append("vertices" if sets is None else "sets")
+            calls.append(sets)
             return expand(g, ell, sets, **kwargs)
 
         for module in (graph, spectral):
             monkeypatch.setattr(module, "_expand", counted)
         got = ds.delta_radius_check(g, 3, alpha=3.0, bl=bl)
-        assert calls == ["vertices", "sets"]  # one vertex expansion, then the cycles
+        # One vertex expansion, then only the cycles that can reach the bound.
+        check_cycle_expansions(cycles, full, calls, got.cycle_bound)
+        assert len(calls) > 1 and sum(map(len, calls[1:])) < len(cycles)
         assert vars(got) == vars(want)
 
     @pytest.mark.parametrize("kind", ["cyclic", "forest"])
