@@ -21,7 +21,7 @@ profile = ds.derive_spectral_profile(params)
 print("Mean progeny matrix M = diag(pi) W:")
 print(profile.M)
 print(f"eigenvalues mu = {profile.mu}")
-print(f"mean degree alpha = {profile.alpha}")
+print(f"growth rate alpha = rho(M) = {profile.alpha} (the mean degree here)")
 print(f"signal-to-noise ratio tau = mu2^2/mu1 = {profile.tau:.4f}")
 print(f"informative eigenvalue count r0 = {profile.r0} "
       f"(recovery is possible when r0 > 1: {profile.above_threshold})")

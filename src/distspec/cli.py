@@ -592,10 +592,11 @@ def _verify_bounds() -> list[tuple[str, bool, str]]:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # saturation is expected on tangled samples
         rep = delta_radius_check(sample.graph, 3, alpha=3.0)
-    ok = (not rep.tangle_free) or rep.rho <= rep.cycle_bound + 1e-9
+    tangle_free = tangle_free_check(sample.graph, 3)[0]
+    ok = (not tangle_free) or rep.rho <= rep.cycle_bound + 1e-9
     results.append(("bounds.delta_within_cycle_bound", ok,
                     f"rho={rep.rho:.3f} cycle_bound={rep.cycle_bound:.3f} "
-                    f"tangle_free={rep.tangle_free}"))
+                    f"tangle_free={tangle_free}"))
     # The pruned cycle bound against every fundamental cycle's layers by all-pairs BFS.
     dist = _apsp(sample.graph)
     radii = [qc_bound([len(t) for t in _oracle_set_layers(dist, cycle, 3)])[0]

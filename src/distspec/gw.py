@@ -161,8 +161,8 @@ def simulate_population(cfg: GwConfig) -> PopulationSample:
 
 
 def _check_supercritical(M: np.ndarray, mu: float) -> None:
-    """Raise :class:`SingularSystem` unless mu^2 > rho(M), the spectral radius of M,
-    which equals the mean column sum ``alpha`` on degree-regular models only."""
+    """Raise :class:`SingularSystem` unless mu^2 > rho(M), the spectral radius of M
+    (the profile's ``alpha``, up to rounding)."""
     rho = float(np.max(np.abs(np.linalg.eigvals(M))))
     if mu**2 <= rho:
         raise SingularSystem(f"need mu^2 > rho(M), got mu^2 = {mu**2}, rho(M) = {rho}")

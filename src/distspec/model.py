@@ -79,6 +79,8 @@ class SpectralProfile:
     value); ``phi`` holds the matching normed left eigenvectors as rows.
     ``r0`` counts the informative eigenvalues (``mu_k^2 > mu_1``), ``d``
     the multiplicity of ``|mu_2|``, ``tau`` the signal-to-noise ratio.
+    ``alpha`` is rho(M) = ``mu[0]``, the growth rate of balls; on a
+    degree-regular model it is the mean column sum, which is exact there.
     """
 
     params: SbmParams
@@ -155,8 +157,8 @@ def derive_spectral_profile(params: SbmParams) -> SpectralProfile:
         )
 
     column_sums = M.sum(axis=0)
-    alpha = float(column_sums.mean())
-    degree_regular = bool(np.max(np.abs(column_sums - alpha)) <= _TOL_REG)
+    degree_regular = bool(np.max(np.abs(column_sums - column_sums.mean())) <= _TOL_REG)
+    alpha = float(column_sums.mean() if degree_regular else mu[0])
 
     tau = float(mu[1] ** 2 / mu[0])
     r0 = int(np.sum(mu**2 > mu[0]))
@@ -236,7 +238,7 @@ def choose_ell(
     kappa: float = 1.0 / 13.0,
     override: Optional[int] = None,
 ) -> EllChoice:
-    """Depth ell ~ kappa * log_alpha(n), clamped to at least 1.
+    """Depth ell ~ kappa * log_alpha(n), alpha = rho(M), clamped to at least 1.
 
     ``override`` short-circuits the formula (recorded in the flags);
     ``kappa_in_regime`` records whether kappa sits strictly below 1/12,

@@ -264,7 +264,7 @@ def separation_report(
 
     Informative eigenvalues should track mu_k^ell within a factor of 10;
     everything below the informative range should stay under
-    log(n)^2 * alpha^(ell/2), where n is the eigenvectors' length.
+    log(n)^2 * alpha^(ell/2), alpha = rho(M), where n is the eigenvectors' length.
     """
     lam = np.array([p.value for p in pairs])
     n = len(pairs[0].vector) if pairs else 1
@@ -383,7 +383,6 @@ class DeltaRadiusReport:
     rho: float
     cycle_bound: float
     log_bound: float
-    tangle_free: bool
     n_cycles: int
 
 
@@ -401,9 +400,8 @@ def delta_radius_check(
     (max over fundamental cycles of the exact small-matrix radius) and
     the log(n)-scaled growth bound.  Only feasible where the path
     matrix is (n up to a few thousand, small ell).  One vertex expansion
-    gives ``D^ell`` and the tangle verdict; a passed ``bl`` (say, one
-    built with another ``cap``) must be this graph's path matrix at depth
-    ``ell``.
+    gives ``D^ell``; a passed ``bl`` (say, one built with another ``cap``)
+    must be this graph's path matrix at depth ``ell``.
 
     The cycle bound expands only the cycles that can reach it.  Every
     fundamental cycle's layer sizes are first bounded without a traversal
@@ -420,7 +418,7 @@ def delta_radius_check(
     """
     if bl is not None:
         _require_built(bl, "bl", g, ell, "path")
-    dl, offenders, _ = _expand(g, ell, distance=True, tangle=True)
+    dl = _expand(g, ell, distance=True)[0]
     bl = path_expansion_matrix(g, ell) if bl is None else bl
     delta = delta_matrix(bl, dl)
     del dl, bl  # the cycle-set expansion below runs without the matrices
@@ -442,5 +440,4 @@ def delta_radius_check(
             sizes.append(_expand(g, ell, [cycles[i] for i in rest])[2])
         cycle_bound = _qc_radius(np.concatenate(sizes))
     log_bound = float(np.log(g.n) * alpha ** (ell / 2.0)) if g.n > 1 else 0.0
-    return DeltaRadiusReport(rho=rho, cycle_bound=cycle_bound, log_bound=log_bound,
-                             tangle_free=not offenders, n_cycles=len(cycles))
+    return DeltaRadiusReport(rho, cycle_bound, log_bound, n_cycles=len(cycles))

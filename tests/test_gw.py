@@ -204,7 +204,7 @@ class TestClosedForms:
         prof = ds.derive_spectral_profile(ds.SbmParams(
             r=2, W=np.array([[1.0, 13.0], [13.0, 18.0]]), pi=np.array([0.6, 0.4]), n=2000))
         phi, mu = prof.phi[1], float(prof.mu[1])
-        assert prof.alpha < mu**2 < prof.mu[0]
+        assert prof.column_sums.mean() < mu**2 < prof.mu[0]
         with pytest.raises(SingularSystem):
             ds.moment_closed_forms(prof, phi, mu)
         with pytest.raises(SingularSystem):

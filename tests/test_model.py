@@ -155,14 +155,34 @@ class TestChooseEll:
         with pytest.raises(InvalidKappa):
             ds.choose_ell(two_type_profile, 1000, kappa=0.0)
 
-    @pytest.mark.parametrize("W", [[[3.0, 0.5], [0.5, 0.0]], [[3.8, 0.01], [0.01, 0.01]]])
-    def test_alpha_at_or_below_one_is_rejected(self, W):
-        # mu1 exceeds 1 in both, but the depth formula divides by log(alpha):
-        # alpha = 1 would divide by zero, alpha < 1 would clamp to depth 1.
+    @pytest.mark.parametrize("W, ell", [([[3.0, 0.5], [0.5, 0.0]], 2),
+                                        ([[3.8, 0.01], [0.01, 0.01]], 1)], ids=["W0", "W1"])
+    def test_irregular_depth_reads_spectral_radius(self, W, ell):
+        # The mean column sum is at most 1 in both (1.0 and 0.9575), but balls
+        # grow at rho(M) = mu1 > 1, and the depth reads that.
         prof = ds.derive_spectral_profile(small_params(100, W=W))
-        assert prof.alpha <= 1.0 < prof.mu[0]
+        assert prof.column_sums.mean() <= 1.0 < prof.mu[0] == prof.alpha
+        assert ds.choose_ell(prof, 10**6).ell == ell == int(np.log(10**6) / 13 / np.log(prof.mu[0]))
+
+    def test_alpha_at_or_below_one_is_rejected(self):
+        prof = ds.derive_spectral_profile(small_params(100, W=[[1.2, 0.4], [0.4, 1.2]]))
+        assert prof.alpha == pytest.approx(0.8)
         with pytest.raises(ValueError, match="alpha must exceed 1"):
             ds.choose_ell(prof, 10**6)
+
+    def test_irregular_growth_is_spectral_radius(self):
+        # Balls grow at rho(M) = 2.725 here, not at the mean column sum 2.167.
+        prof = ds.derive_spectral_profile(ds.SbmParams(
+            r=3, W=np.array([[6.0, 2.0, 0.0], [2.0, 4.0, 1.0], [0.0, 1.0, 3.0]]),
+            pi=np.array([0.4, 0.3, 0.3]), n=1000))
+        rho = float(prof.mu[0])
+        assert not prof.degree_regular and prof.column_sums.mean() == pytest.approx(2.1667, abs=1e-4)
+        assert prof.alpha == rho == pytest.approx(2.7252, abs=1e-4)
+        assert ds.choose_ell(prof, 10**6, kappa=1.0).ell == 13 == int(np.log(10**6) / np.log(rho))
+        # The bulk scale of the separation check is rho(M)^(ell/2).
+        ell, vec = 4, np.ones(3) / np.sqrt(3)
+        pairs = [ds.EigenPair(rho**ell, vec, 0.0), ds.EigenPair(rho ** (ell / 2), vec, 0.0)]
+        assert ds.separation_report(pairs, prof, ell).bulk_ratio == pytest.approx(1.0)
 
     def test_regime_flag(self, two_type_profile):
         assert ds.choose_ell(two_type_profile, 10**6, kappa=1.0 / 13.0).kappa_in_regime

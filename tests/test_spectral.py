@@ -345,11 +345,10 @@ class TestDeltaRadius:
         assert rep.rho <= 10 * np.log(500) * 3.0**1.5
         assert rep.rho <= rep.cycle_bound
 
-    def test_one_vertex_expansion_gives_distances_and_tangles(self, monkeypatch):
+    def test_one_vertex_expansion_gives_distances(self, monkeypatch):
         g = ds.sample_graph(small_params(300), 4).graph
         bl = ds.path_expansion_matrix(g, 3, cap=10**6)
         want = ds.delta_radius_check(g, 3, alpha=3.0, bl=bl)
-        assert want.tangle_free == ds.tangle_free_check(g, 3)[0]
 
         def forbidden(*args, **kwargs):
             raise AssertionError("delta_radius_check ran a second traversal")
@@ -357,19 +356,23 @@ class TestDeltaRadius:
         for module in (graph, spectral, ds):
             for name in ("tangle_free_check", "distance_matrix"):
                 monkeypatch.setattr(module, name, forbidden, raising=False)
-        calls = []
+        calls, options = [], []
         expand = graph._expand
         cycles = ds.fundamental_cycles(g)
         full = expand(g, 3, cycles)[2]
 
         def counted(g, ell, sets=None, **kwargs):
             calls.append(sets)
+            options.append(kwargs)
             return expand(g, ell, sets, **kwargs)
 
         for module in (graph, spectral):
             monkeypatch.setattr(module, "_expand", counted)
         got = ds.delta_radius_check(g, 3, alpha=3.0, bl=bl)
-        # One vertex expansion, then only the cycles that can reach the bound.
+        # One vertex expansion for D^ell alone (the tangle verdict is
+        # tangle_free_check's), then only the cycles that can reach the bound.
+        assert options[0] == {"distance": True}
+        assert not any(kw.get("tangle") for kw in options)
         check_cycle_expansions(cycles, full, calls, got.cycle_bound)
         assert len(calls) > 1 and sum(map(len, calls[1:])) < len(cycles)
         assert vars(got) == vars(want)
