@@ -43,8 +43,8 @@ print(f"top eigenvalues: {[round(p.value, 2) for p in pairs]}")
 print(f"predicted scales: mu1^ell = {profile.mu[0]**ell:.0f}, "
       f"mu2^ell = {profile.mu[1]**ell:.0f}, "
       f"bulk alpha^(ell/2) = {profile.alpha**(ell/2):.1f} (log factors apply)")
-# detect() solves only the r0 pairs it rounds and leaves the bulk unmeasured;
-# these four pairs reach past r0, so the report measures the bulk too.
+# detect() solves only the r0 pairs it rounds, so the bulk goes unmeasured
+# there; these four pairs reach past r0, so this report measures it too.
 sep = ds.separation_report(pairs, profile, ell)
 print(f"informative ratios lambda_k / mu_k^ell: {np.round(sep.ratios, 2).tolist()} "
       f"(within [0.1, 10]: {sep.informative_ok})")

@@ -31,7 +31,7 @@ for a, b in [(11.0, 1.0), (9.0, 3.0), (8.0, 4.0), (5.0, 1.0), (4.0, 2.0)]:
     ovs = []
     for seed in seeds:
         sample = ds.sample_graph(params, seed)
-        assignment, report = ds.detect(sample.graph, profile, ell, seed)
+        assignment, _ = ds.detect(sample.graph, profile, ell, seed)
         score = ds.overlap(sample.sigma, assignment.labels, params.pi)
         ovs.append(score.value)
     if profile.tau > 1:

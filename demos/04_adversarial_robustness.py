@@ -33,7 +33,7 @@ safe, breaking = ds.robustness_budget(profile, ell, params.n)
 print(f"strength frontiers at depth {ell}: safe ~ tau^ell/ln n = {safe:.2f}, "
       f"breaking ~ tau^ell = {breaking:.2f}")
 
-base_assignment, _ = ds.detect(sample.graph, profile, ell, seed)
+base_assignment, _ = ds.detect(sample.graph, profile, ell, seed, dl=dl)
 base = ds.overlap(sample.sigma, base_assignment.labels, params.pi).value
 print(f"baseline overlap: {base:.4f}\n")
 
@@ -42,13 +42,14 @@ print(f"{'gamma':>6} {'edges+':>7} {'rho(change)':>12} {'shell bound':>12} "
 for gamma in (2, 4, 8, 16, 32):
     perturbed, p = ds.plant_clique(sample.graph, gamma,
                                    ds.derive_seed(seed, f"clique{gamma}"))
-    diff = ds.difference_matrix(ds.distance_matrix(perturbed, ell), dl)
+    perturbed_dl = ds.distance_matrix(perturbed, ell)
+    diff = ds.difference_matrix(perturbed_dl, dl)
     rho = 0.0
     if diff.nnz:
         top = ds.top_eigenpairs(diff, params.n, 2, seed=3)
         rho = max(abs(q.value) for q in top)
     bound = ds.qk_bound(sample.graph, sorted(p.affected), ell) if p.affected else 0.0
-    assignment, _ = ds.detect(perturbed, profile, ell, seed)
+    assignment, _ = ds.detect(perturbed, profile, ell, seed, dl=perturbed_dl)
     ov = ds.overlap(sample.sigma, assignment.labels, params.pi).value
     print(f"{gamma:>6} {len(p.added_edges):>7} {rho:>12.2f} {bound:>12.2f} "
           f"{ov:>9.4f}")

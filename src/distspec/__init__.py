@@ -44,6 +44,7 @@ from .spectral import (
     top_eigenpairs,
 )
 from .reconstruct import (
+    DetectionRecord,
     LabelAssignment,
     OverlapScore,
     detect,

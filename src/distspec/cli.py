@@ -22,7 +22,6 @@ import itertools
 import json
 import numbers
 import sys
-import time
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -45,6 +44,7 @@ from .gw import (
 from .model import (
     InvalidKappa,
     SbmParams,
+    SpectralProfile,
     TypedGraphSample,
     choose_ell,
     derive_spectral_profile,
@@ -52,9 +52,9 @@ from .model import (
     sample_graph,
     sample_to_json,
 )
-from .reconstruct import overlap, round_labels, solve_pairs
+from .reconstruct import detect, overlap, round_labels
 from .spectral import delta_radius_check, qc_bound, top_eigenpairs
-from .util import derive_seed, is_int, make_rng
+from .util import derive_seed, is_int, make_rng, require_keys, timed
 
 CSV_HEADER = ("seed,n,r,ell,gamma,overlap,lambda1,lambda2,lambda3,lambda4,"
               "qk_bound,rogue_rayleigh,ms_build,ms_eig,ms_label")
@@ -89,12 +89,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
-        for where, keys, known in (("config", doc, _CONFIG_KEYS),
-                                   ("params", doc["params"], _PARAMS_KEYS)):
+        require_keys(doc, "config", ("params",))
+        p, seeds, gammas = doc["params"], doc.get("seeds", [1]), doc.get("gammas", [])
+        for where, keys, known in (("config", doc, _CONFIG_KEYS), ("params", p, _PARAMS_KEYS)):
             unknown = [key for key in keys if key not in known]
             if unknown:
                 raise ValueError(f"unknown {where} key {unknown[0]!r}")
-        p, seeds, gammas = doc["params"], doc.get("seeds", [1]), doc.get("gammas", [])
+        require_keys(p, "params", _PARAMS_KEYS)
         for name, values in (("r", [p["r"]]), ("n", [p["n"]]), ("seed", seeds), ("gamma", gammas)):
             bad = [x for x in values if not is_int(x)]
             if bad:
@@ -121,15 +122,17 @@ def _default_config() -> ExperimentConfig:
     return ExperimentConfig(params=params, ell=4)
 
 
-def _resolve_ell(args, config: ExperimentConfig) -> int:
+def _resolve_ell(args, config: ExperimentConfig, n: Optional[int] = None,
+                 profile: Optional[SpectralProfile] = None) -> int:
     """Depth resolution order: --ell, --kappa, the config's ell, its kappa,
-    then kappa = 1/13.  ``choose_ell`` rejects a depth below 1 and kappa <= 0."""
+    then kappa = 1/13.  A kappa reads the graph's vertex count ``n`` (default:
+    the config's n); ``choose_ell`` rejects a depth below 1 and kappa <= 0."""
     if args.ell is not None or args.kappa is not None:
         override, kappa = args.ell, args.kappa
     else:
         override, kappa = config.ell, config.kappa
-    profile = derive_spectral_profile(config.params)
-    return choose_ell(profile, config.params.n, override=override,
+    return choose_ell(profile or derive_spectral_profile(config.params),
+                      config.params.n if n is None else n, override=override,
                       kappa=1.0 / 13.0 if kappa is None else kappa).ell
 
 
@@ -160,13 +163,6 @@ def _csv_row(seed, n, r, ell, gamma, overlap, lambdas, qk, rogue_rayleigh,
                     + [f"{x:.3f}" for x in (ms_build, ms_eig, ms_label)])
 
 
-def _timed(fn, *args, **kwargs):
-    """``fn(*args, **kwargs)`` and its wall time in ms."""
-    t0 = time.perf_counter()
-    out = fn(*args, **kwargs)
-    return out, (time.perf_counter() - t0) * 1000.0
-
-
 def cmd_generate(args) -> int:
     config = _load_config(args.config)
     seed = args.seed if args.seed is not None else config.seeds[0]
@@ -182,15 +178,12 @@ def cmd_detect(args) -> int:
     config = _load_config(args.config)
     sample = sample_from_json(_load_graph(args.graph))
     profile = derive_spectral_profile(config.params)
-    ell = _resolve_ell(args, config)
+    ell = _resolve_ell(args, config, sample.graph.n, profile)
     seed = args.seed if args.seed is not None else sample.seed
 
-    mat, ms_build = _timed(distance_matrix, sample.graph, ell)
-    pairs, ms_eig = _timed(solve_pairs, mat, sample.graph.n, profile, seed)
-    (assignment, _), ms_label = _timed(round_labels, pairs, profile, ell, seed)
-
+    assignment, record = detect(sample.graph, profile, ell, seed)
     ov = overlap(sample.sigma, assignment.labels, config.params.pi)
-    lambdas = tuple(p.value for p in pairs)  # the r0 solved: no bulk value
+    lambdas = tuple(p.value for p in record.pairs)  # the r0 solved: no bulk value
     doc = {
         "labels": [int(x) for x in assignment.labels],
         "overlap": ov.value,
@@ -203,7 +196,8 @@ def cmd_detect(args) -> int:
     _write_json(out, doc)
     if args.csv:
         _append_row(args.csv, _csv_row(seed, sample.graph.n, config.params.r, ell, 0, ov.value,
-                                       lambdas, None, None, ms_build, ms_eig, ms_label))
+                                       lambdas, None, None, record.ms_build, record.ms_solve,
+                                       record.ms_round))
     print(f"overlap={ov.value:.4f} K={assignment.K_used:.4f} "
           f"lambda={[round(v, 3) for v in lambdas]}")
     return 0
@@ -236,8 +230,8 @@ def _append_row(path: str, row: str) -> None:
 
 def cmd_sweep(args) -> int:
     config = _load_config(args.config)
-    ell = _resolve_ell(args, config)
     profile = derive_spectral_profile(config.params)
+    ell = _resolve_ell(args, config, profile=profile)
     gammas = tuple(args.gamma or config.gammas or (0,))
     out = args.out or "sweep.csv"
     failures = rogue_failures = 0
@@ -247,7 +241,7 @@ def cmd_sweep(args) -> int:
             sample = sample_graph(config.params, seed)
             # (D^ell, build ms) of the unedited graph, built on first use: the
             # gamma = 0 row and every rogue certificate share it.
-            unedited = functools.cache(functools.partial(_timed, distance_matrix, sample.graph, ell))
+            unedited = functools.cache(functools.partial(timed, distance_matrix, sample.graph, ell))
             for gamma in gammas:
                 try:
                     row, rogue_error = _sweep_row(config, profile, sample, unedited,
@@ -274,21 +268,16 @@ def _sweep_row(config, profile, sample, unedited, ell, seed, gamma):
         if p.affected:
             qk = qk_bound(graph, sorted(p.affected), ell)
         graph = perturbed
-        mat, ms_build = _timed(distance_matrix, graph, ell)
+        mat, ms_build = timed(distance_matrix, graph, ell)
     else:
         mat, ms_build = unedited()
 
-    pairs, ms_eig = _timed(top_eigenpairs, mat, graph.n, k=min(4, graph.n),
-                           seed=derive_seed(seed, f"eig:{gamma}"))
+    pairs, ms_eig = timed(top_eigenpairs, mat, graph.n, k=min(4, graph.n),
+                          seed=derive_seed(seed, f"eig:{gamma}"))
     # A second solve, of the r0 signal pairs, for the labels: perfbench counts
     # each eigensolve as an operation on sweep, so merging the two waits for a
     # change in that count.
-    detect_seed = derive_seed(seed, f"detect:{gamma}")
-    t0 = time.perf_counter()
-    label_pairs = solve_pairs(mat, graph.n, profile, detect_seed)
-    assignment, _ = round_labels(label_pairs, profile, ell, detect_seed)
-    ms_label = (time.perf_counter() - t0) * 1000.0
-
+    assignment, record = detect(graph, profile, ell, derive_seed(seed, f"detect:{gamma}"), dl=mat)
     ov = overlap(sample.sigma, assignment.labels, config.params.pi)
     rogue_error = None
     if config.rogue and gamma > 0:
@@ -300,7 +289,8 @@ def _sweep_row(config, profile, sample, unedited, ell, seed, gamma):
         except GreedyExhausted as exc:
             rogue_error = str(exc)
     return _csv_row(seed, sample.graph.n, config.params.r, ell, gamma, ov.value,
-                    [p.value for p in pairs], qk, rogue_r, ms_build, ms_eig, ms_label), rogue_error
+                    [p.value for p in pairs], qk, rogue_r, ms_build, ms_eig,
+                    record.ms_solve + record.ms_round), rogue_error
 
 
 def cmd_gw(args) -> int:
@@ -528,7 +518,7 @@ def _verify_spectra() -> list[tuple[str, bool, str]]:
         pairs = top_eigenpairs(lambda x: A @ x, len(A), 2, seed=seed)
         ok = ok and sorted(round(p.value, 6) for p in pairs) == [-5.0, 5.0, 10.0]
         for mu2 in (5.0, -5.0):  # at ell = 1, mu2^ell = mu2
-            chosen, _ = round_labels(pairs, replace(profile, mu=np.array([10.0, mu2])), 1, seed)
+            chosen = round_labels(pairs, replace(profile, mu=np.array([10.0, mu2])), 1, seed)
             ok = ok and pairs[chosen.source].value * mu2 > 0
     results.append(("spectra.opposite_sign_tie_returned", ok,
                     "k=2 of Q diag(10, 5, -5 and -5(1+5e-9), bulk) Q^T at n=200, 3 seeds: "

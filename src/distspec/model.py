@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .graph import SparseGraph
-from .util import canonical_sign, make_rng
+from .util import canonical_sign, make_rng, require_keys
 
 _TOL_PI = 1e-12
 _TOL_REG = 1e-9
@@ -272,6 +272,7 @@ def sample_to_json(sample: TypedGraphSample, r: int) -> dict:
 
 
 def sample_from_json(doc: dict) -> TypedGraphSample:
+    require_keys(doc, "graph", ("n", "r", "types", "edges"))
     n = int(doc["n"])
     graph = SparseGraph.from_edges(n, doc["edges"])
     sigma = np.asarray(doc["types"], dtype=np.int64)

@@ -14,15 +14,14 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph import SparseGraph, SparseSymMatrix, distance_matrix
+from .graph import SparseGraph, SparseSymMatrix, _require_built, distance_matrix
 from .model import SpectralProfile
-from .spectral import EigenPair, SeparationReport, _opposite_tie, separation_report, \
-    top_eigenpairs
-from .util import canonical_sign, derive_seed, make_rng
+from .spectral import EigenPair, _opposite_tie, top_eigenpairs
+from .util import canonical_sign, derive_seed, make_rng, timed
 
 FALLBACK_K = 10.0  # used below threshold, where the closed form is undefined
 
@@ -50,6 +49,15 @@ class LabelAssignment:
     source: int          # index of the eigenpair the split came from
     K_used: float
     seed: int
+
+
+@dataclass(frozen=True, eq=False)
+class DetectionRecord:
+    """The pairs ``detect`` rounded, and each stage's wall ms (None: not run)."""
+    pairs: list[EigenPair]
+    ms_build: Optional[float]
+    ms_solve: float
+    ms_round: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,19 +159,17 @@ def solve_pairs(mat: SparseSymMatrix, n: int, profile: SpectralProfile,
 
 
 def round_labels(pairs: Sequence[EigenPair], profile: SpectralProfile, ell: int,
-                 seed: int) -> tuple[LabelAssignment, SeparationReport]:
+                 seed: int) -> LabelAssignment:
     """Round stage: round the signal eigenvector to two labels with K =
     the closed form above threshold, else ``FALLBACK_K``."""
     n = len(pairs[0].vector)
     idx = _pick_second(pairs, float(profile.mu[1] ** ell))
-    report = separation_report(pairs, profile, ell)
     xi = normalize_for_algorithm(pairs[idx].vector, n)
     if profile.tau > 1.0:
         K = explicit_K(profile.params.r, profile.tau, profile.d)
     else:
         K = FALLBACK_K
-    assignment = replace(label_two_way(xi, K, derive_seed(seed, "label")), source=idx)
-    return assignment, report
+    return replace(label_two_way(xi, K, derive_seed(seed, "label")), source=idx)
 
 
 def detect(
@@ -171,11 +177,19 @@ def detect(
     profile: SpectralProfile,
     ell: int,
     seed: int,
-) -> tuple[LabelAssignment, SeparationReport]:
-    """Full pipeline: build ``D^ell``, solve, round the second eigenvector.
+    dl: Optional[SparseSymMatrix] = None,
+) -> tuple[LabelAssignment, DetectionRecord]:
+    """Full pipeline: build ``D^ell`` (unless ``dl``, built from ``g`` at
+    depth ``ell``, is given), solve, round the second eigenvector.
 
     Deterministic given (graph, seed): solver and coin streams use seeds
     derived from labeled hashes.
     """
-    pairs = solve_pairs(distance_matrix(g, ell), g.n, profile, seed)
-    return round_labels(pairs, profile, ell, seed)
+    ms_build = None
+    if dl is None:
+        dl, ms_build = timed(distance_matrix, g, ell)
+    else:
+        _require_built(dl, "dl", g, ell, "distance")
+    pairs, ms_solve = timed(solve_pairs, dl, g.n, profile, seed)
+    assignment, ms_round = timed(round_labels, pairs, profile, ell, seed)
+    return assignment, DetectionRecord(pairs, ms_build, ms_solve, ms_round)

@@ -58,10 +58,6 @@ class SeparationReport:
     first non-informative eigenvalue with alpha^(ell/2).  A check passes
     only on what it measured: ``informative_ok`` needs all r0 ratios, and
     ``bulk_ok`` a pair past r0 (without one, ``bulk_ratio`` is nan).
-    ``detect`` solves only the r0 pairs it rounds, so its report leaves
-    the bulk unmeasured (``bulk_ratio`` nan, ``bulk_ok`` False);
-    ``demos/02_distance_matrix_spectrum.py`` measures it from a solve
-    with pairs past r0.
     """
 
     lam: np.ndarray

@@ -1,4 +1,4 @@
-"""Shared RNG plumbing, vector sign convention and integer check.
+"""Shared RNG plumbing, vector sign convention, input checks and stage timer.
 
 All randomness in the package flows through Philox4x64 counter-based
 generators keyed by explicit 64-bit seeds, so identical seeds reproduce
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import numbers
+import time
 
 import numpy as np
 
@@ -38,9 +39,23 @@ def is_int(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def require_keys(doc: dict, where: str, keys) -> None:
+    """Raise ``ValueError`` naming the first of ``keys`` missing from ``doc``."""
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise ValueError(f"missing {where} key {missing[0]!r}")
+
+
 def canonical_sign(vec: np.ndarray) -> np.ndarray:
     """Flip sign so the first coordinate above 1e-12 of the largest is positive."""
     nz = np.flatnonzero(np.abs(vec) > 1e-12 * np.abs(vec).max(initial=0.0))
     if nz.size and vec[nz[0]] < 0:
         return -vec
     return vec
+
+
+def timed(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and its wall time in ms."""
+    t0 = time.perf_counter()
+    out = fn(*args, **kwargs)
+    return out, (time.perf_counter() - t0) * 1000.0

@@ -43,6 +43,19 @@ def strip_timings(row):
     return row.split(",")[:-3]
 
 
+def record_detect_calls(monkeypatch):
+    """Patch ``cli.detect`` to record the (graph, dl) of every call."""
+    calls = []
+    original = cli.detect
+
+    def recorded(g, *args, dl=None, **kwargs):
+        calls.append((g, dl))
+        return original(g, *args, dl=dl, **kwargs)
+
+    monkeypatch.setattr(cli, "detect", recorded)
+    return calls
+
+
 def count_calls(monkeypatch, module, name, counts):
     original = getattr(module, name)
 
@@ -95,6 +108,17 @@ class TestConfig:
         cfg = write_config(tmp_path, **overrides)
         with pytest.raises(ValueError, match=f"^unknown {where} key '{key}'$"):
             cli.ExperimentConfig.load(str(cfg))
+
+    @pytest.mark.parametrize("where, key", [
+        ("config", "params"), ("params", "r"), ("params", "W"), ("params", "pi"),
+        ("params", "n"), ("graph", "n"), ("graph", "r"), ("graph", "types"), ("graph", "edges")])
+    def test_missing_keys_are_named(self, where, key):
+        graph = {"n": 4, "r": 2, "seed": 0, "types": [0, 1, 0, 1], "edges": [[0, 1]]}
+        config = {"params": dict(PARAMS), "ell": 3}
+        del {"config": config, "params": config["params"], "graph": graph}[where][key]
+        load = ds.sample_from_json if where == "graph" else cli.ExperimentConfig.from_json
+        with pytest.raises(ValueError, match=f"^missing {where} key '{key}'$"):
+            load(graph if where == "graph" else config)
 
 
 class TestResolveEll:
@@ -186,11 +210,34 @@ class TestDetect:
         doc = json.loads(out.read_text())
         sample = ds.sample_from_json(json.loads(graph.read_text()))
         config = cli.ExperimentConfig.load(str(cfg))
-        assignment, report = ds.detect(sample.graph, ds.derive_spectral_profile(config.params),
+        assignment, record = ds.detect(sample.graph, ds.derive_spectral_profile(config.params),
                                        3, seed=9)
         assert doc["labels"] == assignment.labels.tolist()
-        assert doc["lambdas"] == report.lam[:4].tolist()
+        assert doc["lambdas"] == [p.value for p in record.pairs]
         assert doc["source"] == assignment.source
+
+    def test_kappa_reads_the_graphs_vertex_count(self, tmp_path):
+        # kappa * log(n) / log(3) at kappa = 0.5: 2.60 at the config's n = 300,
+        # 3.04 at the graph's n = 800, so the depth must be 3.
+        graph = tmp_path / "g.json"
+        cli.main(["generate", "--config", str(write_config(tmp_path, params={**PARAMS, "n": 800})),
+                  "--seed", "1", "--out", str(graph)])
+        csv = tmp_path / "rows.csv"
+        assert cli.main(["detect", str(graph), "--config", str(write_config(tmp_path)),
+                         "--kappa", "0.5", "--out", str(tmp_path / "a.json"),
+                         "--csv", str(csv)]) == 0
+        (row,) = read_rows(csv)
+        assert row.split(",")[1:4] == ["800", "2", "3"]
+
+    def test_calls_detect_once_without_a_matrix(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path)
+        graph = tmp_path / "g.json"
+        cli.main(["generate", "--config", str(cfg), "--seed", "1", "--out", str(graph)])
+        calls = record_detect_calls(monkeypatch)
+        assert cli.main(["detect", str(graph), "--config", str(cfg),
+                         "--out", str(tmp_path / "a.json")]) == 0
+        assert [dl for _, dl in calls] == [None]
+        assert not hasattr(cli, "solve_pairs")
 
     def test_matrix_flag_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -450,6 +497,21 @@ class TestSweep:
         assert len(rows) == 6 and all(r.split(",")[11] for r in rows if r.split(",")[4] != "0")
         assert counts == {"distance_matrix": 2 + 2 * 2}
 
+    def test_each_row_calls_detect_once_with_its_matrix(self, tmp_path, monkeypatch):
+        # detect gets the matrix the row's CSV solve read, built from the
+        # graph it labels: the unedited one at gamma = 0, else the edited one.
+        solved = []
+        original = cli.top_eigenpairs
+        monkeypatch.setattr(cli, "top_eigenpairs",
+                            lambda op, *a, **kw: solved.append(op) or original(op, *a, **kw))
+        calls = record_detect_calls(monkeypatch)
+        cfg = write_config(tmp_path, gammas=[0, 2], seeds=[1, 2])
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 0
+        assert len(calls) == len(solved) == 4
+        for (g, dl), mat in zip(calls, solved):
+            assert dl is mat
+            assert (ds.distance_matrix(g, 3).to_csr() != dl.to_csr()).nnz == 0
+
     def test_rogue_certificates_without_a_gamma_zero_row(self, tmp_path, monkeypatch):
         counts = {}
         count_calls(monkeypatch, cli, "distance_matrix", counts)
@@ -652,6 +714,12 @@ class TestReadme:
                        for t in tokens]
             for argv in itertools.product(*choices):
                 parser.parse_args(argv)
+
+    def test_quick_start_runs(self, capsys):
+        (block,) = self.blocks("python")
+        exec(block, {})
+        score, lambdas = capsys.readouterr().out.split(" ", 1)
+        assert -1 <= float(score) <= 1 and len(json.loads(lambdas)) >= 2
 
     def test_csv_header_matches(self):
         (header,) = re.findall(r"^`(seed,[\w.,]+)`", README.read_text(), re.M)

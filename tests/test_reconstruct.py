@@ -19,6 +19,10 @@ from distspec.cli import _explicit_spectrum
 from conftest import small_params
 
 
+def pair_bytes(pairs):
+    return [(p.value, p.vector.tobytes()) for p in pairs]
+
+
 class TestExplicitK:
     def test_two_type_value(self):
         assert ds.explicit_K(2, 4.0 / 3.0, 1) == pytest.approx(16.0 / 3.0, abs=1e-9)
@@ -194,11 +198,45 @@ class TestDetect:
         params = small_params(400)
         profile = ds.derive_spectral_profile(params)
         sample = ds.sample_graph(params, 12)
-        a, rep_a = ds.detect(sample.graph, profile, 3, seed=5)
-        b, rep_b = ds.detect(sample.graph, profile, 3, seed=5)
+        a, rec_a = ds.detect(sample.graph, profile, 3, seed=5)
+        b, rec_b = ds.detect(sample.graph, profile, 3, seed=5)
         assert np.array_equal(a.labels, b.labels)
         assert a.K_used == pytest.approx(16.0 / 3.0)
-        assert np.array_equal(rep_a.lam, rep_b.lam)
+        assert [p.value for p in rec_a.pairs] == [p.value for p in rec_b.pairs]
+
+    def test_a_passed_matrix_gives_the_same_detection(self, monkeypatch):
+        params = small_params(400)
+        profile = ds.derive_spectral_profile(params)
+        g = ds.sample_graph(params, 12).graph
+        dl = ds.distance_matrix(g, 3)
+        built, built_rec = ds.detect(g, profile, 3, seed=5)
+        monkeypatch.setattr(ds.reconstruct, "distance_matrix", None)  # a call would raise
+        given, given_rec = ds.detect(g, profile, 3, seed=5, dl=dl)
+        assert np.array_equal(built.labels, given.labels)
+        assert (built.source, built.K_used) == (given.source, given.K_used)
+        assert pair_bytes(built_rec.pairs) == pair_bytes(given_rec.pairs)
+        assert given_rec.ms_build is None
+        assert min(built_rec.ms_build, built_rec.ms_solve, built_rec.ms_round) >= 0
+        assert min(given_rec.ms_solve, given_rec.ms_round) >= 0
+
+    @pytest.mark.parametrize("build", [lambda g: ds.distance_matrix(g, 2),
+                                       lambda g: ds.path_expansion_matrix(g, 3, cap=10**6)],
+                             ids=["other-depth", "path"])
+    def test_a_matrix_not_built_for_the_call_is_rejected(self, build):
+        params = small_params(200)
+        g = ds.sample_graph(params, 3).graph
+        with pytest.raises(ValueError, match="not the distance matrix of this graph at depth 3"):
+            ds.detect(g, ds.derive_spectral_profile(params), 3, seed=1, dl=build(g))
+
+    def test_record_holds_the_solved_pairs(self, monkeypatch):
+        solved = []
+        original = ds.reconstruct.solve_pairs
+        monkeypatch.setattr(ds.reconstruct, "solve_pairs",
+                            lambda *args: solved.append(original(*args)) or solved[-1])
+        params = small_params(300)
+        _, record = ds.detect(ds.sample_graph(params, 4).graph,
+                              ds.derive_spectral_profile(params), 3, seed=2)
+        assert len(solved) == 1 and record.pairs is solved[0]
 
     def test_below_threshold_warns_and_uses_fallback(self, below_threshold_params):
         profile = ds.derive_spectral_profile(below_threshold_params)
@@ -229,7 +267,7 @@ class TestDetect:
         assert sorted(round(p.value, 9) for p in pairs) == [round(minus, 9), 5.0, 10.0]
         for mu2 in (5.0, -5.0):  # at ell = 1, mu2^ell = mu2
             signed = dataclasses.replace(profile, mu=np.array([10.0, mu2]))
-            labels, _ = round_labels(pairs, signed, 1, seed)
+            labels = round_labels(pairs, signed, 1, seed)
             assert pairs[labels.source].value == pytest.approx(mu2)
 
     def test_strong_signal_recovers(self, strong_params, strong_profile):
