@@ -30,7 +30,7 @@ from .graph import (
 from .model import SpectralProfile
 from .reconstruct import AtOrBelowThreshold
 from .spectral import EigenPair, qc_bound, top_eigenpairs
-from .util import derive_seed, make_rng
+from .util import derive_seed, is_int, make_rng
 
 EPSILON = 0.2  # the candidate pool is the top n^(1 - EPSILON) vertices by shell size
 
@@ -58,6 +58,8 @@ class GreedyExhausted(RuntimeError):
 def _normalize_edges(edges) -> tuple:
     out = []
     for u, v in edges:
+        if not (is_int(u) and is_int(v)):
+            raise ValueError(f"edge ({u!r}, {v!r}) must join integer vertices")
         u, v = int(u), int(v)
         if u == v:
             raise InconsistentEdit(f"self-loop ({u}, {v})")
@@ -99,10 +101,12 @@ class Perturbation:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Perturbation":
+        if not is_int(doc["gamma"]):
+            raise ValueError(f"gamma must be an integer, got {doc['gamma']!r}")
         return cls(
             added_edges=tuple(tuple(e) for e in doc.get("add", [])),
             removed_edges=tuple(tuple(e) for e in doc.get("remove", [])),
-            gamma_budget=int(doc["gamma"]),
+            gamma_budget=doc["gamma"],
         )
 
 

@@ -55,10 +55,12 @@ class SparseGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "SparseGraph":
-        """Build from an edge list of (u, v) rows; validates their shape and
-        that there are no self-loops or duplicates."""
-        arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
-                         dtype=np.int64)
+        """Build from an edge list of (u, v) integer rows; validates their
+        type and shape and that there are no self-loops or duplicates."""
+        arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
+        if arr.size and arr.dtype.kind not in "iu":
+            raise ValueError(f"edge endpoints must be integers, got dtype {arr.dtype}")
+        arr = arr.astype(np.int64, copy=False)
         if arr.shape == (0,):
             arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:

@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .graph import SparseGraph
-from .util import canonical_sign, make_rng, require_keys
+from .util import canonical_sign, is_int, make_rng, require_keys
 
 _TOL_PI = 1e-12
 _TOL_REG = 1e-9
@@ -273,10 +273,12 @@ def sample_to_json(sample: TypedGraphSample, r: int) -> dict:
 
 def sample_from_json(doc: dict) -> TypedGraphSample:
     require_keys(doc, "graph", ("n", "r", "types", "edges"))
-    n = int(doc["n"])
-    graph = SparseGraph.from_edges(n, doc["edges"])
+    for key in ("n", "r", "seed", "types", "edges"):
+        bad = [x for x in np.asarray(doc.get(key, 0), dtype=object).ravel() if not is_int(x)]
+        if bad:
+            raise ValueError(f"graph {key} must hold integers, got {bad[0]!r}")
+    graph = SparseGraph.from_edges(doc["n"], doc["edges"])
     sigma = np.asarray(doc["types"], dtype=np.int64)
-    r = int(doc["r"])
-    if ((sigma < 0) | (sigma >= r)).any():
-        raise ValueError(f"types must lie in 0..{r - 1}")
-    return TypedGraphSample(graph=graph, sigma=sigma, seed=int(doc.get("seed", 0)))
+    if ((sigma < 0) | (sigma >= doc["r"])).any():
+        raise ValueError(f"types must lie in 0..{doc['r'] - 1}")
+    return TypedGraphSample(graph=graph, sigma=sigma, seed=doc.get("seed", 0))

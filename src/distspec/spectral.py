@@ -2,10 +2,10 @@
 
 ``top_eigenpairs`` runs ARPACK's implicitly restarted Lanczos method
 (``scipy.sparse.linalg.eigsh``; Lehoucq, Sorensen and Yang, *ARPACK
-Users' Guide*, SIAM 1998) on a matrix-free operator.  One Krylov run sees
-one copy of each eigenvalue, so a repeated eigenvalue (the distance
+Users' Guide*, SIAM 1998) on a :class:`SparseSymMatrix`.  One Krylov run
+sees one copy of each eigenvalue, so a repeated eigenvalue (the distance
 matrix of a graph with isomorphic components, say) can push true top
-pairs out of its answer; the solver therefore deflates the operator by
+pairs out of its answer; the solver therefore deflates the matrix by
 every vector found and solves again until nothing left beats the k-th
 pair, screening each such check with a loose run first.  Pairs are
 ordered by absolute eigenvalue, matching how the informative eigenvalues
@@ -15,8 +15,9 @@ of the distance matrix are read off.
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -67,11 +68,9 @@ class SeparationReport:
     bulk_ok: bool
 
 
-MatvecLike = Union[Callable[[np.ndarray], np.ndarray], SparseSymMatrix]
-
-_DENSE_BELOW = 64  # operators with fewer rows are solved densely
+_DENSE_BELOW = 64  # matrices with fewer rows are solved densely
 _TOL = 1e-8  # a returned pair's residual stays below _TOL * max(1, |lambda|)
-_MAX_MATVECS = 5000  # operator applications one call may spend
+_MAX_MATVECS = 5000  # matrix products one call may spend
 _SCREEN_TOL = 1e-2  # ARPACK tolerance of the multiplicity check's screening run
 
 
@@ -80,10 +79,8 @@ class _BudgetSpent(Exception):
 
 
 # What the last passed screen on each matrix proved: its pairs by modulus and
-# the bound on everything outside their span.  A ``weakref.WeakKeyDictionary``,
-# so a record lives exactly as long as its matrix, made on first use so that
-# importing this module imports nothing more.
-_screened = None
+# the bound on everything outside their span, kept exactly as long as the matrix.
+_screened = weakref.WeakKeyDictionary()
 
 
 def _gap_known(record, vals: np.ndarray, vecs: np.ndarray) -> bool:
@@ -104,12 +101,6 @@ def _gap_known(record, vals: np.ndarray, vecs: np.ndarray) -> bool:
                 and max(bound, np.abs(rec_vals[k:]).max(initial=0.0)) < kth - slack)
 
 
-def _as_matvec(op: MatvecLike) -> Callable[[np.ndarray], np.ndarray]:
-    if hasattr(op, "matvec"):
-        return op.matvec
-    return op
-
-
 def _opposite_tie(value: float, kth_value: float) -> bool:
     """``value`` has the sign opposite to the k-th pair's and its modulus
     within ``_TOL * max(1, |lambda_k|)``."""
@@ -117,11 +108,11 @@ def _opposite_tie(value: float, kth_value: float) -> bool:
                 and abs(abs(value) - abs(kth_value)) <= _TOL * max(1.0, abs(kth_value)))
 
 
-def top_eigenpairs(op: MatvecLike, n: int, k: int, seed: int = 0) -> list[EigenPair]:
-    """Top-k eigenpairs by absolute value of a symmetric operator.
+def top_eigenpairs(op: SparseSymMatrix, n: int, k: int, seed: int = 0) -> list[EigenPair]:
+    """Top-k eigenpairs by absolute value of a symmetric matrix of ``n`` rows.
 
     ARPACK (``eigsh``, ``which="LM"``) from a starting vector drawn from
-    ``make_rng(seed)``, then the multiplicity check: the operator is
+    ``make_rng(seed)``, then the multiplicity check: the matrix is
     deflated by every vector found, ``(I - V V^T) A (I - V V^T)``, and
     solved for its top pair; a pair beating the k-th by modulus by more
     than ``_TOL * max(1, |lambda_k|)`` is merged and the check repeats.
@@ -141,51 +132,49 @@ def top_eigenpairs(op: MatvecLike, n: int, k: int, seed: int = 0) -> list[EigenP
     from the same start vector.  The random stream is unchanged and every
     pair returned comes from a tight run, so wherever the screen stops a
     check the tight run would stop, the output is bit for bit that of the
-    unscreened check.  A screen that stops the check on a
-    :class:`SparseSymMatrix` is remembered for as long as that matrix
-    lives: its pairs and the bound ``|theta| + r`` on everything outside
-    their span.  A later solve of the same object skips its checks when
-    the first run converged, k is at most the count remembered, the k
-    values match the remembered top k within the tolerance, their span
-    matches (every principal cosine at least 1 - 1e-6), and the bound and
-    the remembered values past k lie below the tie band.  The pairs
-    returned are still the first run's, so wherever a fresh solve's check
-    would stop (the record trusts its screen as the screen trusts its
-    run), they are bit for bit those of a fresh solve.  The first run, with no vector found, applies the
-    operator bare (projecting out nothing subtracts zero, so no bit
-    changes).  Operators under 64 rows, or with ``k >= n - 1``, go to
-    dense ``eigh``.  ``k`` must be nonnegative.  ``_MAX_MATVECS`` bounds
+    unscreened check.  A screen that stops the check is remembered for as
+    long as the matrix lives: its pairs and the bound ``|theta| + r`` on
+    everything outside their span.  A later solve of the same object skips
+    its checks when the first run converged, k is at most the count
+    remembered, the k values match the remembered top k within the
+    tolerance, their span matches (every principal cosine at least
+    1 - 1e-6), and the bound and the remembered values past k lie below the
+    tie band.  The pairs returned are still the first run's, so wherever a
+    fresh solve's check would stop (the record trusts its screen as the
+    screen trusts its run), they are bit for bit those of a fresh solve.
+    The first run, with no vector found, applies the matrix bare
+    (projecting out nothing subtracts zero, so no bit changes).  Matrices
+    under 64 rows, or with ``k >= n - 1``, go to dense ``eigh`` of
+    ``op.to_dense()``.  ``k`` must be nonnegative.  ``_MAX_MATVECS`` bounds
     the matvecs; when it runs out a :class:`NoConvergence` warning is
     issued and the pairs converged by then are returned.  Results are
     deterministic given the seed; eigenvector signs are canonicalized
     (first nonzero coordinate positive).
     """
-    # Imported here: at module level it adds about 0.15 s to importing distspec.
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-    global _screened
-    if _screened is None:
-        import weakref
-        _screened = weakref.WeakKeyDictionary()
-
+    if not isinstance(op, SparseSymMatrix):
+        raise TypeError(f"top_eigenpairs takes a SparseSymMatrix, got {type(op).__name__}")
+    if n != op.n:
+        raise ValueError(f"n = {n} but the matrix has {op.n} rows")
     if n <= 0:
         raise DegenerateOperator("operator dimension must be positive")
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    matvec = _as_matvec(op)
+    # Imported here: at module level it adds about 0.15 s to importing distspec.
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
     k = min(int(k), n)
     rng = make_rng(seed)
     used = 0
     vals, vecs = np.empty(0), np.empty((n, 0))
 
     def deflated(x: np.ndarray) -> np.ndarray:
-        """The operator with the vectors found so far projected out."""
+        """The matrix with the vectors found so far projected out."""
         nonlocal used
         if used >= _MAX_MATVECS:
             raise _BudgetSpent
         used += 1
         if not vecs.shape[1]:
-            return matvec(x)
-        y = matvec(x - vecs @ (vecs.T @ x))
+            return op.matvec(x)
+        y = op.matvec(x - vecs @ (vecs.T @ x))
         return y - vecs @ (vecs.T @ y)
 
     def solve(count: int, v0: np.ndarray, run_tol: float) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -203,12 +192,12 @@ def top_eigenpairs(op: MatvecLike, n: int, k: int, seed: int = 0) -> list[EigenP
     complete = True
     try:
         if n < _DENSE_BELOW or k >= n - 1:
-            vals, vecs = np.linalg.eigh(np.column_stack([deflated(e) for e in np.eye(n)]))
+            vals, vecs = np.linalg.eigh(op.to_dense())
         elif k > 0:
             # ARPACK's stopping test bounds a residual estimate by tol * |value|;
             # a tenth of the allowance keeps the true residual inside it.
             vals, vecs, complete = solve(k, rng.standard_normal(n), _TOL / 10)
-            record = _screened.get(op) if isinstance(op, SparseSymMatrix) else None
+            record = _screened.get(op)
             settled = complete and record is not None and _gap_known(record, vals, vecs)
             while not settled and complete and vecs.shape[1] < n - 1:
                 kth_value = vals[np.argsort(np.abs(vals))[-k]]
@@ -219,9 +208,8 @@ def top_eigenpairs(op: MatvecLike, n: int, k: int, seed: int = 0) -> list[EigenP
                 bound = abs(w[0]) + np.linalg.norm(deflated(u[:, 0]) - w[0] * u[:, 0]) \
                     if screened else np.inf
                 if bound < kth - slack:
-                    if isinstance(op, SparseSymMatrix):
-                        by_modulus = np.argsort(-np.abs(vals), kind="stable")
-                        _screened[op] = (vals[by_modulus], vecs[:, by_modulus], float(bound))
+                    by_modulus = np.argsort(-np.abs(vals), kind="stable")
+                    _screened[op] = (vals[by_modulus], vecs[:, by_modulus], float(bound))
                     break
                 w, u, complete = solve(1, v0, _TOL / 10)
                 if not len(w):
@@ -245,7 +233,7 @@ def top_eigenpairs(op: MatvecLike, n: int, k: int, seed: int = 0) -> list[EigenP
         x = canonical_sign(vecs[:, i])
         value = float(vals[i])
         pairs.append(EigenPair(value=value, vector=x,
-                               residual=float(np.linalg.norm(matvec(x) - value * x))))
+                               residual=float(np.linalg.norm(op.matvec(x) - value * x))))
     if not complete or len(pairs) < k:
         warnings.warn(NoConvergence(len(pairs), k, used))
     return pairs

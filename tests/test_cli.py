@@ -2,8 +2,11 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,6 +67,21 @@ def count_calls(monkeypatch, module, name, counts):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
+
+
+def test_import_leaves_the_slow_scipy_modules_unloaded():
+    # The solver and the tangle check import these inside functions: either
+    # one at module level adds about 0.15 s to every command's start.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(README.parent / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, distspec, distspec.cli; "
+            "print(sorted(m for m in ('scipy.sparse.linalg', 'scipy.sparse.csgraph') "
+            "if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "[]"
 
 
 class TestConfig:
@@ -238,6 +256,17 @@ class TestDetect:
                          "--out", str(tmp_path / "a.json")]) == 0
         assert [dl for _, dl in calls] == [None]
         assert not hasattr(cli, "solve_pairs")
+
+    def test_types_beyond_the_configs_r_are_rejected_before_detect(self, tmp_path, monkeypatch):
+        graph = tmp_path / "g.json"
+        three = {"r": 3, "W": [[5, 1, 1], [1, 5, 1], [1, 1, 5]], "pi": [0.4, 0.3, 0.3], "n": 300}
+        cli.main(["generate", "--config", str(write_config(tmp_path, params=three)),
+                  "--seed", "1", "--out", str(graph)])
+        calls = record_detect_calls(monkeypatch)
+        with pytest.raises(ValueError, match=r"^the graph has type 2, but the config has r = 2$"):
+            cli.main(["detect", str(graph), "--config", str(write_config(tmp_path)),
+                      "--out", str(tmp_path / "a.json")])
+        assert calls == []
 
     def test_matrix_flag_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -189,6 +189,9 @@ class TestChooseEll:
         assert not ds.choose_ell(two_type_profile, 10**6, kappa=0.5).kappa_in_regime
 
 
+GRAPH_DOC = {"n": 10, "r": 2, "seed": 0, "types": [0, 1] * 5, "edges": [[2, 7], [3, 9]]}
+
+
 class TestGraphJson:
     def test_round_trip(self, two_type_params):
         params = small_params(50)
@@ -205,6 +208,24 @@ class TestGraphJson:
         doc = {"n": 4, "r": 2, "seed": 0, "types": types, "edges": [[0, 1]]}
         with pytest.raises(ValueError, match="types"):
             ds.sample_from_json(doc)
+
+    @pytest.mark.parametrize("read", [
+        lambda: ds.sample_from_json({**GRAPH_DOC, "n": 10.9}),
+        lambda: ds.sample_from_json({**GRAPH_DOC, "n": "10"}),
+        lambda: ds.sample_from_json({**GRAPH_DOC, "edges": [[2.9, 7]]}),
+        lambda: ds.sample_from_json({**GRAPH_DOC, "edges": [[True, 5]]}),
+        lambda: ds.sample_from_json({**GRAPH_DOC, "edges": [["3", "9"]]}),
+        lambda: ds.sample_from_json({**GRAPH_DOC, "types": [0.7] + [1] * 9}),
+        lambda: ds.sample_from_json({**GRAPH_DOC, "seed": 1.5}),
+        lambda: ds.Perturbation.from_json({"gamma": 2, "add": [[0.5, 3]]}),
+        lambda: ds.Perturbation.from_json({"gamma": 2.5, "add": [[1, 3]]}),
+        lambda: ds.SparseGraph.from_edges(5, [(0.5, 2)]),
+    ], ids=["n-float", "n-string", "edge-float", "edge-bool", "edge-strings", "type-float",
+            "seed-float", "edit-float", "gamma-float", "from-edges-float"])
+    def test_rejects_numbers_that_are_not_integers(self, read):
+        # None of these may be cast to an int, which reads 10.9 as 10 and true as 1.
+        with pytest.raises(ValueError, match="integer"):
+            read()
 
     def test_rejects_weighted_edge_rows(self):
         doc = {"n": 4, "r": 2, "seed": 0, "types": [0, 1, 0, 1], "edges": [[0, 1, 1], [2, 3, 1]]}

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -263,7 +264,8 @@ class TestDetect:
     def check_tie_rounding(minus, seed):
         A = _explicit_spectrum([10.0, 5.0, minus], 2.0, seed)
         profile = ds.derive_spectral_profile(small_params(len(A)))
-        pairs = solve_pairs(lambda x: A @ x, len(A), profile, seed)
+        mat = ds.SparseSymMatrix(len(A), 1, "explicit", sp.csr_matrix(A))
+        pairs = solve_pairs(mat, len(A), profile, seed)
         assert sorted(round(p.value, 9) for p in pairs) == [round(minus, 9), 5.0, 10.0]
         for mu2 in (5.0, -5.0):  # at ell = 1, mu2^ell = mu2
             signed = dataclasses.replace(profile, mu=np.array([10.0, mu2]))

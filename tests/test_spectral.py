@@ -19,7 +19,7 @@ from conftest import check_cycle_expansions, small_params
 
 def dense_op(A):
     A = np.asarray(A, dtype=float)
-    return lambda x: A @ x
+    return graph.SparseSymMatrix(len(A), 1, "explicit", sp.csr_matrix(A))
 
 
 class TestTopEigenpairs:
@@ -91,7 +91,15 @@ class TestTopEigenpairs:
 
     def test_empty_operator_raises(self):
         with pytest.raises(DegenerateOperator):
-            ds.top_eigenpairs(lambda x: x, 0, 1)
+            ds.top_eigenpairs(dense_op(np.zeros((0, 0))), 0, 1)
+
+    def test_only_a_matrix_of_n_rows_is_accepted(self):
+        A = _explicit_spectrum([10.0, 9.0], 2.0, seed=0)
+        with pytest.raises(TypeError, match="SparseSymMatrix"):
+            ds.top_eigenpairs(lambda x: A @ x, len(A), 2, seed=0)
+        for n in (len(A) - 1, len(A) + 1, 10):
+            with pytest.raises(ValueError, match=f"n = {n} but the matrix has 200 rows"):
+                ds.top_eigenpairs(dense_op(A), n, 2, seed=0)
 
     def test_negative_k_raises(self):
         with pytest.raises(ValueError, match="k must be nonnegative"):
@@ -183,6 +191,30 @@ def test_eigenpairs_are_pinned():
         "72a2c1dca4ffc412c21e62b7ac6286b0167afede22f96e6331640e4e06ee8747")
 
 
+def _dense_solves():
+    """(name, D^ell, k) solved by dense ``eigh``: 40-vertex graphs (seeds 1
+    to 3) at ell 1 to 3 and k 2 and 4, and k = 69 on a 70-vertex D^2."""
+    for seed in (1, 2, 3):
+        g = ds.sample_graph(small_params(40), seed).graph
+        for ell in (1, 2, 3):
+            for k in (2, 4):
+                yield f"n=40 seed={seed} ell={ell} k={k}", ds.distance_matrix(g, ell), k
+    g = ds.sample_graph(small_params(70), 1).graph
+    yield "n=70 ell=2 k=69", ds.distance_matrix(g, 2), 69
+
+
+def test_dense_eigenpairs_are_pinned():
+    # The digest of test_eigenpairs_are_pinned over the dense path.
+    h = hashlib.sha256()
+    for name, dl, k in _dense_solves():
+        h.update(f"|{name}:".encode())
+        for p in ds.top_eigenpairs(dl, dl.n, k, seed=1):
+            h.update(f"{p.value.hex()} {p.residual.hex()} {p.vector.dtype.str}".encode())
+            h.update(np.ascontiguousarray(p.vector).tobytes())
+    assert h.hexdigest() == (
+        "2ea83786317e5533b435da7259f2577deb488b33d49209fd3335aa5535c5c73d")
+
+
 def _pair_bytes(pairs) -> list:
     """Every value and residual as hex and every vector as raw bytes."""
     return [(p.value.hex(), p.residual.hex(), p.vector.dtype.str, p.vector.tobytes())
@@ -254,11 +286,6 @@ class TestRepeatSolve:
         del dl
         gc.collect()
         assert len(spectral._screened) == count - 1
-
-    def test_plain_callables_are_not_recorded(self):
-        op = dense_op(_explicit_spectrum([10.0, 9.0], 2.0, seed=0))
-        ds.top_eigenpairs(op, 200, 2, seed=0)
-        assert op not in spectral._screened
 
 
 class TestSeparationReport:
