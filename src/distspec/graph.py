@@ -117,9 +117,11 @@ class SparseSymMatrix:
     Entries are indicators or capped path counts, exact in float64.  The
     diagonal is structurally zero for every matrix built here (a
     positive-length path or distance needs two distinct endpoints).
-    ``upper`` derives the strictly upper triangle as an int64 CSR.  The
-    weak-reference slot lets ``spectral`` remember a solved matrix's gap
-    for as long as the matrix lives.
+    ``to_csr``, ``upper``, ``entries``, ``max_value`` and ``min_value``
+    cast to int64, so they are for integer-valued matrices only; ``matvec``
+    and ``to_dense`` read any float64 entries.  The weak-reference slot
+    lets ``spectral`` keep a matrix's complete solve for as long as the
+    matrix lives.
     """
 
     __slots__ = ("n", "ell", "kind", "_full", "__weakref__")

@@ -9,7 +9,9 @@ pairs out of its answer; the solver therefore deflates the matrix by
 every vector found and solves again until nothing left beats the k-th
 pair, screening each such check with a loose run first.  Pairs are
 ordered by absolute eigenvalue, matching how the informative eigenvalues
-of the distance matrix are read off.
+of the distance matrix are read off.  Each matrix object's last complete
+solve is kept while the object lives, and a later call that asks it for
+no more pairs is answered from it without a product.
 """
 
 from __future__ import annotations
@@ -78,27 +80,8 @@ class _BudgetSpent(Exception):
     """The matvec budget ran out inside a solve."""
 
 
-# What the last passed screen on each matrix proved: its pairs by modulus and
-# the bound on everything outside their span, kept exactly as long as the matrix.
-_screened = weakref.WeakKeyDictionary()
-
-
-def _gap_known(record, vals: np.ndarray, vecs: np.ndarray) -> bool:
-    """A record of this matrix already shows that nothing outside the span of
-    the k pairs just found reaches the k-th by modulus less the tolerance:
-    they are the record's top k (values within it, every principal cosine
-    between the two spans at least 1 - 1e-6), and its other values and its
-    bound lie below that."""
-    rec_vals, rec_vecs, bound = record
-    k = len(vals)
-    if k > len(rec_vals):
-        return False
-    kth = float(np.abs(vals).min())
-    slack = _TOL * max(1.0, kth)
-    overlap = rec_vecs[:, :k].T @ vecs  # its singular values are the principal cosines
-    return bool(np.abs(np.sort(vals) - np.sort(rec_vals[:k])).max() <= slack
-                and np.linalg.eigvalsh(overlap.T @ overlap).min() >= (1 - 1e-6) ** 2
-                and max(bound, np.abs(rec_vals[k:]).max(initial=0.0)) < kth - slack)
+# Each matrix's last complete solve, as (k, pairs), kept exactly as long as the matrix.
+_solved = weakref.WeakKeyDictionary()
 
 
 def _opposite_tie(value: float, kth_value: float) -> bool:
@@ -132,24 +115,27 @@ def top_eigenpairs(op: SparseSymMatrix, n: int, k: int, seed: int = 0) -> list[E
     from the same start vector.  The random stream is unchanged and every
     pair returned comes from a tight run, so wherever the screen stops a
     check the tight run would stop, the output is bit for bit that of the
-    unscreened check.  A screen that stops the check is remembered for as
-    long as the matrix lives: its pairs and the bound ``|theta| + r`` on
-    everything outside their span.  A later solve of the same object skips
-    its checks when the first run converged, k is at most the count
-    remembered, the k values match the remembered top k within the
-    tolerance, their span matches (every principal cosine at least
-    1 - 1e-6), and the bound and the remembered values past k lie below the
-    tie band.  The pairs returned are still the first run's, so wherever a
-    fresh solve's check would stop (the record trusts its screen as the
-    screen trusts its run), they are bit for bit those of a fresh solve.
-    The first run, with no vector found, applies the matrix bare
-    (projecting out nothing subtracts zero, so no bit changes).  Matrices
-    under 64 rows, or with ``k >= n - 1``, go to dense ``eigh`` of
-    ``op.to_dense()``.  ``k`` must be nonnegative.  ``_MAX_MATVECS`` bounds
-    the matvecs; when it runs out a :class:`NoConvergence` warning is
-    issued and the pairs converged by then are returned.  Results are
-    deterministic given the seed; eigenvector signs are canonicalized
-    (first nonzero coordinate positive).
+    unscreened check.  The first run, with no vector found, applies the
+    matrix bare (projecting out nothing subtracts zero, so no bit changes).
+
+    A complete solve (one that warns nothing) is kept, its vectors made
+    read-only, for as long as the matrix object lives.  A later call on
+    that object with ``k`` at most the kept k returns the kept top k, plus
+    pair k + 1 where it is the opposite-sign partner of the k-th, with no
+    product and without reading ``seed``: the kept solve's check showed
+    that nothing outside its pairs beats its k-th, so its top k by modulus
+    answer any smaller k.  A larger ``k`` solves afresh and replaces what
+    is kept.  So results are deterministic given the seed of the solve
+    kept for the object, which is its first complete solve unless a later
+    call asked for more pairs.
+
+    Matrices under 64 rows, or with ``k >= n - 1``, go to dense ``eigh``
+    of ``op.to_dense()``; a matrix without nonzeros returns e_0..e_{k-1}
+    with value 0, as ``eigh`` does.  ``k`` must be nonnegative.
+    ``_MAX_MATVECS`` bounds the matvecs; when it runs out a
+    :class:`NoConvergence` warning is issued and the pairs converged by
+    then are returned.  Eigenvector signs are canonicalized (first nonzero
+    coordinate positive).
     """
     if not isinstance(op, SparseSymMatrix):
         raise TypeError(f"top_eigenpairs takes a SparseSymMatrix, got {type(op).__name__}")
@@ -159,9 +145,13 @@ def top_eigenpairs(op: SparseSymMatrix, n: int, k: int, seed: int = 0) -> list[E
         raise DegenerateOperator("operator dimension must be positive")
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
+    k = min(int(k), n)
+    kept_k, kept = _solved.get(op, (-1, ()))
+    if k <= kept_k:
+        tied = 0 < k < len(kept) and _opposite_tie(kept[k].value, kept[k - 1].value)
+        return list(kept[:k + tied])
     # Imported here: at module level it adds about 0.15 s to importing distspec.
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-    k = min(int(k), n)
     rng = make_rng(seed)
     used = 0
     vals, vecs = np.empty(0), np.empty((n, 0))
@@ -193,13 +183,13 @@ def top_eigenpairs(op: SparseSymMatrix, n: int, k: int, seed: int = 0) -> list[E
     try:
         if n < _DENSE_BELOW or k >= n - 1:
             vals, vecs = np.linalg.eigh(op.to_dense())
+        elif not op.nnz:  # ARPACK cannot start on the zero matrix
+            vals, vecs = np.zeros(k), np.eye(n, k)
         elif k > 0:
             # ARPACK's stopping test bounds a residual estimate by tol * |value|;
             # a tenth of the allowance keeps the true residual inside it.
             vals, vecs, complete = solve(k, rng.standard_normal(n), _TOL / 10)
-            record = _screened.get(op)
-            settled = complete and record is not None and _gap_known(record, vals, vecs)
-            while not settled and complete and vecs.shape[1] < n - 1:
+            while complete and vecs.shape[1] < n - 1:
                 kth_value = vals[np.argsort(np.abs(vals))[-k]]
                 kth = abs(kth_value)
                 slack = _TOL * max(1.0, kth)
@@ -208,8 +198,6 @@ def top_eigenpairs(op: SparseSymMatrix, n: int, k: int, seed: int = 0) -> list[E
                 bound = abs(w[0]) + np.linalg.norm(deflated(u[:, 0]) - w[0] * u[:, 0]) \
                     if screened else np.inf
                 if bound < kth - slack:
-                    by_modulus = np.argsort(-np.abs(vals), kind="stable")
-                    _screened[op] = (vals[by_modulus], vecs[:, by_modulus], float(bound))
                     break
                 w, u, complete = solve(1, v0, _TOL / 10)
                 if not len(w):
@@ -231,11 +219,14 @@ def top_eigenpairs(op: SparseSymMatrix, n: int, k: int, seed: int = 0) -> list[E
     pairs = []
     for i in order:
         x = canonical_sign(vecs[:, i])
+        x.flags.writeable = False
         value = float(vals[i])
         pairs.append(EigenPair(value=value, vector=x,
                                residual=float(np.linalg.norm(op.matvec(x) - value * x))))
     if not complete or len(pairs) < k:
         warnings.warn(NoConvergence(len(pairs), k, used))
+    else:
+        _solved[op] = (k, tuple(pairs))
     return pairs
 
 

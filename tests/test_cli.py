@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import itertools
 import json
@@ -153,13 +154,24 @@ class TestResolveEll:
         assert self.resolve(tmp_path, ell=None, kappa=0.5) == 2
         assert self.resolve(tmp_path, ell=None) == 1
 
-    def test_zero_ell_flag_is_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="depth must be >= 1"):
+    def test_zero_ell_flag_is_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
             self.resolve(tmp_path, "--ell", "0")
+        assert exc.value.code == 2
+        assert "argument --ell: invalid depth value: '0'" in capsys.readouterr().err
 
-    def test_zero_kappa_flag_is_rejected(self, tmp_path):
-        with pytest.raises(InvalidKappa):
+    def test_zero_kappa_flag_is_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
             self.resolve(tmp_path, "--kappa", "0")
+        assert exc.value.code == 2
+        assert "argument --kappa: invalid exponent value: '0'" in capsys.readouterr().err
+
+    def test_library_callers_keep_the_depth_checks(self, tmp_path):
+        cfg = cli.ExperimentConfig.load(str(write_config(tmp_path)))
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            cli._resolve_ell(argparse.Namespace(ell=0, kappa=None), cfg)
+        with pytest.raises(InvalidKappa):
+            cli._resolve_ell(argparse.Namespace(ell=None, kappa=0.0), cfg)
 
     def test_zero_kappa_in_config_is_rejected(self, tmp_path):
         with pytest.raises(InvalidKappa):
@@ -337,17 +349,17 @@ class TestSolveSizes:
     def test_benchmark_sweep_reuses_each_matrixs_screen(self, tmp_path, ks, tols):
         # The benchmark's sweep: n = 500, ell = 4, seeds 1-2, gammas 0/3/8/20
         # with rogue certificates.  Each seed's k = 4 solve of the unedited
-        # D^ell settles its gap; the labels and the three certificates solve
-        # that same matrix again, and each edited matrix is solved twice.
+        # D^ell is kept; the labels and the three certificates ask that same
+        # matrix again, and each edited matrix is asked twice.
         cfg = write_config(tmp_path, params={**PARAMS, "n": 500}, ell=4, seeds=[1, 2],
                            gammas=[0, 3, 8, 20], rogue=True)
         out = tmp_path / "s.csv"
         assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         assert len(read_rows(out)) == 8
         assert ks == 2 * [4, 2, 4, 2, 2, 4, 2, 2, 4, 2, 2]  # 22 solves per 8 rows
-        # A screen on the first solve of each of the 8 matrices: 22 first runs
-        # and 8 screens, where the parent ran a screen in all 22 solves (44).
-        assert len(tols) == 30 and tols.count(ds.spectral._SCREEN_TOL) == 8
+        # One solve of each of the 8 matrices, a first run and a screen; the
+        # other 14 calls are answered from the kept solves.
+        assert len(tols) == 16 and tols.count(ds.spectral._SCREEN_TOL) == 8
 
     def test_certify_solves_are_unchanged(self, ks):
         sample = ds.sample_graph(cli._default_config().params, 1)
@@ -620,7 +632,7 @@ class TestVerify:
         assert "PASS spectra.multiplicity_matches_dense" in out
         assert "PASS spectra.multiplicity_screen_near_ties" in out
         assert "PASS spectra.opposite_sign_tie_returned" in out
-        assert "PASS spectra.repeat_solve_settled" in out
+        assert "PASS spectra.repeat_solve_kept" in out
         assert "FAIL" not in out
 
 
@@ -707,6 +719,26 @@ class TestFlags:
                 cli.main([command, *self.POSITIONAL.get(command, []), flag, "5"])
             assert exc.value.code == 2
             assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, type_name", [
+        ("--ell", "0", "depth"), ("--ell", "-1", "depth"),
+        ("--kappa", "0", "exponent"), ("--kappa", "-0.5", "exponent")])
+    @pytest.mark.parametrize("command", ["detect", "sweep"])
+    def test_depth_below_one_and_kappa_at_most_zero_are_usage_errors(
+            self, tmp_path, capsys, command, flag, value, type_name):
+        cfg = write_config(tmp_path)
+        graph = tmp_path / "g.json"
+        cli.main(["generate", "--config", str(cfg), "--seed", "1", "--out", str(graph)])
+        out = tmp_path / "out"
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, *([str(graph)] if command == "detect" else []), "--config",
+                      str(cfg), f"{flag}={value}", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith(
+            f"error: argument {flag}: invalid {type_name} value: '{value}'")
+        assert not out.exists()
 
     def test_sweep_seed_is_a_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

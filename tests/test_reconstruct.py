@@ -239,6 +239,14 @@ class TestDetect:
                               ds.derive_spectral_profile(params), 3, seed=2)
         assert len(solved) == 1 and record.pairs is solved[0]
 
+    def test_edgeless_graph_reads_zero_pairs(self):
+        # D^2 has no nonzero; with 100 rows it takes the sparse path.
+        params = small_params(100)
+        asg, record = ds.detect(ds.SparseGraph.from_edges(100, []),
+                                ds.derive_spectral_profile(params), 2, seed=1)
+        assert [(p.value, p.residual) for p in record.pairs] == [(0.0, 0.0)] * 2
+        assert np.array_equal(record.pairs[asg.source].vector, np.eye(100)[1])
+
     def test_below_threshold_warns_and_uses_fallback(self, below_threshold_params):
         profile = ds.derive_spectral_profile(below_threshold_params)
         sample = ds.sample_graph(

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import distspec as ds
 import distspec.graph as graph
 import distspec.spectral as spectral
-from distspec.cli import _explicit_spectrum
+from distspec.cli import _CountedMatrix, _explicit_spectrum
 from distspec.spectral import DegenerateOperator, NoConvergence
 
 from conftest import check_cycle_expansions, small_params
@@ -74,6 +74,20 @@ class TestTopEigenpairs:
     def test_zero_operator(self):
         pairs = ds.top_eigenpairs(dense_op(np.zeros((5, 5))), 5, 2, seed=1)
         assert all(abs(p.value) <= 1e-10 for p in pairs)
+
+    @pytest.mark.parametrize("n", [40, 100])  # the dense and the sparse path
+    def test_zero_matrix_gives_unit_vectors(self, n):
+        dl = ds.distance_matrix(ds.SparseGraph.from_edges(n, []), 2)
+        pairs = ds.top_eigenpairs(dl, n, 2, seed=1)
+        assert [(p.value, p.residual) for p in pairs] == [(0.0, 0.0)] * 2
+        assert np.array_equal(np.stack([p.vector for p in pairs]), np.eye(2, n))
+
+    def test_counted_float_matrix_keeps_its_entries(self):
+        A = _explicit_spectrum([10.0, 9.0], 2.0, seed=0)
+        mat = _CountedMatrix(graph.SparseSymMatrix(len(A), 1, "explicit", A))
+        pairs = ds.top_eigenpairs(mat, mat.n, 2, seed=0)
+        assert [p.value for p in pairs] == pytest.approx([10.0, 9.0], rel=1e-9)
+        assert mat.products > 0
 
     def test_degenerate_eigenvalue_multiplicity(self):
         A = np.diag([4.0, 4.0, 1.0])
@@ -222,70 +236,66 @@ def _pair_bytes(pairs) -> list:
 
 
 class TestRepeatSolve:
-    """A screen that settles a check on a ``SparseSymMatrix`` is remembered;
-    a later solve of the same object skips its checks only where that
-    record proves the gap, and returns the bytes of a fresh solve."""
+    """Each matrix object's last complete solve is kept; a later call that
+    asks it for no more pairs is answered from it without a product."""
 
-    def test_solve_after_a_larger_one_returns_the_bytes_of_a_fresh_one(self, tols):
-        skipped = []
-        for name, dl, k in _pinned_solves():
-            fresh = _pair_bytes(ds.top_eigenpairs(copy.copy(dl), dl.n, k, seed=1))
-            ds.top_eigenpairs(dl, dl.n, k + 2, seed=1)
-            tols.clear()
-            assert _pair_bytes(ds.top_eigenpairs(dl, dl.n, k, seed=1)) == fresh, name
-            if tols == [1e-9]:  # the first run alone
-                skipped.append(name)
-        # Every eigenvalue of the disjoint copies repeats, so no record shows a gap.
-        assert skipped == ["pipeline seed=1", "pipeline seed=2", "sweep ell=2", "sweep ell=4"]
-
-    def test_opposite_sign_near_tie_takes_the_full_check(self, tols):
-        A = _explicit_spectrum([10.0, 5.0, -5.0 * (1 + 5e-9)], 2.0, seed=0)
-        mat = graph.SparseSymMatrix(len(A), 1, "distance", sp.csr_matrix(A))
-        ds.top_eigenpairs(mat, mat.n, 4, seed=0)
-        assert mat in spectral._screened
+    def test_repeat_returns_the_kept_pairs_without_a_product(self, tols):
+        g = ds.sample_graph(small_params(500), 1).graph
+        dl = _CountedMatrix(ds.distance_matrix(g, 4))
+        first = ds.top_eigenpairs(dl, g.n, 4, seed=1)
+        dl.products = 0
         tols.clear()
-        pairs = ds.top_eigenpairs(mat, mat.n, 2, seed=0)
-        assert spectral._SCREEN_TOL in tols
-        assert sorted(round(p.value, 6) for p in pairs) == [-5.0, 5.0, 10.0]
-
-    def test_disjoint_copies_take_the_full_check(self, tols):
-        union = _copies(3)
-        dl = ds.distance_matrix(union, 2)
-        ds.top_eigenpairs(dl, union.n, 6, seed=1)
-        tols.clear()
-        ds.top_eigenpairs(dl, union.n, 4, seed=1)
-        assert spectral._SCREEN_TOL in tols
+        for k in (4, 2, 1, 0):
+            pairs = ds.top_eigenpairs(dl, g.n, k, seed=k + 7)  # the seed is not read
+            assert len(pairs) == k and all(p is q for p, q in zip(pairs, first))
+            pairs.clear()  # the caller's list, not the kept one
+        assert dl.products == 0 and tols == []
 
     def test_record_of_a_smaller_k_is_not_used(self, tols):
         g = ds.sample_graph(small_params(500), 1).graph
         dl = ds.distance_matrix(g, 4)
-        ds.top_eigenpairs(dl, g.n, 2, seed=1)
-        assert len(spectral._screened[dl][0]) == 2
+        fresh = _pair_bytes(ds.top_eigenpairs(copy.copy(dl), g.n, 4, seed=1))
+        small = ds.top_eigenpairs(dl, g.n, 2, seed=1)
+        assert spectral._solved[dl] == (2, tuple(small))
         tols.clear()
-        ds.top_eigenpairs(dl, g.n, 4, seed=1)
+        large = ds.top_eigenpairs(dl, g.n, 4, seed=1)
         assert tols == [1e-9, spectral._SCREEN_TOL]
+        assert _pair_bytes(large) == fresh and spectral._solved[dl] == (4, tuple(large))
 
-    @pytest.mark.parametrize("tamper", [False, True])
-    def test_vectors_off_the_record_take_the_full_check(self, tols, tamper):
-        g = ds.sample_graph(small_params(500), 1).graph
-        dl = ds.distance_matrix(g, 4)
-        fresh = _pair_bytes(ds.top_eigenpairs(copy.copy(dl), g.n, 2, seed=2))
-        ds.top_eigenpairs(dl, g.n, 4, seed=1)
-        if tamper:  # the same values, recorded with vectors of another span
-            vals, vecs, bound = spectral._screened[dl]
-            spectral._screened[dl] = (vals, np.roll(vecs, 1, axis=0), bound)
-        tols.clear()
-        assert _pair_bytes(ds.top_eigenpairs(dl, g.n, 2, seed=2)) == fresh
-        assert tols == ([1e-9, spectral._SCREEN_TOL] if tamper else [1e-9])
+    def test_no_convergence_solve_is_not_kept(self, monkeypatch):
+        g = ds.sample_graph(small_params(300), 4).graph
+        dl, kept = ds.distance_matrix(g, 3), ds.distance_matrix(g, 3)
+        small = ds.top_eigenpairs(kept, g.n, 2, seed=1)
+        monkeypatch.setattr(spectral, "_MAX_MATVECS", 3)
+        for mat in (dl, kept):
+            with pytest.warns(NoConvergence):
+                ds.top_eigenpairs(mat, g.n, 6, seed=1)
+        assert dl not in spectral._solved and spectral._solved[kept] == (2, tuple(small))
 
     def test_record_goes_with_its_matrix(self):
         g = ds.sample_graph(small_params(500), 1).graph
         dl = ds.distance_matrix(g, 4)
         ds.top_eigenpairs(dl, g.n, 4, seed=1)
-        count = len(spectral._screened)
+        count = len(spectral._solved)
         del dl
         gc.collect()
-        assert len(spectral._screened) == count - 1
+        assert len(spectral._solved) == count - 1
+
+    def test_opposite_sign_near_tie_comes_from_the_kept_solve(self, tols):
+        A = _explicit_spectrum([10.0, 5.0, -5.0 * (1 + 5e-9)], 2.0, seed=0)
+        mat = dense_op(A)
+        first = ds.top_eigenpairs(mat, mat.n, 4, seed=0)
+        tols.clear()
+        pairs = ds.top_eigenpairs(mat, mat.n, 2, seed=0)
+        assert tols == [] and pairs == first[:3]
+        assert sorted(round(p.value, 6) for p in pairs) == [-5.0, 5.0, 10.0]
+
+    @pytest.mark.parametrize("n", [40, 300])  # the dense and the ARPACK path
+    def test_kept_vectors_are_read_only(self, n):
+        dl = ds.distance_matrix(ds.sample_graph(small_params(n), 4).graph, 2)
+        for p in ds.top_eigenpairs(dl, n, 2, seed=1):
+            with pytest.raises(ValueError, match="read-only"):
+                p.vector[0] = 1.0
 
 
 class TestSeparationReport:
