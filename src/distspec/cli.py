@@ -98,6 +98,14 @@ class ExperimentConfig:
             if unknown:
                 raise ValueError(f"unknown {where} key {unknown[0]!r}")
         require_keys(p, "params", _PARAMS_KEYS)
+        for name, values in (("seeds", seeds), ("gammas", gammas)):
+            if not isinstance(values, list):
+                raise ValueError(f"{name} must be a list, got {values!r}")
+        for name in ("W", "pi"):
+            bad = [x for x in np.asarray(p[name], dtype=object).ravel()
+                   if isinstance(x, bool) or not isinstance(x, numbers.Real)]
+            if bad:
+                raise ValueError(f"{name} must be real numbers, got {bad[0]!r}")
         for name, values in (("r", [p["r"]]), ("n", [p["n"]]), ("seed", seeds), ("gamma", gammas)):
             bad = [x for x in values if not is_int(x)]
             if bad:

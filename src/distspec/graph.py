@@ -22,6 +22,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from .util import is_int
+
 
 class NegativeEntry(ValueError):
     """Path counts fell below distance indicators; inputs are inconsistent."""
@@ -55,8 +57,10 @@ class SparseGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "SparseGraph":
-        """Build from an edge list of (u, v) integer rows; validates their
-        type and shape and that there are no self-loops or duplicates."""
+        """Build from (u, v) integer rows, checked in this order: integer
+        dtype, (u, v) rows, range, no self-loops, no duplicates.  The CSR is
+        one sort of the directed keys u * n + v and v * n + u (a repeat is a
+        duplicate edge): row u holds the keys in [u * n, (u + 1) * n), mod n."""
         arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
         if arr.size and arr.dtype.kind not in "iu":
             raise ValueError(f"edge endpoints must be integers, got dtype {arr.dtype}")
@@ -65,25 +69,14 @@ class SparseGraph:
             arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError(f"edges must be (u, v) rows, got an array of shape {arr.shape}")
-        if arr.size:
-            if (arr < 0).any() or (arr >= n).any():
-                raise ValueError("edge endpoint out of range")
-            if (arr[:, 0] == arr[:, 1]).any():
-                raise ValueError("self-loops are not allowed")
-            lo = np.minimum(arr[:, 0], arr[:, 1])
-            hi = np.maximum(arr[:, 0], arr[:, 1])
-            key = lo * n + hi
-            if len(np.unique(key)) != len(key):
-                raise ValueError("duplicate edges are not allowed")
-            both = np.concatenate([np.stack([lo, hi], 1), np.stack([hi, lo], 1)])
-        else:
-            both = np.empty((0, 2), dtype=np.int64)
-        order = np.lexsort((both[:, 1], both[:, 0]))
-        both = both[order]
-        counts = np.bincount(both[:, 0], minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return cls(n, indptr, both[:, 1].copy())
+        if (arr < 0).any() or (arr >= n).any():
+            raise ValueError("edge endpoint out of range")
+        if (arr[:, 0] == arr[:, 1]).any():
+            raise ValueError("self-loops are not allowed")
+        keys = np.sort(np.concatenate([arr @ (n, 1), arr @ (1, n)]))
+        if (keys[1:] == keys[:-1]).any():
+            raise ValueError("duplicate edges are not allowed")
+        return cls(n, np.searchsorted(keys, np.arange(n + 1) * n), keys % n)
 
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
@@ -222,14 +215,27 @@ def frontiers(g: SparseGraph, sources: sp.spmatrix, ell: int) -> list[sp.csr_mat
     return out
 
 
+def _vertex_ids(x) -> np.ndarray:
+    """The vertex ids ``x`` as an array: an array must have an integer
+    dtype, any other iterable must hold integers (``util.is_int``)."""
+    if isinstance(x, np.ndarray):
+        if x.dtype.kind not in "iu":
+            raise ValueError(f"vertex ids must be integers, got dtype {x.dtype}")
+        return x.astype(np.int64, copy=False)
+    x = list(x)
+    bad = [v for v in x if not is_int(v)]
+    if bad:
+        raise ValueError(f"vertex ids must be integers, got {bad[0]!r}")
+    return np.array(x, dtype=np.int64)
+
+
 def _source_rows(g: SparseGraph, sets) -> sp.csr_matrix:
     """One source row per vertex set; rejects empty sets and bad vertices."""
-    members = [x if isinstance(x, np.ndarray) else np.fromiter(x, dtype=np.int64) for x in sets]
+    members = [_vertex_ids(x) for x in sets]
     lengths = [len(x) for x in members]
     if 0 in lengths:
         raise ValueError("vertex set must be nonempty")
-    flat = (np.concatenate(members).astype(np.int64, copy=False) if members
-            else np.empty(0, dtype=np.int64))
+    flat = np.concatenate(members) if members else np.empty(0, dtype=np.int64)
     if len(flat) and (flat.min() < 0 or flat.max() >= g.n):
         raise ValueError("vertex out of range")
     indptr = np.cumsum([0] + lengths)
@@ -317,19 +323,22 @@ def distance_matrix(g: SparseGraph, ell: int, base: Optional[SparseSymMatrix] = 
     Given ``base``, the ``D^ell`` of a graph that differs from ``g`` only in
     edges joining two vertices of a set X, only the vertices in ``rows``
     are expanded (in ``g``) and their rows spliced into a copy of
-    ``base``.  ``rows`` must hold every vertex within distance ell - 1 of
-    X; that distance is the same in both graphs, since a shortest path to
-    X meets X only at its end and so uses no edited edge.  Every other row
-    is the same in both matrices: a distance of at most ell that the edit
-    changes is, in one of the graphs, the length of a path through an
-    edited edge, and that path reaches X within ell - 1 steps.  The result
-    is then array for array the full build's, at the cost of the balls of
-    ``rows`` plus O(nnz) for the copy.
+    ``base``; ``base`` and ``rows``, integer vertex ids, come together.
+    ``rows`` must hold every vertex within distance ell - 1 of X; that
+    distance is the same in both graphs, since a shortest path to X meets
+    X only at its end and so uses no edited edge.  Every other row is the
+    same in both matrices: a distance of at most ell that the edit changes
+    is, in one of the graphs, the length of a path through an edited edge,
+    and that path reaches X within ell - 1 steps.  The result is then
+    array for array the full build's, at the cost of the balls of ``rows``
+    plus O(nnz) for the copy.
     """
+    if (base is None) != (rows is None):
+        raise ValueError("base and rows must be given together")
     if base is None:
         return SparseSymMatrix(g.n, ell, "distance", _expand(g, ell, distance=True)[0])
     _require_built(base, "base", g, ell, "distance")
-    rows = np.unique(np.asarray(rows, dtype=np.int64))
+    rows = np.unique(_vertex_ids(rows))
     if len(rows) and (rows[0] < 0 or rows[-1] >= g.n):
         raise ValueError("vertex out of range")
     part = _expand(g, ell, distance=True, vertices=rows)[0]

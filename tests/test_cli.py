@@ -109,8 +109,13 @@ class TestConfig:
     @pytest.mark.parametrize("field, overrides", [
         ("n", {"params": dict(PARAMS, n=300.9)}), ("r", {"params": dict(PARAMS, r="2")}),
         ("seed", {"seeds": [1.7, True]}), ("seed", {"seeds": [1, True]}),
-        ("gamma", {"gammas": [2.5]}), ("rogue", {"rogue": "no"})],
-        ids=["n-float", "r-string", "seed-float", "seed-bool", "gamma-float", "rogue-string"])
+        ("gamma", {"gammas": [2.5]}), ("rogue", {"rogue": "no"}),
+        ("W", {"params": dict(PARAMS, W=[["5", 1], [1, "5"]])}),
+        ("W", {"params": dict(PARAMS, W=[[True, 1], [1, True]])}),
+        ("pi", {"params": dict(PARAMS, pi=["0.5", 0.5])}),
+        ("seeds", {"seeds": 5}), ("gammas", {"gammas": "03"})],
+        ids=["n-float", "r-string", "seed-float", "seed-bool", "gamma-float", "rogue-string",
+             "W-string", "W-bool", "pi-string", "seeds-int", "gammas-string"])
     def test_non_integer_counts_and_non_boolean_rogue_are_rejected(self, tmp_path, field,
                                                                    overrides):
         cfg = write_config(tmp_path, **overrides)

@@ -334,3 +334,11 @@ class TestEdgeCases:
         for bad in ([4], [-1, 0]):
             with pytest.raises(ValueError, match="vertex out of range"):
                 ds.distance_matrix(path_graph, 2, base, bad)
+        for bad in ([1.7], ["1"], np.array([1.5]), [True, 2], np.array([True, False, True, False])):
+            with pytest.raises(ValueError, match="vertex ids must be integers"):
+                ds.set_shell_sizes(path_graph, bad, 2)
+            with pytest.raises(ValueError, match="vertex ids must be integers"):
+                ds.distance_matrix(path_graph, 2, base, bad)
+        for extra in ({"rows": [0]}, {"base": base}):
+            with pytest.raises(ValueError, match="base and rows must be given together"):
+                ds.distance_matrix(path_graph, 2, **extra)

@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import distspec as ds
 from distspec.graph import CapSaturated, NegativeEntry
@@ -21,6 +23,8 @@ class TestSparseGraph:
             ds.SparseGraph.from_edges(3, [(0, 1), (1, 0)])
         with pytest.raises(ValueError):
             ds.SparseGraph.from_edges(3, [(0, 5)])
+        with pytest.raises(ValueError, match="duplicate"):
+            ds.SparseGraph.from_edges(3, [(0, 1), (0, 1)])
 
     @pytest.mark.parametrize("edges", [
         [[0, 1, 1], [2, 3, 1]],            # weighted rows once read as (0,1), (1,2), (1,3)
@@ -30,6 +34,30 @@ class TestSparseGraph:
     def test_rows_other_than_pairs_are_rejected(self, edges):
         with pytest.raises(ValueError, match=r"edges must be \(u, v\) rows"):
             ds.SparseGraph.from_edges(4, edges)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_csr_matches_sorted_neighbour_sets(self, data):
+        # Random simple graphs (isolated and trailing vertices included), each
+        # edge in a random orientation and the list in a random order.
+        n = data.draw(st.integers(0, 40))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3 * n)
+                           if pairs else st.just([]))
+        edges = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in chosen]
+        edges = data.draw(st.permutations(edges))
+        nbrs = [set() for _ in range(n)]
+        for u, v in edges:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        indptr = np.cumsum([0] + [len(x) for x in nbrs])
+        indices = [w for x in nbrs for w in sorted(x)]
+        for given_edges in (edges, np.array(edges, dtype=np.int64).reshape(-1, 2)):
+            g = ds.SparseGraph.from_edges(n, given_edges)
+            assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int64
+            assert g.indptr.tolist() == indptr.tolist()
+            assert g.indices.tolist() == indices
+            assert (g.n, g.m) == (n, len(edges))
 
     def test_adjacency_sorted_symmetric(self):
         g = ds.SparseGraph.from_edges(4, [(2, 1), (0, 3), (0, 1)])
