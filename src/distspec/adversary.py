@@ -24,13 +24,14 @@ from .graph import (
     SparseGraph,
     SparseSymMatrix,
     _require_built,
+    _vertex_ids,
     distance_matrix,
     set_shell_sizes,
 )
 from .model import SpectralProfile
 from .reconstruct import AtOrBelowThreshold
 from .spectral import EigenPair, qc_bound, top_eigenpairs
-from .util import derive_seed, is_int, make_rng
+from .util import derive_seed, is_int, make_rng, require_keys
 
 EPSILON = 0.2  # the candidate pool is the top n^(1 - EPSILON) vertices by shell size
 
@@ -56,22 +57,24 @@ class GreedyExhausted(RuntimeError):
 
 
 def _normalize_edges(edges) -> tuple:
-    out = []
-    for u, v in edges:
-        if not (is_int(u) and is_int(v)):
-            raise ValueError(f"edge ({u!r}, {v!r}) must join integer vertices")
-        u, v = int(u), int(v)
-        if u == v:
-            raise InconsistentEdit(f"self-loop ({u}, {v})")
-        out.append((min(u, v), max(u, v)))
-    if len(set(out)) != len(out):
+    """The (u, v) pairs of ``edges`` as sorted (min, max) int tuples."""
+    arr = _vertex_ids(edges)
+    if arr.shape == (0,):
+        arr = arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"edits must be (u, v) pairs, got an array of shape {arr.shape}")
+    loops = arr[:, 0] == arr[:, 1]
+    if loops.any():
+        raise InconsistentEdit("self-loop ({}, {})".format(*arr[np.argmax(loops)].tolist()))
+    pairs = sorted(map(tuple, np.sort(arr, axis=1).tolist()))
+    if len(set(pairs)) != len(pairs):
         raise InconsistentEdit("duplicate edge in edit list")
-    return tuple(sorted(out))
+    return tuple(pairs)
 
 
 @dataclass(frozen=True, eq=False)
 class Perturbation:
-    """Edge edits plus the strength budget they must respect."""
+    """Edge edits plus the strength budget (a nonnegative integer) they must respect."""
 
     added_edges: tuple
     removed_edges: tuple
@@ -79,6 +82,8 @@ class Perturbation:
     affected: frozenset = field(init=False)
 
     def __post_init__(self):
+        if not is_int(self.gamma_budget) or self.gamma_budget < 0:
+            raise ValueError(f"gamma must be a nonnegative integer, got {self.gamma_budget!r}")
         added = _normalize_edges(self.added_edges)
         removed = _normalize_edges(self.removed_edges)
         if set(added) & set(removed):
@@ -101,19 +106,12 @@ class Perturbation:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Perturbation":
-        if not is_int(doc["gamma"]):
-            raise ValueError(f"gamma must be an integer, got {doc['gamma']!r}")
-        return cls(
-            added_edges=tuple(tuple(e) for e in doc.get("add", [])),
-            removed_edges=tuple(tuple(e) for e in doc.get("remove", [])),
-            gamma_budget=doc["gamma"],
-        )
-
-
-def _edge_keys(edges, n: int) -> np.ndarray:
-    """``u*n + v`` for each normalized edge (u < v) inside [0, n), else -1."""
-    return np.array([u * n + v if u >= 0 and v < n else -1 for u, v in edges],
-                    dtype=np.int64)
+        require_keys(doc, "perturbation", ("gamma",))
+        add, remove = doc.get("add", []), doc.get("remove", [])
+        for key, edits in (("add", add), ("remove", remove)):
+            if not isinstance(edits, list):
+                raise ValueError(f"{key} must be a list of (u, v) pairs, got {edits!r}")
+        return cls(added_edges=add, removed_edges=remove, gamma_budget=doc["gamma"])
 
 
 def apply_perturbation(g: SparseGraph, p: Perturbation) -> SparseGraph:
@@ -123,29 +121,27 @@ def apply_perturbation(g: SparseGraph, p: Perturbation) -> SparseGraph:
     order: the first added edge that is present or out of range fails,
     then the first removed edge that is absent.
     """
-    n = g.n
-    edges = g.edge_array()
-    keys = edges[:, 0] * n + edges[:, 1]
-    add_keys = _edge_keys(p.added_edges, n)
-    present = np.isin(add_keys, keys)
-    bad = np.nonzero(present | (add_keys < 0))[0]
+    n, keys = g.n, g._keys()
+    add = np.array(p.added_edges, dtype=np.int64).reshape(-1, 2)
+    rem = np.array(p.removed_edges, dtype=np.int64).reshape(-1, 2)
+    inside = (add[:, 0] >= 0) & (add[:, 1] < n)
+    present = inside & _is_key(add @ (n, 1), keys)
+    bad = np.flatnonzero(present | ~inside)
     if len(bad):
         e = p.added_edges[bad[0]]
         if present[bad[0]]:
             raise InconsistentEdit(f"edge {e} to add is already present")
         raise InconsistentEdit(f"edge {e} out of range")
-    rem_keys = _edge_keys(p.removed_edges, n)
-    absent = ~np.isin(rem_keys, keys)
+    absent = (rem[:, 0] < 0) | (rem[:, 1] >= n) | ~_is_key(rem @ (n, 1), keys)
     if absent.any():
         raise InconsistentEdit(f"edge {p.removed_edges[np.argmax(absent)]} to remove is absent")
-    keys = np.union1d(np.setdiff1d(keys, rem_keys, assume_unique=True), add_keys)
-    return SparseGraph.from_edges(n, np.stack([keys // n, keys % n], axis=1))
+    keys = np.delete(keys, np.searchsorted(keys, np.concatenate([rem @ (n, 1), rem @ (1, n)])))
+    return SparseGraph._from_keys(n, np.sort(np.concatenate([keys, add @ (n, 1), add @ (1, n)])))
 
 
-def _missing_clique_edges(g: SparseGraph, vertices) -> tuple:
-    """The pairs of ``vertices``, in order, that are not yet edges of ``g``."""
-    return tuple((int(u), int(v)) for i, u in enumerate(vertices) for v in vertices[i + 1:]
-                 if not g.has_edge(int(u), int(v)))
+def _is_key(x: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether each of ``x`` is in the sorted array ``keys``."""
+    return np.searchsorted(keys, x, side="right") > np.searchsorted(keys, x)
 
 
 def plant_clique(g: SparseGraph, gamma: int, seed: int) -> tuple[SparseGraph, Perturbation]:
@@ -158,9 +154,9 @@ def plant_clique(g: SparseGraph, gamma: int, seed: int) -> tuple[SparseGraph, Pe
         raise ValueError("clique size exceeds the graph")
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    rng = make_rng(seed)
-    chosen = np.sort(rng.choice(g.n, size=gamma, replace=False)) if gamma else np.array([], dtype=np.int64)
-    p = Perturbation(added_edges=_missing_clique_edges(g, chosen), removed_edges=(),
+    chosen = np.sort(make_rng(seed).choice(g.n, size=gamma, replace=False))
+    pairs = chosen[np.stack(np.triu_indices(gamma, 1), axis=1)]
+    p = Perturbation(added_edges=pairs[~_is_key(pairs @ (g.n, 1), g._keys())], removed_edges=(),
                      gamma_budget=int(gamma))
     return apply_perturbation(g, p), p
 

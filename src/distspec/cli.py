@@ -106,7 +106,7 @@ class ExperimentConfig:
                    if isinstance(x, bool) or not isinstance(x, numbers.Real)]
             if bad:
                 raise ValueError(f"{name} must be real numbers, got {bad[0]!r}")
-        for name, values in (("r", [p["r"]]), ("n", [p["n"]]), ("seed", seeds), ("gamma", gammas)):
+        for name, values in (("seed", seeds), ("gamma", gammas)):
             bad = [x for x in values if not is_int(x)]
             if bad:
                 raise ValueError(f"{name} must be an integer, got {bad[0]!r}")

@@ -57,14 +57,13 @@ class SparseGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "SparseGraph":
-        """Build from (u, v) integer rows, checked in this order: integer
-        dtype, (u, v) rows, range, no self-loops, no duplicates.  The CSR is
-        one sort of the directed keys u * n + v and v * n + u (a repeat is a
-        duplicate edge): row u holds the keys in [u * n, (u + 1) * n), mod n."""
-        arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
-        if arr.size and arr.dtype.kind not in "iu":
-            raise ValueError(f"edge endpoints must be integers, got dtype {arr.dtype}")
-        arr = arr.astype(np.int64, copy=False)
+        """Build from (u, v) integer rows, checked in this order: n a nonnegative
+        integer, integer ids (:func:`_vertex_ids`), (u, v) rows, range, no
+        self-loops, no duplicates.  The CSR is one sort of the directed keys
+        u * n + v and v * n + u (a repeat is a duplicate edge)."""
+        if not is_int(n) or n < 0:
+            raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+        arr = _vertex_ids(edges)
         if arr.shape == (0,):
             arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:
@@ -76,7 +75,18 @@ class SparseGraph:
         keys = np.sort(np.concatenate([arr @ (n, 1), arr @ (1, n)]))
         if (keys[1:] == keys[:-1]).any():
             raise ValueError("duplicate edges are not allowed")
+        return cls._from_keys(n, keys)
+
+    @classmethod
+    def _from_keys(cls, n: int, keys: np.ndarray) -> "SparseGraph":
+        """From the sorted int64 keys u * n + v of both directions of every
+        edge: row u holds the keys in [u * n, (u + 1) * n), mod n."""
         return cls(n, np.searchsorted(keys, np.arange(n + 1) * n), keys % n)
+
+    def _keys(self) -> np.ndarray:
+        """The sorted int64 keys u * n + v of both directions of every edge."""
+        rows = np.repeat(np.arange(self.n, dtype=np.int64) * self.n, np.diff(self.indptr))
+        return rows + self.indices
 
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
@@ -216,17 +226,17 @@ def frontiers(g: SparseGraph, sources: sp.spmatrix, ell: int) -> list[sp.csr_mat
 
 
 def _vertex_ids(x) -> np.ndarray:
-    """The vertex ids ``x`` as an array: an array must have an integer
-    dtype, any other iterable must hold integers (``util.is_int``)."""
+    """The vertex ids ``x``, of any shape, as an array: an array must have an
+    integer dtype, any other iterable must hold integers (``util.is_int``)."""
     if isinstance(x, np.ndarray):
         if x.dtype.kind not in "iu":
             raise ValueError(f"vertex ids must be integers, got dtype {x.dtype}")
         return x.astype(np.int64, copy=False)
-    x = list(x)
-    bad = [v for v in x if not is_int(v)]
+    x = np.asarray(list(x), dtype=object)
+    bad = [v for v in x.ravel() if not is_int(v)]
     if bad:
         raise ValueError(f"vertex ids must be integers, got {bad[0]!r}")
-    return np.array(x, dtype=np.int64)
+    return x.astype(np.int64)
 
 
 def _source_rows(g: SparseGraph, sets) -> sp.csr_matrix:

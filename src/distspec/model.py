@@ -49,6 +49,9 @@ class SbmParams:
     n: int
 
     def __post_init__(self):
+        for name, value in (("r", self.r), ("n", self.n)):
+            if not is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         W = np.asarray(self.W, dtype=float)
         pi = np.asarray(self.pi, dtype=float)
         object.__setattr__(self, "W", W)
@@ -292,13 +295,21 @@ def sample_to_json(sample: TypedGraphSample, r: int) -> dict:
 
 
 def sample_from_json(doc: dict) -> TypedGraphSample:
+    """The sample of a graph document (see :func:`sample_to_json`), checked:
+    the keys ``n``, ``r``, ``types`` and ``edges`` are present (``seed``
+    defaults to 0); ``r``, ``seed`` and every type are integers, and so are
+    ``n`` and every endpoint, with the edges judged as ``SparseGraph.from_edges``
+    judges them (range, no self-loops, no duplicates); there is one type per
+    vertex, each in 0..r-1."""
     require_keys(doc, "graph", ("n", "r", "types", "edges"))
-    for key in ("n", "r", "seed", "types", "edges"):
+    for key in ("r", "seed", "types"):
         bad = [x for x in np.asarray(doc.get(key, 0), dtype=object).ravel() if not is_int(x)]
         if bad:
             raise ValueError(f"graph {key} must hold integers, got {bad[0]!r}")
     graph = SparseGraph.from_edges(doc["n"], doc["edges"])
     sigma = np.asarray(doc["types"], dtype=np.int64)
+    if sigma.shape != (graph.n,):
+        raise ValueError(f"types must hold {graph.n} entries, one per vertex")
     if ((sigma < 0) | (sigma >= doc["r"])).any():
         raise ValueError(f"types must lie in 0..{doc['r'] - 1}")
     return TypedGraphSample(graph=graph, sigma=sigma, seed=doc.get("seed", 0))

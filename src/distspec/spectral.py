@@ -302,8 +302,7 @@ def _cycle_shell_bounds(g: SparseGraph, cycles: Sequence[np.ndarray], ell: int) 
 
     n, indptr, dst = g.n, g.indptr, g.indices.astype(np.int64)
     src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    # Neighbour lists are sorted, so the edge keys are too; rev[e] is y->x for e = x->y.
-    rev = np.searchsorted(src * n + dst, dst * n + src)
+    rev = np.searchsorted(g._keys(), dst * n + src)  # rev[e] is y->x for e = x->y
     walks = [np.ones(len(dst), dtype=np.int64)]
     for _ in range(ell - 1):
         total = np.concatenate([[0], np.cumsum(walks[-1])])

@@ -13,6 +13,7 @@ from distspec.adversary import (
     GreedyExhausted,
     InconsistentEdit,
 )
+from distspec.util import make_rng
 
 from conftest import small_params
 
@@ -27,6 +28,8 @@ class TestPerturbation:
         with pytest.raises(BudgetExceeded):
             ds.Perturbation(added_edges=((0, 1), (2, 3)), removed_edges=(),
                             gamma_budget=3)
+        with pytest.raises(ValueError, match="^gamma must be a nonnegative integer, got -1$"):
+            ds.Perturbation(added_edges=(), removed_edges=(), gamma_budget=-1)
 
     def test_inconsistent_edits(self):
         with pytest.raises(InconsistentEdit):
@@ -114,6 +117,20 @@ class TestPerturbation:
         assert q.added_edges == p.added_edges
         assert q.removed_edges == p.removed_edges
 
+    @pytest.mark.parametrize("doc, match", [
+        ({"add": [[0, 1]]}, "^missing perturbation key 'gamma'$"),
+        ({"gamma": 2, "add": [[1]]}, r"^edits must be \(u, v\) pairs"),
+        ({"gamma": 2, "remove": [[0, 1, 2]]}, r"^edits must be \(u, v\) pairs"),
+        ({"gamma": 2, "add": [0, 1]}, r"^edits must be \(u, v\) pairs"),
+        ({"gamma": 2, "add": [[0, 1], [2]]}, "^vertex ids must be integers"),
+        ({"gamma": 2, "add": 5}, r"^add must be a list of \(u, v\) pairs"),
+        ({"gamma": 2, "remove": {"0": 1}}, r"^remove must be a list of \(u, v\) pairs")],
+        ids=["no-gamma", "short-pair", "long-pair", "flat", "ragged", "add-int",
+             "remove-object"])
+    def test_from_json_rejects_malformed_documents(self, doc, match):
+        with pytest.raises(ValueError, match=match):
+            ds.Perturbation.from_json(doc)
+
 
 class TestPlantClique:
     def test_single_vertex_changes_nothing(self, path_graph):
@@ -143,6 +160,37 @@ class TestPlantClique:
         _, p1 = ds.plant_clique(sample.graph, 5, seed=9)
         _, p2 = ds.plant_clique(sample.graph, 5, seed=9)
         assert p1.added_edges == p2.added_edges
+
+    @staticmethod
+    def assert_matches_has_edge_reference(g, edges, gamma, seed):
+        # Reference: the pairs of the chosen set, in order, that are not yet edges.
+        chosen = np.sort(make_rng(seed).choice(g.n, size=gamma, replace=False)).tolist()
+        want = tuple((u, v) for i, u in enumerate(chosen) for v in chosen[i + 1:]
+                     if not g.has_edge(u, v))
+        g2, p = ds.plant_clique(g, gamma, seed)
+        assert p.added_edges == want
+        assert all(type(x) is int for e in p.added_edges for x in e)
+        assert p.affected == {x for e in want for x in e}
+        ref = ds.SparseGraph.from_edges(g.n, list(edges) + list(want))
+        for got, expected in ((g2.indptr, ref.indptr), (g2.indices, ref.indices)):
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        return p
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 24), st.data())
+    def test_matches_has_edge_reference(self, n, data):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = sorted(data.draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+        self.assert_matches_has_edge_reference(ds.SparseGraph.from_edges(n, edges), edges,
+                                               data.draw(st.integers(0, n)),
+                                               data.draw(st.integers(0, 2**32)))
+
+    def test_a_chosen_set_that_is_already_a_clique_adds_nothing(self):
+        # Every 5-subset of the complete graph on 7 vertices is already a clique.
+        edges = [(u, v) for u in range(7) for v in range(u + 1, 7)]
+        g = ds.SparseGraph.from_edges(7, edges)
+        p = self.assert_matches_has_edge_reference(g, edges, 5, 3)
+        assert p.added_edges == () and p.affected == frozenset()
 
 
 class TestRobustnessBudget:

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -658,6 +659,21 @@ class TestSweep:
         assert [r.split(",")[4] for r in read_rows(out)] == ["0"]
         assert "# ERROR seed=1 gamma=2: broken certificate" in text.splitlines()
         assert "# ROGUE" not in text
+
+    def test_benchmark_sweep_is_pinned(self, tmp_path):
+        # The benchmark's sweep config; columns 1-12 (all but the timings) of
+        # every line, the "# ROGUE" lines included, hashed as
+        # `cut -d, -f1-12 sweep.csv | sha256sum` hashes them.
+        params = dict(PARAMS, n=500)
+        cfg = write_config(tmp_path, params=params, ell=4, seeds=[1, 2], gammas=[0, 3, 8, 20],
+                           rogue=True)
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        cut = "".join(",".join(line.split(",")[:12]) + "\n"
+                      for line in out.read_text().splitlines())
+        assert sum(line.startswith("# ROGUE") for line in cut.splitlines()) == 2
+        assert hashlib.sha256(cut.encode()).hexdigest() == \
+            "9cebe75c48d3d01e8dd98332bec7733051917da97f20f24a02264416856756a8"
 
 
 class TestVerify:

@@ -25,6 +25,8 @@ class TestSparseGraph:
             ds.SparseGraph.from_edges(3, [(0, 5)])
         with pytest.raises(ValueError, match="duplicate"):
             ds.SparseGraph.from_edges(3, [(0, 1), (0, 1)])
+        with pytest.raises(ValueError, match="n must be a nonnegative integer"):
+            ds.SparseGraph.from_edges(-1, [])
 
     @pytest.mark.parametrize("edges", [
         [[0, 1, 1], [2, 3, 1]],            # weighted rows once read as (0,1), (1,2), (1,3)

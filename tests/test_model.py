@@ -203,7 +203,8 @@ class TestGraphJson:
         assert np.array_equal(back.sigma, sample.sigma)
         assert back.graph.edge_set() == sample.graph.edge_set()
 
-    @pytest.mark.parametrize("types", [[0, -1, 1, 1], [0, 1, 2, 1]], ids=["negative", "r"])
+    @pytest.mark.parametrize("types", [[0, -1, 1, 1], [0, 1, 2, 1], [0, 1, 0], [0, 1, 0, 1, 1], 1],
+                             ids=["negative", "r", "short", "long", "scalar"])
     def test_rejects_types_outside_r(self, types):
         doc = {"n": 4, "r": 2, "seed": 0, "types": types, "edges": [[0, 1]]}
         with pytest.raises(ValueError, match="types"):
@@ -219,11 +220,19 @@ class TestGraphJson:
         lambda: ds.sample_from_json({**GRAPH_DOC, "seed": 1.5}),
         lambda: ds.Perturbation.from_json({"gamma": 2, "add": [[0.5, 3]]}),
         lambda: ds.Perturbation.from_json({"gamma": 2.5, "add": [[1, 3]]}),
+        lambda: ds.Perturbation.from_json({"gamma": True}),
         lambda: ds.SparseGraph.from_edges(5, [(0.5, 2)]),
+        lambda: ds.SparseGraph.from_edges(5, [(True, 2)]),
+        lambda: ds.SparseGraph.from_edges(2.5, [(0, 1)]),
+        lambda: small_params(10.5),
+        lambda: ds.SbmParams(r=2.5, W=np.eye(2), pi=np.array([0.5, 0.5]), n=10),
     ], ids=["n-float", "n-string", "edge-float", "edge-bool", "edge-strings", "type-float",
-            "seed-float", "edit-float", "gamma-float", "from-edges-float"])
+            "seed-float", "edit-float", "gamma-float", "gamma-bool", "from-edges-float",
+            "from-edges-bool", "from-edges-n-float", "params-n-float", "params-r-float"])
     def test_rejects_numbers_that_are_not_integers(self, read):
-        # None of these may be cast to an int, which reads 10.9 as 10 and true as 1.
+        # None of these may be cast to an int, which reads 10.9 as 10 and true as 1;
+        # unchecked, from_edges read (True, 2) as edge (1, 2), n = 2.5 built a
+        # 2-vertex graph and r = 2.5 failed as "W must be 2.5x2.5".
         with pytest.raises(ValueError, match="integer"):
             read()
 
