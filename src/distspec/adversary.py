@@ -24,7 +24,7 @@ from .graph import (
     SparseGraph,
     SparseSymMatrix,
     _require_built,
-    _vertex_ids,
+    _vertex_pairs,
     distance_matrix,
     set_shell_sizes,
 )
@@ -58,11 +58,7 @@ class GreedyExhausted(RuntimeError):
 
 def _normalize_edges(edges) -> tuple:
     """The (u, v) pairs of ``edges`` as sorted (min, max) int tuples."""
-    arr = _vertex_ids(edges)
-    if arr.shape == (0,):
-        arr = arr.reshape(0, 2)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(f"edits must be (u, v) pairs, got an array of shape {arr.shape}")
+    arr = _vertex_pairs(edges, "edits must be (u, v) pairs")
     loops = arr[:, 0] == arr[:, 1]
     if loops.any():
         raise InconsistentEdit("self-loop ({}, {})".format(*arr[np.argmax(loops)].tolist()))

@@ -136,7 +136,7 @@ def _resolve_ell(args, config: ExperimentConfig, n: Optional[int] = None,
                  profile: Optional[SpectralProfile] = None) -> int:
     """Depth resolution order: --ell, --kappa, the config's ell, its kappa,
     then kappa = 1/13.  A kappa reads the graph's vertex count ``n`` (default:
-    the config's n); ``choose_ell`` rejects a depth below 1 and kappa <= 0."""
+    the config's n); ``choose_ell`` rejects a bad depth or kappa."""
     if args.ell is not None or args.kappa is not None:
         override, kappa = args.ell, args.kappa
     else:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Sized
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,16 +58,12 @@ class SparseGraph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "SparseGraph":
         """Build from (u, v) integer rows, checked in this order: n a nonnegative
-        integer, integer ids (:func:`_vertex_ids`), (u, v) rows, range, no
+        integer, the rows and their ids (:func:`_vertex_pairs`), range, no
         self-loops, no duplicates.  The CSR is one sort of the directed keys
         u * n + v and v * n + u (a repeat is a duplicate edge)."""
         if not is_int(n) or n < 0:
             raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-        arr = _vertex_ids(edges)
-        if arr.shape == (0,):
-            arr = arr.reshape(0, 2)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError(f"edges must be (u, v) rows, got an array of shape {arr.shape}")
+        arr = _vertex_pairs(edges, "edges must be (u, v) rows")
         if (arr < 0).any() or (arr >= n).any():
             raise ValueError("edge endpoint out of range")
         if (arr[:, 0] == arr[:, 1]).any():
@@ -237,6 +233,25 @@ def _vertex_ids(x) -> np.ndarray:
     if bad:
         raise ValueError(f"vertex ids must be integers, got {bad[0]!r}")
     return x.astype(np.int64)
+
+
+def _vertex_pairs(edges, what: str) -> np.ndarray:
+    """The (u, v) rows ``edges`` as an (m, 2) int64 array, the empty list being
+    no rows.  A list whose rows differ in length names its first row that is
+    not a pair; otherwise the ids are checked (:func:`_vertex_ids`), then the
+    shape.  ``what`` opens the two messages about rows."""
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+        sizes = [len(row) if isinstance(row, Sized) else None for row in edges]
+        if len(set(sizes)) > 1:
+            short = next(row for row, size in zip(edges, sizes) if size != 2)
+            raise ValueError(f"{what}, got the row {short!r}")
+    arr = _vertex_ids(edges)
+    if arr.shape == (0,):
+        arr = arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"{what}, got an array of shape {arr.shape}")
+    return arr
 
 
 def _source_rows(g: SparseGraph, sets) -> sp.csr_matrix:

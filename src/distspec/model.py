@@ -36,7 +36,7 @@ class NotPositiveRegular(ValueError):
 
 
 class InvalidKappa(ValueError):
-    """Depth-scaling exponent must be positive."""
+    """Depth-scaling exponent must be positive and finite."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,16 +263,17 @@ def choose_ell(
 ) -> EllChoice:
     """Depth ell ~ kappa * log_alpha(n), alpha = rho(M), clamped to at least 1.
 
-    ``override`` short-circuits the formula (recorded in the flags);
-    ``kappa_in_regime`` records whether kappa sits strictly below 1/12,
-    the regime where the eigenvalue-separation guarantees apply.
+    ``override``, an integer >= 1, short-circuits the formula (recorded in
+    the flags); ``kappa``, positive and finite, is checked either way, as
+    ``kappa_in_regime`` records whether it sits strictly below 1/12, the
+    regime where the eigenvalue-separation guarantees apply.
     """
+    if not 0 < kappa < math.inf:
+        raise InvalidKappa(f"kappa must be positive and finite, got {kappa}")
     if override is not None:
-        if override < 1:
-            raise ValueError("override depth must be >= 1")
+        if not is_int(override) or override < 1:
+            raise ValueError(f"override depth must be >= 1 and integral, got {override!r}")
         return EllChoice(int(override), True, False, kappa < 1.0 / 12.0)
-    if kappa <= 0:
-        raise InvalidKappa(f"kappa must be positive, got {kappa}")
     if profile.alpha <= 1.0:
         raise ValueError("alpha must exceed 1 to choose a depth")
     # Small epsilon guards floor() against float dust at exact integer targets.

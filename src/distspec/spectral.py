@@ -22,10 +22,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graph import SparseGraph, SparseSymMatrix, _expand, _require_built, delta_matrix, \
     fundamental_cycles, path_expansion_matrix
-from .util import canonical_sign, make_rng
+from .util import canonical_sign, is_int, make_rng
 
 
 class DegenerateOperator(ValueError):
@@ -131,7 +132,7 @@ def top_eigenpairs(op: SparseSymMatrix, n: int, k: int, seed: int = 0) -> list[E
 
     Matrices under 64 rows, or with ``k >= n - 1``, go to dense ``eigh``
     of ``op.to_dense()``; a matrix without nonzeros returns e_0..e_{k-1}
-    with value 0, as ``eigh`` does.  ``k`` must be nonnegative.
+    with value 0, as ``eigh`` does.  ``k`` must be a nonnegative integer.
     ``_MAX_MATVECS`` bounds the matvecs; when it runs out a
     :class:`NoConvergence` warning is issued and the pairs converged by
     then are returned.  Eigenvector signs are canonicalized (first nonzero
@@ -143,8 +144,8 @@ def top_eigenpairs(op: SparseSymMatrix, n: int, k: int, seed: int = 0) -> list[E
         raise ValueError(f"n = {n} but the matrix has {op.n} rows")
     if n <= 0:
         raise DegenerateOperator("operator dimension must be positive")
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
+    if not is_int(k) or k < 0:
+        raise ValueError(f"k must be nonnegative and integral, got {k!r}")
     k = min(int(k), n)
     kept_k, kept = _solved.get(op, (-1, ()))
     if k <= kept_k:
@@ -292,46 +293,30 @@ def _cycle_shell_bounds(g: SparseGraph, cycles: Sequence[np.ndarray], ell: int) 
     vertex at distance t from C ends a geodesic whose first edge leaves C,
     and a geodesic is a non-backtracking walk, so it is counted.  Each c_s
     is clamped at n (the walks from one edge end at no more than n
-    vertices), which keeps it a bound and its integers small.  The cost is
-    O(m * ell) for the walk counts plus the members' degrees, with no
-    traversal; on a cycle with trees attached the bound is exact.  The sets
-    go in blocks whose members' edges take about ``_BLOCK_ENTRIES`` bytes,
-    counted as six int64 temporaries per edge (at least one set a block).
+    vertices), which keeps it a bound and its integers small.  With the
+    (n, 2m) incidence matrices of the edges out of and into each vertex,
+    the edges leaving the sets take two products of the (C, n) membership,
+    one with each, and each layer two more: the leaving edges with the walk
+    counts, and the out-incidence with them for the next counts.  There is
+    no traversal.  On a cycle with trees attached the bound is exact.
     """
-    from .graph import _BLOCK_ENTRIES  # read at each call, as _expand reads it
-
-    n, indptr, dst = g.n, g.indptr, g.indices.astype(np.int64)
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    rev = np.searchsorted(g._keys(), dst * n + src)  # rev[e] is y->x for e = x->y
-    walks = [np.ones(len(dst), dtype=np.int64)]
-    for _ in range(ell - 1):
-        total = np.concatenate([[0], np.cumsum(walks[-1])])
-        walks.append(np.minimum(n, (total[indptr[1:]] - total[indptr[:-1]])[dst] - walks[-1][rev]))
-    del src, rev
+    n, indptr, keys = g.n, g.indptr, g._keys()
+    rev = np.searchsorted(keys, (keys % n) * n + keys // n)  # rev[e] is y->x for e = x->y
+    ones = np.ones(len(keys), dtype=np.int8)
+    out = sp.csr_matrix((ones, np.arange(len(keys)), indptr), shape=(n, len(keys)))
+    into = sp.csr_matrix((ones, rev, indptr), shape=(n, len(keys)))
+    sizes = [len(c) for c in cycles]
+    sets = sp.csr_matrix((np.ones(sum(sizes), dtype=np.int8),
+                          np.concatenate([np.empty(0, np.int64), *cycles]),
+                          np.cumsum([0, *sizes])), shape=(len(cycles), n))
+    member = sets @ out
+    leaving = member - member.multiply(sets @ into)
     bounds = np.empty((len(cycles), ell + 1), dtype=np.int64)
-    bounds[:, 0] = [len(c) for c in cycles]
-    member_ends = np.cumsum(bounds[:, 0])
-    members = np.concatenate(cycles).astype(np.int64) if len(cycles) else np.empty(0, np.int64)
-    edge_ends = np.cumsum(indptr[members + 1] - indptr[members])[member_ends - 1]
-    lo = 0
-    while lo < len(cycles):
-        start = edge_ends[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(edge_ends, start + _BLOCK_ENTRIES // 48, side="right")))
-        # Every (set, member, edge) triple of the block, then the edges that leave their set.
-        mine = members[(member_ends[lo - 1] if lo else 0):member_ends[hi - 1]]
-        owner = np.repeat(np.arange(hi - lo), bounds[lo:hi, 0])
-        inside = np.sort(owner * n + mine)
-        deg = indptr[mine + 1] - indptr[mine]
-        edge = np.repeat(indptr[mine] - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())
-        owner = np.repeat(owner, deg)
-        key = owner * n + dst[edge]
-        leave = inside[np.minimum(np.searchsorted(inside, key), len(inside) - 1)] != key
-        edge, owner = edge[leave], owner[leave]
-        ends = np.searchsorted(owner, np.arange(hi - lo + 1))
-        for t in range(1, ell + 1):
-            total = np.concatenate([[0], np.cumsum(walks[t - 1][edge])])
-            bounds[lo:hi, t] = np.minimum(n, total[ends[1:]] - total[ends[:-1]])
-        lo = hi
+    bounds[:, 0] = sizes
+    walks = np.ones(len(keys), dtype=np.int64)
+    for t in range(1, ell + 1):
+        bounds[:, t] = np.minimum(n, leaving @ walks)
+        walks = np.minimum(n, (out @ walks)[g.indices] - walks[rev])
     return bounds
 
 

@@ -122,10 +122,12 @@ class TestPerturbation:
         ({"gamma": 2, "add": [[1]]}, r"^edits must be \(u, v\) pairs"),
         ({"gamma": 2, "remove": [[0, 1, 2]]}, r"^edits must be \(u, v\) pairs"),
         ({"gamma": 2, "add": [0, 1]}, r"^edits must be \(u, v\) pairs"),
-        ({"gamma": 2, "add": [[0, 1], [2]]}, "^vertex ids must be integers"),
+        ({"gamma": 2, "add": [[0, 1], [2]]}, r"^edits must be \(u, v\) pairs, got the row \[2\]$"),
+        ({"gamma": 2, "remove": [[0, 1], [2, 3, 4]]},
+         r"^edits must be \(u, v\) pairs, got the row \[2, 3, 4\]$"),
         ({"gamma": 2, "add": 5}, r"^add must be a list of \(u, v\) pairs"),
         ({"gamma": 2, "remove": {"0": 1}}, r"^remove must be a list of \(u, v\) pairs")],
-        ids=["no-gamma", "short-pair", "long-pair", "flat", "ragged", "add-int",
+        ids=["no-gamma", "short-pair", "long-pair", "flat", "ragged", "ragged-long", "add-int",
              "remove-object"])
     def test_from_json_rejects_malformed_documents(self, doc, match):
         with pytest.raises(ValueError, match=match):

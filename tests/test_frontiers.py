@@ -4,6 +4,7 @@ and the fundamental cycles against plain Python enumerations, on small random
 graphs that include the empty graph, n = 1, isolated vertices, disconnected
 graphs and depths above the diameter."""
 
+import hashlib
 import warnings
 from unittest import mock
 
@@ -210,7 +211,8 @@ def test_cycle_shell_bounds_cover_the_exact_layers(g, ell):
     calls, expand = [], graph._expand
     with warnings.catch_warnings(), mock.patch.object(graph, "_BLOCK_ENTRIES", 16):
         warnings.simplefilter("ignore", ds.CapSaturated)
-        bounds = spectral._cycle_shell_bounds(g, cycles, ell)  # one cycle a block
+        # The block size splits only _expand's cycle expansions, not the bounds.
+        bounds = spectral._cycle_shell_bounds(g, cycles, ell)
         exact = expand(g, ell, cycles)[2]
         with mock.patch.object(spectral, "_expand",
                                lambda g, ell, sets=None, **kw: calls.append(sets)
@@ -230,6 +232,50 @@ def test_cycle_shell_bounds_are_exact_on_unicyclic_graphs(g, ell):
     (cycle,) = ds.fundamental_cycles(g)
     assert np.array_equal(spectral._cycle_shell_bounds(g, [cycle], ell),
                           graph._expand(g, ell, [cycle])[2])
+
+
+def _walk_bound_oracle(g, cycles, ell):
+    """The bound of ``_cycle_shell_bounds`` from plain dicts: c_s per directed
+    edge over ``g.neighbors``, clamped at n, summed over each cycle's leaving edges."""
+    n = g.n
+    nbrs = {x: [int(y) for y in g.neighbors(x)] for x in range(n)}
+    counts = [{(x, y): 1 for x in nbrs for y in nbrs[x]}]
+    for _ in range(ell - 1):
+        c = counts[-1]
+        counts.append({(x, y): min(n, sum(c[y, z] for z in nbrs[y] if z != x)) for x, y in c})
+    rows = []
+    for cycle in cycles:
+        inside = {int(x) for x in cycle}
+        leaving = [(x, y) for x in inside for y in nbrs[x] if y not in inside]
+        rows.append([len(inside)] + [min(n, sum(c[e] for e in leaving)) for c in counts])
+    return np.array(rows, dtype=np.int64).reshape(len(cycles), ell + 1)
+
+
+@SETTINGS
+@given(graphs(max_n=40), st.integers(1, 5))
+def test_cycle_shell_bounds_match_a_dict_walk_count(g, ell):
+    cycles = ds.fundamental_cycles(g)
+    bounds = spectral._cycle_shell_bounds(g, cycles, ell)
+    assert bounds.dtype == np.int64
+    assert np.array_equal(bounds, _walk_bound_oracle(g, cycles, ell))
+
+
+def test_cycle_shell_bounds_are_pinned():
+    # SHA-256 of the bound arrays (dtype, shape and raw bytes) on sampled
+    # graphs, the benchmark's certify graph (n = 3000, seed 1, ell = 4)
+    # first, each also with no cycles.
+    h = hashlib.sha256()
+    for n, seed, ell in [(3000, 1, 4), (300, 2, 2), (500, 3, 3), (700, 4, 5), (1000, 5, 4),
+                         (1000, 6, 2)]:
+        g = ds.sample_graph(small_params(n), seed).graph
+        for cycles in (ds.fundamental_cycles(g), []):
+            b = spectral._cycle_shell_bounds(g, cycles, ell)
+            assert b.shape == (len(cycles), ell + 1)
+            h.update(f"|n={n} seed={seed} ell={ell} C={len(cycles)}: {b.dtype.str} {b.shape}"
+                     .encode())
+            h.update(np.ascontiguousarray(b).tobytes())
+    assert h.hexdigest() == (
+        "18f464ab76b64f09ef750a4340746eed594c0b6fbca70d741be6c018c595bcd3")
 
 
 def test_each_statistic_is_one_expansion(monkeypatch):
@@ -342,3 +388,7 @@ class TestEdgeCases:
         for extra in ({"rows": [0]}, {"base": base}):
             with pytest.raises(ValueError, match="base and rows must be given together"):
                 ds.distance_matrix(path_graph, 2, **extra)
+        for ragged, row in (([(0, 1), (2,)], r"\(2,\)"), ([[0, 1, 2], [3]], r"\[0, 1, 2\]")):
+            message = rf"^edges must be \(u, v\) rows, got the row {row}$"
+            with pytest.raises(ValueError, match=message):
+                ds.SparseGraph.from_edges(4, ragged)

@@ -145,6 +145,7 @@ class TestChooseEll:
         choice = ds.choose_ell(two_type_profile, 10**4, override=4)
         assert choice.ell == 4
         assert choice.overridden
+        assert ds.choose_ell(two_type_profile, 10**4, override=np.int64(4)) == choice
 
     def test_exact_power(self, two_type_profile):
         choice = ds.choose_ell(two_type_profile, 3**60, kappa=1.0 / 12.0)
@@ -154,6 +155,18 @@ class TestChooseEll:
     def test_invalid_kappa(self, two_type_profile):
         with pytest.raises(InvalidKappa):
             ds.choose_ell(two_type_profile, 1000, kappa=0.0)
+
+    @pytest.mark.parametrize("override", [None, 3])
+    @pytest.mark.parametrize("kappa", [-1.0, np.inf, np.nan])
+    def test_kappa_must_be_positive_and_finite(self, two_type_profile, kappa, override):
+        # With an override too, as kappa_in_regime reads it.
+        with pytest.raises(InvalidKappa, match="kappa must be positive and finite"):
+            ds.choose_ell(two_type_profile, 1000, kappa=kappa, override=override)
+
+    @pytest.mark.parametrize("override", [0, -2, 2.5, True, 4.0, "4"])
+    def test_override_must_be_an_integer_of_at_least_one(self, two_type_profile, override):
+        with pytest.raises(ValueError, match="override depth must be >= 1 and integral"):
+            ds.choose_ell(two_type_profile, 1000, override=override)
 
     @pytest.mark.parametrize("W, ell", [([[3.0, 0.5], [0.5, 0.0]], 2),
                                         ([[3.8, 0.01], [0.01, 0.01]], 1)], ids=["W0", "W1"])

@@ -27,6 +27,7 @@ class TestTopEigenpairs:
         pairs = ds.top_eigenpairs(dense_op(np.eye(3)), 3, 1, seed=1)
         assert pairs[0].value == pytest.approx(1.0)
         assert pairs[0].residual <= 1e-10
+        assert len(ds.top_eigenpairs(dense_op(np.eye(3)), 3, np.int64(2), seed=1)) == 2
 
     def test_two_by_two(self):
         pairs = ds.top_eigenpairs(dense_op([[2.0, 1.0], [1.0, 2.0]]), 2, 2, seed=1)
@@ -118,6 +119,11 @@ class TestTopEigenpairs:
     def test_negative_k_raises(self):
         with pytest.raises(ValueError, match="k must be nonnegative"):
             ds.top_eigenpairs(dense_op(np.eye(100)), 100, -1)
+
+    @pytest.mark.parametrize("k", [2.7, 2.0, True, "2"])
+    def test_non_integer_k_raises(self, k):
+        with pytest.raises(ValueError, match="k must be nonnegative and integral"):
+            ds.top_eigenpairs(dense_op(np.eye(100)), 100, k)
 
     @pytest.mark.parametrize("k", [4, 6])
     @pytest.mark.parametrize("ell", [1, 2, 3])
