@@ -44,10 +44,10 @@ from .gw import (
     moment_closed_forms,
 )
 from .model import (
-    InvalidKappa,
     SbmParams,
     SpectralProfile,
     TypedGraphSample,
+    _check_kappa,
     choose_ell,
     derive_spectral_profile,
     sample_from_json,
@@ -84,10 +84,8 @@ class ExperimentConfig:
             raise ValueError("gamma values must be nonnegative")
         if self.ell is not None and (not is_int(self.ell) or self.ell < 1):
             raise ValueError(f"ell must be a positive integer, got {self.ell!r}")
-        if self.kappa is not None and (isinstance(self.kappa, bool)
-                                       or not isinstance(self.kappa, numbers.Real)
-                                       or not 0 < self.kappa < np.inf):
-            raise InvalidKappa(f"kappa must be a positive number, got {self.kappa!r}")
+        if self.kappa is not None:
+            _check_kappa(self.kappa)
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":

@@ -229,9 +229,12 @@ def _vertex_ids(x) -> np.ndarray:
             raise ValueError(f"vertex ids must be integers, got dtype {x.dtype}")
         return x.astype(np.int64, copy=False)
     x = np.asarray(list(x), dtype=object)
-    bad = [v for v in x.ravel() if not is_int(v)]
+    flat = x.ravel().tolist()
+    # is_int reads only the type, so one element of each distinct type decides.
+    bad = {t for t, v in dict(zip(map(type, flat), flat)).items() if not is_int(v)}
     if bad:
-        raise ValueError(f"vertex ids must be integers, got {bad[0]!r}")
+        first = next(v for v in flat if type(v) in bad)
+        raise ValueError(f"vertex ids must be integers, got {first!r}")
     return x.astype(np.int64)
 
 

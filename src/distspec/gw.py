@@ -19,7 +19,7 @@ from typing import Iterator, Optional, Union
 import numpy as np
 
 from .model import SpectralProfile
-from .util import derive_seed, is_int, make_rng
+from .util import _sfc64_rng, derive_seed, is_int
 
 DEFAULT_CAP = 10**7
 
@@ -50,6 +50,10 @@ class GwConfig:
         if (M < 0).any():
             raise ValueError("M entries must be nonnegative")
         object.__setattr__(self, "M", M)
+        for name in ("depth", "runs", "seed", "cap"):
+            value = getattr(self, name)
+            if not is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.depth < 0 or self.runs < 1:
             raise ValueError("need depth >= 0 and runs >= 1")
         if self.cap < 1:
@@ -110,12 +114,12 @@ def _branching(cfg: GwConfig) -> tuple[np.ndarray, np.ndarray, Iterator[np.ndarr
     ``generations`` yields Z_0, ..., Z_depth as fresh (runs, r) int64
     arrays, each drawn from the one before, so a caller holds only the
     generations it keeps.  The draws are the root types, then one Poisson
-    array per generation.  A run whose total passes the cap is frozen at
-    its previous state; the flags are final, and one
-    :class:`PopulationCapHit` warned if any run froze, once the iterator
-    is exhausted.
+    array per generation, from the SFC64 stream of the config's seed.  A
+    run whose total passes the cap is frozen at its previous state; the
+    flags are final, and one :class:`PopulationCapHit` warned if any run
+    froze, once the iterator is exhausted.
     """
-    rng = make_rng(cfg.seed)
+    rng = _sfc64_rng(cfg.seed)
     r = cfg.r
     if isinstance(cfg.root_law, (int, np.integer)):
         root_types = np.full(cfg.runs, int(cfg.root_law), dtype=np.int64)

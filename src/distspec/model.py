@@ -13,6 +13,7 @@ the graph alone (signal-to-noise ratio ``tau = mu2^2 / mu1 > 1``).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -37,6 +38,14 @@ class NotPositiveRegular(ValueError):
 
 class InvalidKappa(ValueError):
     """Depth-scaling exponent must be positive and finite."""
+
+
+def _check_kappa(kappa) -> None:
+    """Raise :class:`InvalidKappa` unless ``kappa`` is a real number (not a
+    bool), positive and finite."""
+    if isinstance(kappa, bool) or not isinstance(kappa, numbers.Real) \
+            or not 0 < kappa < math.inf:
+        raise InvalidKappa(f"kappa must be a positive, finite real number, got {kappa!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,8 +277,7 @@ def choose_ell(
     ``kappa_in_regime`` records whether it sits strictly below 1/12, the
     regime where the eigenvalue-separation guarantees apply.
     """
-    if not 0 < kappa < math.inf:
-        raise InvalidKappa(f"kappa must be positive and finite, got {kappa}")
+    _check_kappa(kappa)
     if override is not None:
         if not is_int(override) or override < 1:
             raise ValueError(f"override depth must be >= 1 and integral, got {override!r}")

@@ -1,10 +1,14 @@
 """Shared RNG plumbing, vector sign convention, input checks and stage timer.
 
-All randomness in the package flows through Philox4x64 counter-based
-generators keyed by explicit 64-bit seeds, so identical seeds reproduce
-byte-identical results across platforms and runs.  Independent phases of
-a pipeline derive their own keys with :func:`derive_seed` so each phase
-can be rerun in isolation.
+Every generator in the package is built here from an explicit integer
+seed, masked to 64 bits, so identical seeds reproduce byte-identical
+results across platforms and runs.  :func:`make_rng` keys a Philox4x64
+counter-based generator: it serves the draws addressed by stream position
+(the sampler's coin sweep jumps its stream) and the graph, solver and
+label streams.  The branching simulations consume their variates only in
+order, so they draw from the faster SFC64 (:func:`_sfc64_rng`).
+Independent phases of a pipeline derive their own keys with
+:func:`derive_seed` so each phase can be rerun in isolation.
 """
 
 from __future__ import annotations
@@ -18,9 +22,21 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 
+def _key(seed: int) -> int:
+    """The integer ``seed`` masked to 64 bits; a float or bool is a ``ValueError``."""
+    if not is_int(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    return int(seed) & _MASK64
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator keyed by a 64-bit seed."""
-    return np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
+    return np.random.Generator(np.random.Philox(key=_key(seed)))
+
+
+def _sfc64_rng(seed: int) -> np.random.Generator:
+    """SFC64 generator seeded by a 64-bit seed, for streams drawn only in order."""
+    return np.random.Generator(np.random.SFC64(_key(seed)))
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -30,7 +46,7 @@ def derive_seed(seed: int, label: str) -> int:
     distinct labels give independent streams and the mapping is stable
     across runs and platforms.
     """
-    digest = hashlib.sha256(f"{label}:{int(seed) & _MASK64}".encode()).digest()
+    digest = hashlib.sha256(f"{label}:{_key(seed)}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
 
 

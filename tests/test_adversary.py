@@ -31,6 +31,14 @@ class TestPerturbation:
         with pytest.raises(ValueError, match="^gamma must be a nonnegative integer, got -1$"):
             ds.Perturbation(added_edges=(), removed_edges=(), gamma_budget=-1)
 
+    def test_tuple_edits_name_their_first_non_integer_id(self):
+        mixed = [(0, 1), (np.int32(2), np.uint8(3)), (4, 5.0), (True, 6), (7, "8")]
+        with pytest.raises(ValueError, match="^vertex ids must be integers, got 5.0$"):
+            ds.Perturbation(added_edges=mixed, removed_edges=(), gamma_budget=9)
+        p = ds.Perturbation(added_edges=mixed[:2], removed_edges=(), gamma_budget=9)
+        assert p.added_edges == ((0, 1), (2, 3))
+        assert all(type(v) is int for e in p.added_edges for v in e)
+
     def test_inconsistent_edits(self):
         with pytest.raises(InconsistentEdit):
             ds.Perturbation(added_edges=((0, 1),), removed_edges=((0, 1),),

@@ -184,6 +184,15 @@ class TestResolveEll:
         with pytest.raises(InvalidKappa):
             self.resolve(tmp_path, ell=None, kappa=0)
 
+    @pytest.mark.parametrize("kappa", [True, "0.1", 0, -0.5, math.inf, math.nan])
+    def test_library_and_config_share_one_kappa_rule(self, two_type_profile, kappa):
+        message = f"kappa must be a positive, finite real number, got {re.escape(repr(kappa))}"
+        with pytest.raises(InvalidKappa, match=message):
+            ds.choose_ell(two_type_profile, 10**6, kappa=kappa)
+        params = cli.ExperimentConfig.from_json({"params": PARAMS}).params
+        with pytest.raises(InvalidKappa, match=message):
+            cli.ExperimentConfig(params=params, kappa=kappa)
+
 
 class TestGenerate:
     def test_writes_graph_json(self, tmp_path):

@@ -1,5 +1,7 @@
 import dataclasses
 import functools
+import hashlib
+import re
 import tracemalloc
 import warnings
 
@@ -10,7 +12,7 @@ import distspec as ds
 from distspec import gw
 from distspec.cli import _oracle_cumulant_check
 from distspec.gw import PopulationCapHit, SingularSystem
-from distspec.util import make_rng
+from distspec.util import _sfc64_rng
 
 
 def single_type_cfg(mean=3.0, depth=8, runs=10**4, seed=0):
@@ -20,7 +22,7 @@ def single_type_cfg(mean=3.0, depth=8, runs=10**4, seed=0):
 
 def assert_matches_run_major_loop(cfg):
     """Compare with a run-major reference loop; return its capped flags."""
-    rng = make_rng(cfg.seed)
+    rng = _sfc64_rng(cfg.seed)
     roots = (np.full(cfg.runs, int(cfg.root_law))
              if isinstance(cfg.root_law, (int, np.integer))
              else rng.choice(cfg.r, size=cfg.runs, p=cfg.root_law))
@@ -91,6 +93,22 @@ class TestSimulate:
         with pytest.raises(ValueError, match="cap must be >= 1"):
             ds.GwConfig(M=np.array([[3.0]]), root_law=0, cap=0)
         assert ds.GwConfig(M=np.array([[3.0]]), root_law=0, cap=1).cap == 1
+
+    @pytest.mark.parametrize("field, value", [
+        ("depth", True), ("depth", 2.5), ("runs", 1e3), ("runs", "5"), ("seed", 1.5),
+        ("seed", True), ("cap", 2.5), ("cap", np.float64(100.0))])
+    def test_non_integer_counts_and_seeds_are_rejected(self, field, value):
+        # depth=True once ran one generation and runs=1e3 failed inside NumPy.
+        message = re.escape(f"{field} must be an integer, got {value!r}")
+        with pytest.raises(ValueError, match=message):
+            ds.GwConfig(M=np.array([[3.0]]), root_law=0, **{field: value})
+
+    def test_numpy_integer_counts_and_seeds_keep_the_stream(self):
+        ints = dict(depth=np.int64(3), runs=np.int32(50), seed=np.uint64(7), cap=np.int64(10**6))
+        a = ds.simulate_population(ds.GwConfig(M=np.array([[2.0]]), root_law=0, **ints))
+        b = ds.simulate_population(ds.GwConfig(M=np.array([[2.0]]), root_law=0,
+                                               **{k: int(v) for k, v in ints.items()}))
+        assert np.array_equal(a.Z, b.Z)
 
     @pytest.mark.parametrize("root_law", [-1, 2, np.int64(2), True])
     def test_root_type_outside_the_types_is_rejected(self, root_law):
@@ -374,3 +392,20 @@ class TestGenerationLoop:
             warnings.simplefilter("ignore", PopulationCapHit)
             with pytest.raises(ValueError, match="at least 2 uncapped runs"):
                 ds.martingale_limit_check(capped, np.array([1.0]), 3.0)
+
+
+def test_branching_stream_is_pinned(two_type_profile):
+    # SHA-256 of the martingale values and of the cumulant check's arrays as
+    # raw bytes, so any change to the branching draws has to be declared.
+    phi, mu = two_type_profile.phi[1], 2.0
+    cfg = ds.GwConfig(M=two_type_profile.M, root_law=np.array([0.3, 0.7]), depth=6,
+                      runs=2000, seed=17)
+    chk = ds.cumulant_relation_check(two_type_profile, phi, mu, order=2, runs=2000, seed=18,
+                                     depth=6)
+    h = hashlib.sha256()
+    for arr in (ds.martingale_limit_check(cfg, phi, mu).X, chk.cumulants, chk.predicted,
+                chk.stderr):
+        h.update(f"|{arr.dtype.str}{arr.shape}".encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    assert h.hexdigest() == (
+        "b10b1e1dc89e02daf133fc0bacc22d9e714432a0b1a20ffd87720a747d04ea61")

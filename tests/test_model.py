@@ -160,7 +160,7 @@ class TestChooseEll:
     @pytest.mark.parametrize("kappa", [-1.0, np.inf, np.nan])
     def test_kappa_must_be_positive_and_finite(self, two_type_profile, kappa, override):
         # With an override too, as kappa_in_regime reads it.
-        with pytest.raises(InvalidKappa, match="kappa must be positive and finite"):
+        with pytest.raises(InvalidKappa, match="kappa must be a positive, finite real number"):
             ds.choose_ell(two_type_profile, 1000, kappa=kappa, override=override)
 
     @pytest.mark.parametrize("override", [0, -2, 2.5, True, 4.0, "4"])
