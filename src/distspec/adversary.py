@@ -68,6 +68,12 @@ def _normalize_edges(edges) -> tuple:
     return tuple(pairs)
 
 
+def _check_strength(gamma) -> None:
+    """Raise ``ValueError`` unless the adversary strength ``gamma`` is a nonnegative integer."""
+    if not is_int(gamma) or gamma < 0:
+        raise ValueError(f"gamma must be a nonnegative integer, got {gamma!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class Perturbation:
     """Edge edits plus the strength budget (a nonnegative integer) they must respect."""
@@ -78,8 +84,7 @@ class Perturbation:
     affected: frozenset = field(init=False)
 
     def __post_init__(self):
-        if not is_int(self.gamma_budget) or self.gamma_budget < 0:
-            raise ValueError(f"gamma must be a nonnegative integer, got {self.gamma_budget!r}")
+        _check_strength(self.gamma_budget)
         added = _normalize_edges(self.added_edges)
         removed = _normalize_edges(self.removed_edges)
         if set(added) & set(removed):
@@ -146,10 +151,9 @@ def plant_clique(g: SparseGraph, gamma: int, seed: int) -> tuple[SparseGraph, Pe
     Only missing pairs are added, so the affected set is exactly the
     endpoints of new edges (a one-vertex "clique" changes nothing).
     """
+    _check_strength(gamma)
     if gamma > g.n:
         raise ValueError("clique size exceeds the graph")
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
     chosen = np.sort(make_rng(seed).choice(g.n, size=gamma, replace=False))
     pairs = chosen[np.stack(np.triu_indices(gamma, 1), axis=1)]
     p = Perturbation(added_edges=pairs[~_is_key(pairs @ (g.n, 1), g._keys())], removed_edges=(),
@@ -203,33 +207,30 @@ class RogueCertificate:
 
 
 def _common_sphere_candidates(g: SparseGraph, dl: SparseSymMatrix, gamma: int,
-                              hub_candidates: np.ndarray):
-    """Candidate (k_set, shell) pairs built around hubs, read off ``dl = D^ell``.
+                              hub_candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate sets built around hubs and their shells, read off ``dl = D^ell``.
 
     The set is gamma neighbors of a hub (one of the first 25 candidates of
-    degree at least gamma), the shell the vertices outside it
-    at distance exactly ell from every member; every set-to-shell pair then
-    sits at distance exactly ell, so the certificate's closed form is
-    attained in the unedited graph.  Column j of ``D^ell`` times the 0/1
-    indicator block of all tried sets counts, per vertex, the members of
-    set j at distance ell; the shell is where that count reaches gamma.
+    degree at least gamma), the shell the vertices at distance exactly ell
+    from every member, so the certificate's closed form is attained in the
+    unedited graph.  ``D^ell`` times the 0/1 indicator block of all sets
+    counts, per vertex and set, the members at distance ell; the shell is
+    where that count reaches gamma, which no member's does (a member is at
+    distance 0 from itself).  Returns the sets whose shells hold 2 or more
+    vertices, as rows of a (c, gamma) array, and the shells as an (n, c) mask.
     """
     hubs = hub_candidates[np.diff(g.indptr)[hub_candidates] >= gamma][:25]
     if not len(hubs):
         raise GreedyExhausted(gamma, 0, f"no candidate hub has degree >= {gamma}")
-    k_sets = [g.neighbors(hub)[:gamma].astype(np.int64) for hub in hubs]
+    k_sets = g.indices[g.indptr[hubs, None] + np.arange(gamma)].astype(np.int64)
     block = np.zeros((g.n, len(hubs)))
-    for j, k_set in enumerate(k_sets):
-        block[k_set, j] = 1.0
-    out = []
-    for k_set, hits in zip(k_sets, dl.matvec(block).T):
-        shell = np.setdiff1d(np.nonzero(hits == gamma)[0], k_set)
-        if len(shell) >= 2:
-            out.append((k_set, shell.astype(np.int64)))
-    if not out:
+    block[k_sets, np.arange(len(hubs))[:, None]] = 1.0
+    shells = dl.matvec(block) == gamma
+    kept = shells.sum(axis=0) >= 2
+    if not kept.any():
         raise GreedyExhausted(gamma, 0, f"no {gamma} neighbours of a hub share a distance-"
                                         f"{dl.ell} shell of 2 or more vertices")
-    return out
+    return k_sets[kept], shells[:, kept]
 
 
 def _unit_mass_vector(n: int, k_set: np.ndarray, shell: np.ndarray) -> np.ndarray:
@@ -274,6 +275,7 @@ def build_rogue_certificate(
     :class:`GreedyExhausted`, saying what was missing, when no set and
     shell are found.
     """
+    _check_strength(gamma)
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
     if dl is None:
@@ -296,16 +298,19 @@ def build_rogue_certificate(
     top = top_eigenpairs(dl, g.n, k=profile.signal_pairs(g.n),
                          seed=derive_seed(seed, "rogue-eig"))[: max(profile.r0, 1)]
     if gamma > 1:
-        scored = [(float(np.abs(_cosines(_unit_mass_vector(g.n, k_set, shell), top)).max()),
-                   k_set, shell)
-                  for k_set, shell in _common_sphere_candidates(g, dl, gamma, pool)]
+        k_sets, shells = _common_sphere_candidates(g, dl, gamma, pool)
+        sizes = shells.sum(axis=0)
+        # Every candidate's unit-mass vector as a column, scored by its largest |cosine|.
+        vs = shells / np.sqrt(sizes)
+        vs[k_sets, np.arange(len(k_sets))[:, None]] = 1.0 / np.sqrt(gamma)
+        tops = np.column_stack([p.vector for p in top])
+        scores = np.abs((vs.T @ tops) / np.outer(np.linalg.norm(vs, axis=0),
+                                                  np.linalg.norm(tops, axis=0))).max(axis=1)
         # Strongest certificate among the safely-unaligned candidates;
         # fall back to the least-aligned one if none clears the margin.
-        safe = [c for c in scored if c[0] <= 0.15]
-        if safe:
-            _, k_set, shell = max(safe, key=lambda c: len(c[2]))
-        else:
-            _, k_set, shell = min(scored, key=lambda c: c[0])
+        safe = np.flatnonzero(scores <= 0.15)
+        best = safe[np.argmax(sizes[safe])] if len(safe) else np.argmin(scores)
+        k_set, shell = k_sets[best], np.flatnonzero(shells[:, best])
 
     v = _unit_mass_vector(g.n, k_set, shell)
     support = np.concatenate([k_set, shell])

@@ -20,7 +20,6 @@ import argparse
 import functools
 import itertools
 import json
-import numbers
 import sys
 import warnings
 from dataclasses import dataclass, replace
@@ -28,8 +27,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .adversary import GreedyExhausted, Perturbation, apply_perturbation, build_rogue_certificate, \
-    plant_clique
+from .adversary import GreedyExhausted, Perturbation, _check_strength, apply_perturbation, \
+    build_rogue_certificate, plant_clique
 from .graph import CapSaturated, SparseGraph, SparseSymMatrix, _source_rows, distance_matrix, \
     frontiers, fundamental_cycles, path_expansion_matrix, set_shell_sizes, shell_sizes_all, \
     tangle_free_check
@@ -56,7 +55,7 @@ from .model import (
 )
 from .reconstruct import detect, overlap, round_labels
 from .spectral import _TOL, delta_radius_check, qc_bound, top_eigenpairs
-from .util import derive_seed, is_int, make_rng, require_keys, timed
+from .util import _key, derive_seed, is_int, make_rng, require_keys, timed
 
 CSV_HEADER = ("seed,n,r,ell,gamma,overlap,lambda1,lambda2,lambda3,lambda4,"
               "qk_bound,rogue_rayleigh,ms_build,ms_eig,ms_label")
@@ -80,8 +79,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("need at least one seed")
-        if any(gamma < 0 for gamma in self.gammas):
-            raise ValueError("gamma values must be nonnegative")
+        for seed in self.seeds:
+            _key(seed)
+        for gamma in self.gammas:
+            _check_strength(gamma)
+        if not isinstance(self.rogue, bool):
+            raise ValueError(f"rogue must be true or false, got {self.rogue!r}")
         if self.ell is not None and (not is_int(self.ell) or self.ell < 1):
             raise ValueError(f"ell must be a positive integer, got {self.ell!r}")
         if self.kappa is not None:
@@ -89,6 +92,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
+        """The config of a document; only its shape is checked here, each value by its type."""
         require_keys(doc, "config", ("params",))
         p, seeds, gammas = doc["params"], doc.get("seeds", [1]), doc.get("gammas", [])
         for where, keys, known in (("config", doc, _CONFIG_KEYS), ("params", p, _PARAMS_KEYS)):
@@ -99,24 +103,11 @@ class ExperimentConfig:
         for name, values in (("seeds", seeds), ("gammas", gammas)):
             if not isinstance(values, list):
                 raise ValueError(f"{name} must be a list, got {values!r}")
-        for name in ("W", "pi"):
-            bad = [x for x in np.asarray(p[name], dtype=object).ravel()
-                   if isinstance(x, bool) or not isinstance(x, numbers.Real)]
-            if bad:
-                raise ValueError(f"{name} must be real numbers, got {bad[0]!r}")
-        for name, values in (("seed", seeds), ("gamma", gammas)):
-            bad = [x for x in values if not is_int(x)]
-            if bad:
-                raise ValueError(f"{name} must be an integer, got {bad[0]!r}")
-        rogue = doc.get("rogue", False)
-        if not isinstance(rogue, bool):
-            raise ValueError(f"rogue must be true or false, got {rogue!r}")
         if doc.get("matrix", "distance") != "distance":
             raise ValueError(f"unknown matrix kind {doc['matrix']!r}")
-        params = SbmParams(r=p["r"], W=np.asarray(p["W"], dtype=float),
-                           pi=np.asarray(p["pi"], dtype=float), n=p["n"])
-        return cls(params=params, ell=doc.get("ell"), kappa=doc.get("kappa"),
-                   seeds=tuple(seeds), gammas=tuple(gammas), rogue=rogue)
+        return cls(params=SbmParams(r=p["r"], W=p["W"], pi=p["pi"], n=p["n"]),
+                   ell=doc.get("ell"), kappa=doc.get("kappa"), seeds=tuple(seeds),
+                   gammas=tuple(gammas), rogue=doc.get("rogue", False))
 
     @classmethod
     def load(cls, path: str) -> "ExperimentConfig":
@@ -125,8 +116,7 @@ class ExperimentConfig:
 
 
 def _default_config() -> ExperimentConfig:
-    params = SbmParams(r=2, W=np.array([[5.0, 1.0], [1.0, 5.0]]),
-                       pi=np.array([0.5, 0.5]), n=2000)
+    params = SbmParams(r=2, W=[[5.0, 1.0], [1.0, 5.0]], pi=[0.5, 0.5], n=2000)
     return ExperimentConfig(params=params, ell=4)
 
 
@@ -250,13 +240,14 @@ def cmd_sweep(args) -> int:
         fh.write(CSV_VERSION + "\n" + CSV_HEADER + "\n")
         for seed in config.seeds:
             sample = sample_graph(config.params, seed)
-            # (D^ell, build ms) of the unedited graph, built on first use: the
-            # gamma = 0 row, every edited row's splice and every rogue
-            # certificate share it.
+            # (D^ell, build ms) of the unedited graph, built on first use and shared
+            # by the gamma = 0 row, the edited rows' splices and the rogue
+            # certificates; with no other reader, a lone edited row builds in full.
             unedited = functools.cache(functools.partial(timed, distance_matrix, sample.graph, ell))
+            splice = len(gammas) > 1 or config.rogue
             for gamma in gammas:
                 try:
-                    row, rogue_error = _sweep_row(config, profile, sample, unedited,
+                    row, rogue_error = _sweep_row(config, profile, sample, unedited, splice,
                                                   ell, seed, gamma)
                 except Exception as exc:  # record and continue
                     failures += 1
@@ -271,7 +262,7 @@ def cmd_sweep(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def _sweep_row(config, profile, sample, unedited, ell, seed, gamma):
+def _sweep_row(config, profile, sample, unedited, splice, ell, seed, gamma):
     graph = sample.graph
     qk = None
     rogue_r = None
@@ -279,7 +270,8 @@ def _sweep_row(config, profile, sample, unedited, ell, seed, gamma):
         perturbed, p = plant_clique(graph, gamma, derive_seed(seed, f"perturb:{gamma}"))
         qk, near = _edit_reach(graph, p.affected, ell)
         graph = perturbed
-        mat, ms_build = timed(distance_matrix, graph, ell, unedited()[0], near)
+        base = (unedited()[0], near) if splice else ()
+        mat, ms_build = timed(distance_matrix, graph, ell, *base)
     else:
         mat, ms_build = unedited()
 
@@ -442,14 +434,12 @@ def _verify_oracles() -> list[tuple[str, bool, str]]:
     # The coins start off and on a Philox block boundary; at n = 700 the rows
     # past _DRAW_THROUGH jump their skips.
     for n in (61, 100, 700):
-        params = SbmParams(r=3, W=np.array([[150.0, 2, 0], [2, 4, 3], [0, 3, 9]]),
-                           pi=np.array([0.5, 0.3, 0.2]), n=n)
+        params = SbmParams(r=3, W=[[150.0, 2, 0], [2, 4, 3], [0, 3, 9]], pi=[0.5, 0.3, 0.2], n=n)
         ok &= all(sample_to_json(sample_graph(params, s), params.r) == _oracle_coin_sweep(params, s)
                   for s in range(7, 10))
     results = [("oracles.sampler_matches_coin_sweep", bool(ok),
                 "3 seeds x n in {61,100,700}, 3 blocks with clamped and zero entries")]
-    params = SbmParams(r=2, W=np.array([[5.0, 1.0], [1.0, 5.0]]),
-                       pi=np.array([0.5, 0.5]), n=120)
+    params = SbmParams(r=2, W=[[5.0, 1.0], [1.0, 5.0]], pi=[0.5, 0.5], n=120)
     ok_dist = ok_layout = ok_shells = ok_splice = True
     for seed in range(3):
         graph = sample_graph(params, seed + 7).graph
@@ -489,8 +479,7 @@ def _verify_oracles() -> list[tuple[str, bool, str]]:
                     "sorted rows without duplicates and exact symmetry, same graphs"))
     results.append(("oracles.shells_and_tangle_match_apsp", bool(ok_shells),
                     "shell sizes, tangle offenders and 20 cycle shells, same graphs"))
-    params_small = SbmParams(r=2, W=np.array([[6.0, 2.0], [2.0, 6.0]]),
-                             pi=np.array([0.5, 0.5]), n=40)
+    params_small = SbmParams(r=2, W=[[6.0, 2.0], [2.0, 6.0]], pi=[0.5, 0.5], n=40)
     ok_all = True
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CapSaturated)
@@ -505,8 +494,7 @@ def _verify_oracles() -> list[tuple[str, bool, str]]:
 
 def _verify_spectra() -> list[tuple[str, bool, str]]:
     results = []
-    params = SbmParams(r=2, W=np.array([[5.0, 1.0], [1.0, 5.0]]),
-                       pi=np.array([0.5, 0.5]), n=300)
+    params = SbmParams(r=2, W=[[5.0, 1.0], [1.0, 5.0]], pi=[0.5, 0.5], n=300)
     sample = sample_graph(params, 11)
     dl = distance_matrix(sample.graph, 3)
     pairs = top_eigenpairs(dl, sample.graph.n, k=4, seed=3)
@@ -621,8 +609,7 @@ def _verify_bounds() -> list[tuple[str, bool, str]]:
     exact, bound = qc_bound([1, 4, 16])
     results.append(("bounds.qc_exact_below_rowsum", exact <= bound + 1e-12,
                     f"exact={exact:.3f} bound={bound:.3f}"))
-    params = SbmParams(r=2, W=np.array([[5.0, 1.0], [1.0, 5.0]]),
-                       pi=np.array([0.5, 0.5]), n=300)
+    params = SbmParams(r=2, W=[[5.0, 1.0], [1.0, 5.0]], pi=[0.5, 0.5], n=300)
     sample = sample_graph(params, 5)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # saturation is expected on tangled samples
@@ -647,8 +634,7 @@ def _verify_gw() -> list[tuple[str, bool, str]]:
     from .gw import finite_depth_second_moments
 
     results = []
-    params = SbmParams(r=2, W=np.array([[5.0, 1.0], [1.0, 5.0]]),
-                       pi=np.array([0.5, 0.5]), n=100)
+    params = SbmParams(r=2, W=[[5.0, 1.0], [1.0, 5.0]], pi=[0.5, 0.5], n=100)
     profile = derive_spectral_profile(params)
     mu = float(profile.mu[1])
     phi = profile.phi[1]

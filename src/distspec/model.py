@@ -61,25 +61,28 @@ class SbmParams:
         for name, value in (("r", self.r), ("n", self.n)):
             if not is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        W = np.asarray(self.W, dtype=float)
-        pi = np.asarray(self.pi, dtype=float)
-        object.__setattr__(self, "W", W)
-        object.__setattr__(self, "pi", pi)
+        for name in ("W", "pi"):
+            entries = np.asarray(getattr(self, name), dtype=object)
+            bad = [x for x in entries.ravel()
+                   if isinstance(x, bool) or not isinstance(x, numbers.Real)]
+            if bad:
+                raise ValueError(f"{name} must be real numbers, got {bad[0]!r}")
+            object.__setattr__(self, name, entries.astype(float))
         if self.r < 2:
             raise ValueError("need at least two blocks")
         if self.n < self.r:
             raise ValueError("need n >= r")
-        if W.shape != (self.r, self.r):
+        if self.W.shape != (self.r, self.r):
             raise ValueError(f"W must be {self.r}x{self.r}")
-        if not np.allclose(W, W.T, atol=0, rtol=0):
+        if not np.allclose(self.W, self.W.T, atol=0, rtol=0):
             raise ValueError("W must be symmetric")
-        if (W < 0).any():
+        if (self.W < 0).any():
             raise ValueError("W entries must be nonnegative")
-        if pi.shape != (self.r,):
+        if self.pi.shape != (self.r,):
             raise ValueError(f"pi must have length {self.r}")
-        if (pi < 0).any():
+        if (self.pi < 0).any():
             raise ValueError("pi entries must be nonnegative")
-        if abs(pi.sum() - 1.0) > _TOL_PI:
+        if abs(self.pi.sum() - 1.0) > _TOL_PI:
             raise ValueError("pi must sum to 1")
 
     @property

@@ -366,3 +366,34 @@ def _certificate_digest() -> str:
 def test_certificate_outputs_are_pinned():
     assert _certificate_digest() == (
         "721b7a29c775094b08434cc177d081121161dca32aec4dae0c77c63ce6a714fb")
+
+
+def _candidate_choice_digest() -> str:
+    """SHA-256 over the chosen certificate's ``k_set``, ``shell``, ``rayleigh``
+    and ``cosines``, or the ``GreedyExhausted`` message, for gamma 1..8 at
+    ell in {2, 3} on three graphs at n = 300.  Between them these calls take
+    the safe pick, the least-aligned fallback and the exhausted exit."""
+    params = small_params(300)
+    profile = ds.derive_spectral_profile(params)
+    h = hashlib.sha256()
+    for seed in (1, 2, 3):
+        g = ds.sample_graph(params, seed).graph
+        for ell in (2, 3):
+            dl = ds.distance_matrix(g, ell)
+            for gamma in range(1, 9):
+                h.update(f"|{seed} {ell} {gamma}:".encode())
+                try:
+                    cert = ds.build_rogue_certificate(g, profile, ell, gamma, seed=seed, dl=dl)
+                except GreedyExhausted as exc:
+                    h.update(f"GreedyExhausted {exc}".encode())
+                    continue
+                h.update(f"{cert.k_set.tolist()} {cert.shell.tolist()} {cert.rayleigh.hex()} "
+                         f"{[c.hex() for c in cert.cosines.tolist()]}".encode())
+    return h.hexdigest()
+
+
+def test_candidate_choice_is_pinned():
+    # Computed when each candidate was scored in its own loop, before the
+    # candidates were scored in one product.
+    assert _candidate_choice_digest() == (
+        "73f9939bbcdc863dc88d111c4694e3c49c435a2f23a44eb19d5f22f76879387c")

@@ -123,6 +123,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             cli.ExperimentConfig.load(str(cfg))
 
+    def test_a_config_needs_a_seed(self, tmp_path):
+        with pytest.raises(ValueError, match="^need at least one seed$"):
+            _config(seeds=())
+        with pytest.raises(ValueError, match="^need at least one seed$"):
+            _load_config(tmp_path, {"seeds": []})
+
     def test_unused_keys_still_load(self, tmp_path):
         cfg = write_config(tmp_path, perturbation="clique")
         assert cli.ExperimentConfig.load(str(cfg)).seeds == (1, 2)
@@ -145,6 +151,73 @@ class TestConfig:
         load = ds.sample_from_json if where == "graph" else cli.ExperimentConfig.from_json
         with pytest.raises(ValueError, match=f"^missing {where} key '{key}'$"):
             load(graph if where == "graph" else config)
+
+
+def _sbm(**fields):
+    return ds.SbmParams(**dict(PARAMS, **fields))
+
+
+def _config(**fields):
+    return cli.ExperimentConfig(params=_sbm(), **fields)
+
+
+def _path4():
+    return ds.SparseGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+
+
+def _load_config(tmp_path, doc):
+    return cli.ExperimentConfig.load(str(write_config(tmp_path, **doc)))
+
+
+def _load_perturbation(tmp_path, doc):
+    return ds.Perturbation.from_json(doc)
+
+
+_STRENGTH = "gamma must be a nonnegative integer, got "
+
+# One row per value rule: the value's owner built from Python, the same value
+# read from a document, and the one message both give.
+VALUE_RULES = {
+    "W-string": (lambda: _sbm(W=[["5", "1"], ["1", "5"]]), _load_config,
+                 {"params": dict(PARAMS, W=[["5", "1"], ["1", "5"]])},
+                 "W must be real numbers, got '5'"),
+    "W-bool": (lambda: _sbm(W=[[5, True], [True, 5]]), _load_config,
+               {"params": dict(PARAMS, W=[[5, True], [True, 5]])},
+               "W must be real numbers, got True"),
+    "pi-string": (lambda: _sbm(pi=[0.5, "0.5"]), _load_config,
+                  {"params": dict(PARAMS, pi=[0.5, "0.5"])}, "pi must be real numbers, got '0.5'"),
+    "pi-bool": (lambda: _sbm(pi=[True, False]), _load_config,
+                {"params": dict(PARAMS, pi=[True, False])}, "pi must be real numbers, got True"),
+    "seed-float": (lambda: _config(seeds=(1.5,)), _load_config, {"seeds": [1.5]},
+                   "seed must be an integer, got 1.5"),
+    "seed-bool": (lambda: _config(seeds=(2, True)), _load_config, {"seeds": [2, True]},
+                  "seed must be an integer, got True"),
+    "gamma-float": (lambda: _config(gammas=(2.5,)), _load_config, {"gammas": [2.5]},
+                    _STRENGTH + "2.5"),
+    "gamma-bool": (lambda: _config(gammas=(True,)), _load_config, {"gammas": [True]},
+                   _STRENGTH + "True"),
+    "gamma-negative": (lambda: _config(gammas=(3, -1)), _load_config, {"gammas": [3, -1]},
+                       _STRENGTH + "-1"),
+    "rogue-string": (lambda: _config(rogue="yes"), _load_config, {"rogue": "yes"},
+                     "rogue must be true or false, got 'yes'"),
+    "clique-float": (lambda: ds.plant_clique(_path4(), 2.5, seed=0), _load_perturbation,
+                     {"gamma": 2.5}, _STRENGTH + "2.5"),
+    "clique-bool": (lambda: ds.plant_clique(_path4(), True, seed=0), _load_perturbation,
+                    {"gamma": True}, _STRENGTH + "True"),
+    "certificate-float": (
+        lambda: ds.build_rogue_certificate(_path4(), ds.derive_spectral_profile(_sbm(n=4)), 2,
+                                           gamma=2.5),
+        _load_perturbation, {"gamma": 2.5}, _STRENGTH + "2.5"),
+}
+
+
+@pytest.mark.parametrize("build, load, doc, message", VALUE_RULES.values(), ids=VALUE_RULES)
+def test_a_value_rule_gives_one_message_from_python_and_from_a_document(
+        tmp_path, build, load, doc, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load(tmp_path, doc)
 
 
 class TestResolveEll:
@@ -636,6 +709,29 @@ class TestSweep:
         cfg = write_config(tmp_path, gammas=[2, 3], seeds=[1], rogue=True)
         assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 0
         assert counts == {"distance_matrix": 1 + 2}
+
+    def test_a_lone_edited_row_builds_its_graph_in_full(self, tmp_path, monkeypatch):
+        # Nothing else reads the unedited D^ell, so it is not built; the row
+        # matches the one spliced beside a gamma = 0 row, timings aside.
+        spliced = tmp_path / "spliced.csv"
+        cfg = write_config(tmp_path, gammas=[0, 3], seeds=[1, 2])
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(spliced)]) == 0
+        bases = []
+        original = cli.distance_matrix
+        monkeypatch.setattr(cli, "distance_matrix",
+                            lambda g, ell, *base: bases.append(base) or original(g, ell, *base))
+        lone = tmp_path / "lone.csv"
+        cfg = write_config(tmp_path, gammas=[3], seeds=[1, 2])
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(lone)]) == 0
+        assert bases == [(), ()]
+        assert [strip_timings(r) for r in read_rows(lone)] == \
+            [strip_timings(r) for r in read_rows(spliced) if r.split(",")[4] == "3"]
+        assert all(r.split(",")[10] for r in read_rows(lone))  # qk_bound is still written
+        # A certificate reads the unedited matrix, so the row splices from it.
+        bases.clear()
+        cfg = write_config(tmp_path, gammas=[3], seeds=[1], rogue=True)
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(lone)]) == 0
+        assert [len(base) for base in bases] == [0, 2]
 
     def test_rows_regenerate_identically(self, tmp_path):
         cfg = write_config(tmp_path, gammas=[0, 2], seeds=[3])

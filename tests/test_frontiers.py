@@ -331,7 +331,8 @@ def test_common_sphere_candidates_match_apsp(g, ell, gamma):
         with pytest.raises(GreedyExhausted):
             _common_sphere_candidates(g, dl, gamma, hubs)
     else:
-        got = _common_sphere_candidates(g, dl, gamma, hubs)
+        k_sets, shells = _common_sphere_candidates(g, dl, gamma, hubs)
+        got = zip(k_sets, (np.flatnonzero(s) for s in shells.T))
         assert [(k.tolist(), s.tolist()) for k, s in got] == want
 
 

@@ -205,6 +205,13 @@ class TestDetect:
         assert a.K_used == pytest.approx(16.0 / 3.0)
         assert [p.value for p in rec_a.pairs] == [p.value for p in rec_b.pairs]
 
+    def test_a_one_vertex_graph_is_labelled_from_its_one_pair(self):
+        # One vertex has one eigenpair, (0, e_0), and the rounding reads it.
+        g = ds.SparseGraph.from_edges(1, [])
+        assignment, record = ds.detect(g, ds.derive_spectral_profile(small_params(2)), 2, 0)
+        assert [(p.value, p.vector.tolist()) for p in record.pairs] == [(0.0, [1.0])]
+        assert assignment.source == 0 and assignment.labels.tolist() == [1]
+
     def test_a_passed_matrix_gives_the_same_detection(self, monkeypatch):
         params = small_params(400)
         profile = ds.derive_spectral_profile(params)

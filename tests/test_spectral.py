@@ -22,6 +22,26 @@ def dense_op(A):
     return graph.SparseSymMatrix(len(A), 1, "explicit", sp.csr_matrix(A))
 
 
+@pytest.fixture
+def arpack_runs(monkeypatch):
+    """(k, tol, outcome, pairs returned) of every ARPACK run, in order."""
+    import scipy.sparse.linalg
+
+    runs, eigsh = [], scipy.sparse.linalg.eigsh
+
+    def recorded(*args, **kw):
+        try:
+            w, u = eigsh(*args, **kw)
+        except scipy.sparse.linalg.ArpackNoConvergence as exc:
+            runs.append((kw["k"], kw["tol"], "no convergence", len(exc.eigenvalues)))
+            raise
+        runs.append((kw["k"], kw["tol"], "converged", len(w)))
+        return w, u
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recorded)
+    return runs
+
+
 class TestTopEigenpairs:
     def test_identity(self):
         pairs = ds.top_eigenpairs(dense_op(np.eye(3)), 3, 1, seed=1)
@@ -103,6 +123,38 @@ class TestTopEigenpairs:
         with pytest.warns(NoConvergence):
             pairs = ds.top_eigenpairs(dl, 300, 6, seed=1)
         assert len(pairs) < 6
+
+    @staticmethod
+    def clustered():
+        """10 and 9.9 above 59 eigenvalues spaced 1e-6 apart just below 9.9,
+        which ARPACK separates from 9.9, and from each other, only slowly."""
+        top = [10.0, 9.9] + [9.9 - i * 1e-6 for i in range(1, 60)]
+        return graph.SparseSymMatrix(200, 1, "explicit", _explicit_spectrum(top, 1.0, seed=0))
+
+    def test_a_partial_arpack_return_keeps_its_converged_pairs(self, monkeypatch, arpack_runs):
+        # The first run's restarts run out with 10 converged and 9.9 not.
+        monkeypatch.setattr(spectral, "_MAX_MATVECS", 100)
+        with pytest.warns(NoConvergence, match="^1/2 eigenpairs converged"):
+            pairs = ds.top_eigenpairs(self.clustered(), 200, 2, seed=1)
+        assert arpack_runs == [(2, 1e-9, "no convergence", 1)]
+        assert len(pairs) == 1 and pairs[0].value == pytest.approx(10.0, rel=1e-9)
+        assert pairs[0].residual <= 1e-7
+
+    def test_an_empty_tight_run_ends_the_check_with_the_pairs_found(self, monkeypatch,
+                                                                    arpack_runs):
+        # Both pairs converge, the screen cannot rule the cluster out, and
+        # the tight run's one restart converges nothing: the check stops.
+        monkeypatch.setattr(spectral, "_MAX_MATVECS", 375)
+        mat = self.clustered()
+        with pytest.warns(NoConvergence, match="^2/2 eigenpairs converged"):
+            pairs = ds.top_eigenpairs(mat, 200, 2, seed=1)
+        assert [run[:3] for run in arpack_runs] == [
+            (2, 1e-9, "converged"), (1, spectral._SCREEN_TOL, "converged"),
+            (1, 1e-9, "no convergence")]
+        assert arpack_runs[-1][3] == 0
+        assert [p.value for p in pairs] == pytest.approx([10.0, 9.9], rel=1e-9)
+        assert max(p.residual for p in pairs) <= 1e-7
+        assert mat not in spectral._solved
 
     def test_empty_operator_raises(self):
         with pytest.raises(DegenerateOperator):
