@@ -116,7 +116,8 @@ class ExperimentConfig:
 
 
 def _default_config() -> ExperimentConfig:
-    params = SbmParams(r=2, W=[[5.0, 1.0], [1.0, 5.0]], pi=[0.5, 0.5], n=2000)
+    params = SbmParams(r=2, W=np.array([[5.0, 1.0], [1.0, 5.0]]),
+                       pi=np.array([0.5, 0.5]), n=2000)
     return ExperimentConfig(params=params, ell=4)
 
 
@@ -240,14 +241,13 @@ def cmd_sweep(args) -> int:
         fh.write(CSV_VERSION + "\n" + CSV_HEADER + "\n")
         for seed in config.seeds:
             sample = sample_graph(config.params, seed)
-            # (D^ell, build ms) of the unedited graph, built on first use and shared
-            # by the gamma = 0 row, the edited rows' splices and the rogue
-            # certificates; with no other reader, a lone edited row builds in full.
+            # (D^ell, build ms) of the unedited graph, built on first use: the
+            # gamma = 0 row, every edited row's splice and every rogue
+            # certificate share it.
             unedited = functools.cache(functools.partial(timed, distance_matrix, sample.graph, ell))
-            splice = len(gammas) > 1 or config.rogue
             for gamma in gammas:
                 try:
-                    row, rogue_error = _sweep_row(config, profile, sample, unedited, splice,
+                    row, rogue_error = _sweep_row(config, profile, sample, unedited,
                                                   ell, seed, gamma)
                 except Exception as exc:  # record and continue
                     failures += 1
@@ -262,7 +262,7 @@ def cmd_sweep(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def _sweep_row(config, profile, sample, unedited, splice, ell, seed, gamma):
+def _sweep_row(config, profile, sample, unedited, ell, seed, gamma):
     graph = sample.graph
     qk = None
     rogue_r = None
@@ -270,8 +270,7 @@ def _sweep_row(config, profile, sample, unedited, splice, ell, seed, gamma):
         perturbed, p = plant_clique(graph, gamma, derive_seed(seed, f"perturb:{gamma}"))
         qk, near = _edit_reach(graph, p.affected, ell)
         graph = perturbed
-        base = (unedited()[0], near) if splice else ()
-        mat, ms_build = timed(distance_matrix, graph, ell, *base)
+        mat, ms_build = timed(distance_matrix, graph, ell, unedited()[0], near)
     else:
         mat, ms_build = unedited()
 
@@ -434,12 +433,14 @@ def _verify_oracles() -> list[tuple[str, bool, str]]:
     # The coins start off and on a Philox block boundary; at n = 700 the rows
     # past _DRAW_THROUGH jump their skips.
     for n in (61, 100, 700):
-        params = SbmParams(r=3, W=[[150.0, 2, 0], [2, 4, 3], [0, 3, 9]], pi=[0.5, 0.3, 0.2], n=n)
+        params = SbmParams(r=3, W=np.array([[150.0, 2, 0], [2, 4, 3], [0, 3, 9]]),
+                           pi=np.array([0.5, 0.3, 0.2]), n=n)
         ok &= all(sample_to_json(sample_graph(params, s), params.r) == _oracle_coin_sweep(params, s)
                   for s in range(7, 10))
     results = [("oracles.sampler_matches_coin_sweep", bool(ok),
                 "3 seeds x n in {61,100,700}, 3 blocks with clamped and zero entries")]
-    params = SbmParams(r=2, W=[[5.0, 1.0], [1.0, 5.0]], pi=[0.5, 0.5], n=120)
+    params = SbmParams(r=2, W=np.array([[5.0, 1.0], [1.0, 5.0]]),
+                       pi=np.array([0.5, 0.5]), n=120)
     ok_dist = ok_layout = ok_shells = ok_splice = True
     for seed in range(3):
         graph = sample_graph(params, seed + 7).graph
@@ -479,7 +480,8 @@ def _verify_oracles() -> list[tuple[str, bool, str]]:
                     "sorted rows without duplicates and exact symmetry, same graphs"))
     results.append(("oracles.shells_and_tangle_match_apsp", bool(ok_shells),
                     "shell sizes, tangle offenders and 20 cycle shells, same graphs"))
-    params_small = SbmParams(r=2, W=[[6.0, 2.0], [2.0, 6.0]], pi=[0.5, 0.5], n=40)
+    params_small = SbmParams(r=2, W=np.array([[6.0, 2.0], [2.0, 6.0]]),
+                             pi=np.array([0.5, 0.5]), n=40)
     ok_all = True
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CapSaturated)
@@ -494,7 +496,8 @@ def _verify_oracles() -> list[tuple[str, bool, str]]:
 
 def _verify_spectra() -> list[tuple[str, bool, str]]:
     results = []
-    params = SbmParams(r=2, W=[[5.0, 1.0], [1.0, 5.0]], pi=[0.5, 0.5], n=300)
+    params = SbmParams(r=2, W=np.array([[5.0, 1.0], [1.0, 5.0]]),
+                       pi=np.array([0.5, 0.5]), n=300)
     sample = sample_graph(params, 11)
     dl = distance_matrix(sample.graph, 3)
     pairs = top_eigenpairs(dl, sample.graph.n, k=4, seed=3)
@@ -609,7 +612,8 @@ def _verify_bounds() -> list[tuple[str, bool, str]]:
     exact, bound = qc_bound([1, 4, 16])
     results.append(("bounds.qc_exact_below_rowsum", exact <= bound + 1e-12,
                     f"exact={exact:.3f} bound={bound:.3f}"))
-    params = SbmParams(r=2, W=[[5.0, 1.0], [1.0, 5.0]], pi=[0.5, 0.5], n=300)
+    params = SbmParams(r=2, W=np.array([[5.0, 1.0], [1.0, 5.0]]),
+                       pi=np.array([0.5, 0.5]), n=300)
     sample = sample_graph(params, 5)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # saturation is expected on tangled samples
@@ -634,7 +638,8 @@ def _verify_gw() -> list[tuple[str, bool, str]]:
     from .gw import finite_depth_second_moments
 
     results = []
-    params = SbmParams(r=2, W=[[5.0, 1.0], [1.0, 5.0]], pi=[0.5, 0.5], n=100)
+    params = SbmParams(r=2, W=np.array([[5.0, 1.0], [1.0, 5.0]]),
+                       pi=np.array([0.5, 0.5]), n=100)
     profile = derive_spectral_profile(params)
     mu = float(profile.mu[1])
     phi = profile.phi[1]

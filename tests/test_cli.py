@@ -710,29 +710,6 @@ class TestSweep:
         assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 0
         assert counts == {"distance_matrix": 1 + 2}
 
-    def test_a_lone_edited_row_builds_its_graph_in_full(self, tmp_path, monkeypatch):
-        # Nothing else reads the unedited D^ell, so it is not built; the row
-        # matches the one spliced beside a gamma = 0 row, timings aside.
-        spliced = tmp_path / "spliced.csv"
-        cfg = write_config(tmp_path, gammas=[0, 3], seeds=[1, 2])
-        assert cli.main(["sweep", "--config", str(cfg), "--out", str(spliced)]) == 0
-        bases = []
-        original = cli.distance_matrix
-        monkeypatch.setattr(cli, "distance_matrix",
-                            lambda g, ell, *base: bases.append(base) or original(g, ell, *base))
-        lone = tmp_path / "lone.csv"
-        cfg = write_config(tmp_path, gammas=[3], seeds=[1, 2])
-        assert cli.main(["sweep", "--config", str(cfg), "--out", str(lone)]) == 0
-        assert bases == [(), ()]
-        assert [strip_timings(r) for r in read_rows(lone)] == \
-            [strip_timings(r) for r in read_rows(spliced) if r.split(",")[4] == "3"]
-        assert all(r.split(",")[10] for r in read_rows(lone))  # qk_bound is still written
-        # A certificate reads the unedited matrix, so the row splices from it.
-        bases.clear()
-        cfg = write_config(tmp_path, gammas=[3], seeds=[1], rogue=True)
-        assert cli.main(["sweep", "--config", str(cfg), "--out", str(lone)]) == 0
-        assert [len(base) for base in bases] == [0, 2]
-
     def test_rows_regenerate_identically(self, tmp_path):
         cfg = write_config(tmp_path, gammas=[0, 2], seeds=[3])
         out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
