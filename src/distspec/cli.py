@@ -46,6 +46,7 @@ from .model import (
     SbmParams,
     SpectralProfile,
     TypedGraphSample,
+    _check_depth,
     _check_kappa,
     choose_ell,
     derive_spectral_profile,
@@ -55,7 +56,7 @@ from .model import (
 )
 from .reconstruct import detect, overlap, round_labels
 from .spectral import _TOL, delta_radius_check, qc_bound, top_eigenpairs
-from .util import _key, derive_seed, is_int, make_rng, require_keys, timed
+from .util import _key, derive_seed, make_rng, require_keys, timed
 
 CSV_HEADER = ("seed,n,r,ell,gamma,overlap,lambda1,lambda2,lambda3,lambda4,"
               "qk_bound,rogue_rayleigh,ms_build,ms_eig,ms_label")
@@ -85,8 +86,8 @@ class ExperimentConfig:
             _check_strength(gamma)
         if not isinstance(self.rogue, bool):
             raise ValueError(f"rogue must be true or false, got {self.rogue!r}")
-        if self.ell is not None and (not is_int(self.ell) or self.ell < 1):
-            raise ValueError(f"ell must be a positive integer, got {self.ell!r}")
+        if self.ell is not None:
+            _check_depth(self.ell)
         if self.kappa is not None:
             _check_kappa(self.kappa)
 
@@ -407,8 +408,8 @@ def _oracle_cumulant_check(profile, phi, mu: float, order: int, runs: int, seed:
     Each resample gathers its runs and re-estimates.  The check's closed-form
     standard error is this bootstrap's limit as ``bootstrap`` grows.
     """
-    deep, shallow = _matched_depths(profile, np.asarray(phi, dtype=float), mu, runs, seed,
-                                    depth)
+    deep, shallow = zip(*_matched_depths(profile, np.asarray(phi, dtype=float), mu, runs, seed,
+                                         depth))
     MjT = np.ascontiguousarray(profile.M.T) / mu**order
     cum = np.array([_cumulant(x, order) for x in deep])
     predicted = MjT @ np.array([_raw_moment(y, order) for y in shallow])

@@ -187,6 +187,8 @@ class SparseSymMatrix:
 # sources may hold: keeps the blocked expansions at a few tens of MB.  The
 # same number, read as bytes, bounds one block of paths in ``_path_ends``.
 _BLOCK_ENTRIES = 1 << 20
+# Operand entries (both matrices) in one row block of a difference.
+_DIFF_ENTRIES = 1 << 16
 
 
 def frontiers(g: SparseGraph, sources: sp.spmatrix, ell: int) -> list[sp.csr_matrix]:
@@ -431,7 +433,7 @@ def path_expansion_matrix(g: SparseGraph, ell: int, cap: int = 2) -> SparseSymMa
 
     Enumerated in byte-bounded blocks by :func:`_path_ends`; the upper
     triangle is assembled once from every path's endpoints, duplicates
-    summed as exact int64 counts.  For small ell on sparse graphs.  Pairs
+    summed as exact integer counts.  For small ell on sparse graphs.  Pairs
     whose raw count exceeds ``cap`` are clamped and reported, in (v, w)
     order, via a :class:`CapSaturated` warning (they indicate tangles).
     """
@@ -441,18 +443,21 @@ def path_expansion_matrix(g: SparseGraph, ell: int, cap: int = 2) -> SparseSymMa
         raise ValueError("cap must be >= 1")
     n = g.n
     first, last = _path_ends(g, ell)
-    # The constructor sums duplicate pairs and sorts every row.
-    upper = sp.csr_matrix((np.ones(len(first), dtype=np.int64), (first, last)), shape=(n, n))
+    # The constructor sums duplicate pairs and sorts every row.  No count,
+    # nor a cap that clamps one, passes the number of paths, so the
+    # smallest unsigned type that holds it holds every count exactly; the
+    # triangles are joined in it and cast to float64 once.
+    count = np.min_scalar_type(len(first))
+    upper = sp.csr_matrix((np.ones(len(first), dtype=count), (first, last)), shape=(n, n))
     del first, last
     over = np.flatnonzero(upper.data > cap)
     if len(over):
         rows = np.searchsorted(upper.indptr, over, side="right") - 1
         warnings.warn(CapSaturated(zip(rows.tolist(), upper.indices[over].tolist())))
         upper.data[over] = cap
-    # Symmetrize in float64, the stored type, so no int64 full copy is formed.
-    upper = sp.csr_matrix((upper.data.astype(np.float64), upper.indices, upper.indptr),
-                          shape=(n, n))
-    return SparseSymMatrix(n, ell, "path", upper + upper.T)
+    full = upper + upper.T
+    del upper  # not alive through the cast
+    return SparseSymMatrix(n, ell, "path", full)
 
 
 def _require_built(mat: SparseSymMatrix, name: str, g: SparseGraph, ell: int, kind: str) -> None:
@@ -462,13 +467,28 @@ def _require_built(mat: SparseSymMatrix, name: str, g: SparseGraph, ell: int, ki
                          f"not the {kind} matrix of this graph at depth {ell}")
 
 
+def _row_difference(a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
+    """a - b as a float64 CSR with no stored zeros, a block of rows at a time.
+
+    scipy sizes a difference's buffers for the operands' summed nnz, which
+    a nearly equal pair (``B^ell`` and ``D^ell``) does not come near, and
+    casts an operand of another type (a bool ``D^ell``) to the result's;
+    blocked, both hold about ``_DIFF_ENTRIES`` entries, and only the
+    difference is kept.  Each row of a difference is computed on its own,
+    so the blocks give the whole-matrix difference array for array.
+    """
+    step = max(1, a.shape[0] * _DIFF_ENTRIES // max(a.nnz + b.nnz, 1))
+    parts = [a[lo:lo + step] - b[lo:lo + step] for lo in range(0, max(a.shape[0], 1), step)]
+    diff = sp.vstack(parts, format="csr")
+    diff.eliminate_zeros()
+    return diff
+
+
 def difference_matrix(a: SparseSymMatrix, b: SparseSymMatrix, kind: str = "diff") -> SparseSymMatrix:
     """Signed entrywise difference a - b (used for perturbation spectra)."""
     if a.n != b.n:
         raise ValueError("matrix sizes differ")
-    diff = a._full - b._full
-    diff.eliminate_zeros()
-    return SparseSymMatrix(a.n, a.ell, kind, diff)
+    return SparseSymMatrix(a.n, a.ell, kind, _row_difference(a._full, b._full))
 
 
 def delta_matrix(bl: SparseSymMatrix, dl: SparseSymMatrix) -> SparseSymMatrix:
@@ -480,7 +500,14 @@ def delta_matrix(bl: SparseSymMatrix, dl: SparseSymMatrix) -> SparseSymMatrix:
     """
     if bl.ell != dl.ell:
         raise ValueError("matrices were built for different depths")
-    delta = difference_matrix(bl, dl, "delta")
+    return _delta(bl, dl._full)
+
+
+def _delta(bl: SparseSymMatrix, dl: sp.csr_matrix) -> SparseSymMatrix:
+    """:func:`delta_matrix` of ``bl`` and the rows ``dl`` of ``D^ell``, which
+    may be the bool CSR that ``_expand`` returns: no float copy of it is
+    made whole."""
+    delta = SparseSymMatrix(bl.n, bl.ell, "delta", _row_difference(bl._full, dl))
     if delta.min_value() < 0:
         bad = [(int(i), int(j)) for i, j, v in delta.entries() if v < 0]
         raise NegativeEntry(f"negative entries at {bad[:5]}")

@@ -11,6 +11,7 @@ are verified here both by closed-form solves and by Monte Carlo.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from collections import deque
 from dataclasses import dataclass
@@ -22,6 +23,10 @@ from .model import SpectralProfile
 from .util import _sfc64_rng, derive_seed, is_int
 
 DEFAULT_CAP = 10**7
+# Rows of a generation drawn, and of a projection formed, at a time: their
+# float64 rates and int64 counts stay near 64 KB (at r = 2) whatever the
+# run count.
+_CHUNK_ROWS = 1 << 12
 
 
 class SingularSystem(ValueError):
@@ -108,38 +113,56 @@ class MartingaleSample:
     capped_runs: int
 
 
+def _chunks(rows: int) -> list[slice]:
+    """Slices of about ``_CHUNK_ROWS`` rows covering ``range(rows)``.
+
+    A lone last row joins the chunk before it: NumPy computes a one-row
+    product as a dot product, not through the BLAS matrix kernels that
+    give every other row its bits, so a one-row chunk of a longer array
+    would move the last bit of that row's rates.
+    """
+    starts = range(0, max(rows - 1, 1), _CHUNK_ROWS)
+    return [slice(lo, hi) for lo, hi in zip(starts, [*starts[1:], rows])]
+
+
 def _branching(cfg: GwConfig) -> tuple[np.ndarray, np.ndarray, Iterator[np.ndarray]]:
     """``(root types, cap flags, generations)`` of one simulation.
 
-    ``generations`` yields Z_0, ..., Z_depth as fresh (runs, r) int64
-    arrays, each drawn from the one before, so a caller holds only the
-    generations it keeps.  The draws are the root types, then one Poisson
-    array per generation, from the SFC64 stream of the config's seed.  A
-    run whose total passes the cap is frozen at its previous state; the
-    flags are final, and one :class:`PopulationCapHit` warned if any run
-    froze, once the iterator is exhausted.
+    ``generations`` yields Z_0, ..., Z_depth as one (runs, r) int64 array
+    that each step advances in place, a chunk of rows at a time, so
+    the draw's temporaries are chunk-sized and a caller copies what it
+    keeps.  The draws are the root types, then one Poisson variate per
+    entry of each generation in row-major order, from the SFC64 stream of
+    the config's seed: the chunks split one generation's draw without
+    moving a variate.  A run whose total passes the cap is frozen at its
+    previous state (a rule that reads only the run's own row); the flags
+    are final, and one :class:`PopulationCapHit` warned if any run froze,
+    once the iterator is exhausted.
     """
     rng = _sfc64_rng(cfg.seed)
     r = cfg.r
+    Z = np.zeros((cfg.runs, r), dtype=np.int64)
     if isinstance(cfg.root_law, (int, np.integer)):
         root_types = np.full(cfg.runs, int(cfg.root_law), dtype=np.int64)
+        Z[:, int(cfg.root_law)] = 1
     else:
         root_types = rng.choice(r, size=cfg.runs, p=cfg.root_law)
+        Z[np.arange(cfg.runs), root_types] = 1
     capped = np.zeros(cfg.runs, dtype=bool)
 
-    def generations():
-        Z = np.zeros((cfg.runs, r), dtype=np.int64)
-        Z[np.arange(cfg.runs), root_types] = 1
+    def generations():  # holds no reference to the root types
         yield Z
         MT = cfg.M.T
         for _ in range(cfg.depth):
-            nxt = rng.poisson(Z @ MT)
-            # No total can pass the cap while r times the largest entry does not.
-            if capped.any() or int(nxt.max()) * r > cfg.cap:
-                frozen = capped | (nxt.sum(axis=1) > cfg.cap)
-                nxt[frozen] = Z[frozen]
-                capped[frozen] = True
-            Z = nxt
+            for rows in _chunks(cfg.runs):
+                z, was = Z[rows], capped[rows]
+                nxt = rng.poisson(z @ MT)
+                # No total can pass the cap while r times the largest entry does not.
+                if was.any() or int(nxt.max()) * r > cfg.cap:
+                    frozen = was | (nxt.sum(axis=1) > cfg.cap)
+                    nxt[frozen] = z[frozen]
+                    was[frozen] = True
+                z[...] = nxt
             yield Z
         if capped.any():
             warnings.warn(PopulationCapHit(int(capped.sum()), cfg.runs))
@@ -173,8 +196,17 @@ def _check_supercritical(M: np.ndarray, mu: float) -> None:
 
 
 def _rescaled(Z_t: np.ndarray, phi: np.ndarray, mu: float, t: int) -> np.ndarray:
-    """mu^(-t) <phi, Z_t> per run of one (runs, r) generation."""
-    return (Z_t @ np.asarray(phi, dtype=float)) / float(mu) ** t
+    """mu^(-t) <phi, Z_t> per run of one (runs, r) generation.
+
+    Formed a chunk of rows at a time (:func:`_chunks`), so no float copy of
+    Z_t is made.
+    """
+    phi = np.asarray(phi, dtype=float)
+    X = np.empty(len(Z_t))
+    for rows in _chunks(len(Z_t)):
+        X[rows] = Z_t[rows] @ phi
+    X /= float(mu) ** t
+    return X
 
 
 def martingale_values(sample: PopulationSample, phi: np.ndarray, mu: float,
@@ -200,6 +232,7 @@ def martingale_limit_check(cfg: GwConfig, phi: np.ndarray, mu: float) -> Marting
     (last,) = deque(generations, maxlen=1)
     phi = np.asarray(phi, dtype=float)
     X_all = _rescaled(last, phi, mu, cfg.depth)
+    del last
     ok = ~capped
     X = X_all[ok]
     if len(X) < 2:
@@ -301,26 +334,28 @@ class CumulantCheck:
 
 
 def _matched_depths(profile: SpectralProfile, phi: np.ndarray, mu: float, runs: int,
-                    seed: int, depth: int) -> tuple[list, list]:
-    """Uncapped X at ``depth`` and ``depth - 1``, one simulation per root type.
+                    seed: int, depth: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yields ``(X at depth, X at depth - 1)`` of the uncapped runs, one
+    simulation per root type.
 
-    Each simulation keeps one generation between draws: X at ``depth - 1``
-    is read off as soon as that generation is drawn, and only the X values
-    outlive the simulation.
+    Each simulation advances one generation in place: X at ``depth - 1`` is
+    read off as soon as that generation is drawn, and the generation is
+    dropped before the pair is yielded, so a caller that reduces each pair
+    before asking for the next holds one root type's X values at a time.
     """
-    deep, shallow = [], []
     for i in range(profile.M.shape[0]):
         cfg = GwConfig(M=profile.M, root_law=i, depth=depth, runs=runs,
                        seed=derive_seed(seed, f"gw-root-{i}"))
-        _, capped, generations = _branching(cfg)
+        capped, generations = _branching(cfg)[1:]
         for t, Z in enumerate(generations):
             if t == depth - 1:
                 before = _rescaled(Z, phi, mu, t)
+        deep = _rescaled(Z, phi, mu, depth)
+        del Z
         ok = ~capped  # final only once the generations are exhausted
-        deep.append(_rescaled(Z, phi, mu, depth)[ok])
-        shallow.append(before[ok])
-        del before, Z  # not alive through the next root type's simulation
-    return deep, shallow
+        deep, before = deep[ok], before[ok]
+        yield deep, before
+        del deep, before  # not alive through the next root type's simulation
 
 
 def cumulant_relation_check(
@@ -349,29 +384,34 @@ def cumulant_relation_check(
         raise ValueError("need depth >= 1")
     M = profile.M
     _check_supercritical(M, mu)
-    r = M.shape[0]
     phi = np.asarray(phi, dtype=float)
-    deep, shallow = _matched_depths(profile, phi, mu, runs, seed, depth)
-    if min(len(x) for x in deep) < 3:
-        raise ValueError("every root type needs at least 3 uncapped runs")
 
-    cum = np.array([_cumulant(x, order) for x in deep])
-    raw = np.array([_raw_moment(x, order) for x in shallow])
+    def per_type(x, y):
+        """One root type's estimates and its runs' influence sums: the k-statistic
+        of X at depth (x), the raw moment at depth - 1 (y), then the products
+        of their per-run influences fk and fm, and the run count."""
+        if len(x) < 3:
+            raise ValueError("every root type needs at least 3 uncapped runs")
+        cum, raw = _cumulant(x, order), _raw_moment(y, order)
+        xc = x - x.mean()
+        fk = xc**order
+        fk -= fk.mean()
+        if order == 3:
+            fk -= 3 * (xc**2).mean() * xc
+        del xc
+        fm = y**order
+        fm -= fm.mean()
+        return cum, raw, fk @ fk, fm @ fm, fk @ fm, len(x)
+
+    # starmap keeps no root type's X once its statistics are returned.
+    stats = itertools.starmap(per_type, _matched_depths(profile, phi, mu, runs, seed, depth))
+    cum, raw, A, B, C, counts = map(np.array, zip(*stats))
     # A type-i particle has Poisson(M[k, i]) type-k children: type i reads column i of M.
     MjT = np.ascontiguousarray(M.T) / mu**order
     predicted = MjT @ raw
     residual = cum - predicted
 
-    # Per-run influence of each type's k-statistic (fk) and raw moment (fm).
-    A, B, C = np.empty(r), np.empty(r), np.empty(r)
-    for i, (x, y) in enumerate(zip(deep, shallow)):
-        xc = x - x.mean()
-        fk = xc**order - (xc**order).mean()
-        if order == 3:
-            fk -= 3 * (xc**2).mean() * xc
-        fm = y**order - (y**order).mean()
-        A[i], B[i], C[i] = fk @ fk, fm @ fm, fk @ fm
-    n2 = np.array([len(x) for x in deep], dtype=float) ** 2
+    n2 = counts.astype(float) ** 2
     se = np.sqrt((A - 2 * np.diag(MjT) * C) / n2 + MjT**2 @ (B / n2))
     z = np.abs(residual) / np.where(se > 0, se, np.inf)
     return CumulantCheck(

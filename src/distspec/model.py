@@ -25,7 +25,7 @@ from .util import canonical_sign, is_int, make_rng, require_keys
 _TOL_PI = 1e-12
 _TOL_REG = 1e-9
 _TOL_MULT = 1e-9
-_COIN_ENTRIES = 1 << 20  # edge coins one row group of the sampler holds (8 MB)
+_COIN_ENTRIES = 1 << 18  # edge coins one row group of the sampler holds (2 MB)
 # Rows u below this are drawn whole, their u + 1 coins left of the diagonal
 # included: a jump over a skip (``_skip``: ``advance`` and two partial draws)
 # costs about 5 us, the price of drawing about 500 coins at 6 ns each.
@@ -38,6 +38,13 @@ class NotPositiveRegular(ValueError):
 
 class InvalidKappa(ValueError):
     """Depth-scaling exponent must be positive and finite."""
+
+
+def _check_depth(ell) -> None:
+    """Raise ``ValueError`` unless the matrix depth ``ell`` is an integer
+    (``util.is_int``) of at least 1."""
+    if not is_int(ell) or ell < 1:
+        raise ValueError(f"depth ell must be an integer >= 1, got {ell!r}")
 
 
 def _check_kappa(kappa) -> None:
@@ -67,7 +74,11 @@ class SbmParams:
                    if isinstance(x, bool) or not isinstance(x, numbers.Real)]
             if bad:
                 raise ValueError(f"{name} must be real numbers, got {bad[0]!r}")
-            object.__setattr__(self, name, entries.astype(float))
+            values = entries.astype(float)
+            bad = [x for x in values.ravel().tolist() if not math.isfinite(x)]
+            if bad:
+                raise ValueError(f"{name} must be finite, got {bad[0]!r}")
+            object.__setattr__(self, name, values)
         if self.r < 2:
             raise ValueError("need at least two blocks")
         if self.n < self.r:
@@ -282,8 +293,7 @@ def choose_ell(
     """
     _check_kappa(kappa)
     if override is not None:
-        if not is_int(override) or override < 1:
-            raise ValueError(f"override depth must be >= 1 and integral, got {override!r}")
+        _check_depth(override)
         return EllChoice(int(override), True, False, kappa < 1.0 / 12.0)
     if profile.alpha <= 1.0:
         raise ValueError("alpha must exceed 1 to choose a depth")

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import SparseGraph, SparseSymMatrix, _expand, _require_built, delta_matrix, \
+from .graph import SparseGraph, SparseSymMatrix, _delta, _expand, _require_built, \
     fundamental_cycles, path_expansion_matrix
 from .util import canonical_sign, is_int, make_rng
 
@@ -359,8 +359,10 @@ def delta_radius_check(
     (max over fundamental cycles of the exact small-matrix radius) and
     the log(n)-scaled growth bound.  Only feasible where the path
     matrix is (n up to a few thousand, small ell).  One vertex expansion
-    gives ``D^ell``; a passed ``bl`` (say, one built with another ``cap``)
-    must be this graph's path matrix at depth ``ell``.
+    gives ``D^ell``, kept as its bool rows (1 byte an entry against
+    float64's 8) through the path enumeration and cast a row block at a
+    time by the subtraction; a passed ``bl`` (say, one built with another
+    ``cap``) must be this graph's path matrix at depth ``ell``.
 
     The cycle bound expands only the cycles that can reach it.  Every
     fundamental cycle's layer sizes are first bounded without a traversal
@@ -377,9 +379,9 @@ def delta_radius_check(
     """
     if bl is not None:
         _require_built(bl, "bl", g, ell, "path")
-    dl = SparseSymMatrix(g.n, ell, "distance", _expand(g, ell, distance=True)[0])
+    dl = _expand(g, ell, distance=True)[0]
     bl = path_expansion_matrix(g, ell) if bl is None else bl
-    delta = delta_matrix(bl, dl)
+    delta = _delta(bl, dl)
     del dl, bl  # the cycle-set expansion below runs without the matrices
     rho = 0.0
     if delta.nnz:

@@ -104,7 +104,9 @@ class TestConfig:
         ("kappa", "3"), ("kappa", True), ("kappa", 0), ("kappa", -0.5)])
     def test_non_positive_or_mistyped_depth_fields_are_rejected(self, tmp_path, field, value):
         cfg = write_config(tmp_path, **{"ell": None, field: value})
-        with pytest.raises(ValueError, match=f"{field} must be a positive"):
+        message = {"ell": "depth ell must be an integer >= 1",
+                   "kappa": "kappa must be a positive"}[field]
+        with pytest.raises(ValueError, match=f"^{message}"):
             cli.ExperimentConfig.load(str(cfg))
 
     @pytest.mark.parametrize("field, overrides", [
@@ -188,6 +190,14 @@ VALUE_RULES = {
                   {"params": dict(PARAMS, pi=[0.5, "0.5"])}, "pi must be real numbers, got '0.5'"),
     "pi-bool": (lambda: _sbm(pi=[True, False]), _load_config,
                 {"params": dict(PARAMS, pi=[True, False])}, "pi must be real numbers, got True"),
+    "W-inf": (lambda: _sbm(W=[[math.inf, 1], [1, 5]]), _load_config,
+              {"params": dict(PARAMS, W=[[math.inf, 1], [1, 5]])}, "W must be finite, got inf"),
+    "W-nan": (lambda: _sbm(W=np.array([[5, 1], [1, np.nan]])), _load_config,
+              {"params": dict(PARAMS, W=[[5, 1], [1, math.nan]])}, "W must be finite, got nan"),
+    "pi-nan": (lambda: _sbm(pi=[math.nan, 1.0]), _load_config,
+               {"params": dict(PARAMS, pi=[math.nan, 1.0])}, "pi must be finite, got nan"),
+    "ell-float": (lambda: ds.choose_ell(ds.derive_spectral_profile(_sbm()), 300, override=2.5),
+                  _load_config, {"ell": 2.5}, "depth ell must be an integer >= 1, got 2.5"),
     "seed-float": (lambda: _config(seeds=(1.5,)), _load_config, {"seeds": [1.5]},
                    "seed must be an integer, got 1.5"),
     "seed-bool": (lambda: _config(seeds=(2, True)), _load_config, {"seeds": [2, True]},
@@ -248,7 +258,7 @@ class TestResolveEll:
 
     def test_library_callers_keep_the_depth_checks(self, tmp_path):
         cfg = cli.ExperimentConfig.load(str(write_config(tmp_path)))
-        with pytest.raises(ValueError, match="depth must be >= 1"):
+        with pytest.raises(ValueError, match="depth ell must be an integer >= 1"):
             cli._resolve_ell(argparse.Namespace(ell=0, kappa=None), cfg)
         with pytest.raises(InvalidKappa):
             cli._resolve_ell(argparse.Namespace(ell=None, kappa=0.0), cfg)

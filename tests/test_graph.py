@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import distspec as ds
+from distspec import graph
 from distspec.graph import CapSaturated, NegativeEntry
 
 from conftest import apsp_distance_oracle, simple_path_count_oracle, small_params
@@ -278,6 +279,26 @@ class TestDeltaMatrix:
         empty = ds.SparseSymMatrix.from_pairs(4, 2, "path", [], [], [])
         with pytest.raises(NegativeEntry):
             ds.delta_matrix(empty, ds.distance_matrix(square_graph, 2))
+
+    @pytest.mark.parametrize("entries", [1, 64, 1 << 16])
+    def test_row_blocks_give_the_whole_difference(self, monkeypatch, entries):
+        # Blocks of one row, of a few rows and of the whole matrix (n = 300), with
+        # D^ell as a float64 matrix and as the bool rows delta_radius_check subtracts.
+        g = ds.sample_graph(small_params(300), 0).graph
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CapSaturated)
+            bl = ds.path_expansion_matrix(g, 3)
+        dl = ds.distance_matrix(g, 3)
+        monkeypatch.setattr(graph, "_DIFF_ENTRIES", entries)
+        rows = graph._expand(g, 3, distance=True)[0]  # D^ell's bool rows
+        for (a, b), got in [((bl, dl), ds.delta_matrix(bl, dl)),
+                            ((bl, dl), graph._delta(bl, rows)),
+                            ((dl, bl), ds.difference_matrix(dl, bl))]:
+            whole = a._full - b._full
+            whole.eliminate_zeros()
+            for x, y in zip((got._full.indptr, got._full.indices, got._full.data),
+                            (whole.indptr, whole.indices, whole.data)):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
 
     def test_zero_one_on_untangled_pairs(self):
         # Entries above 1 need two cycles within reach of both endpoints,

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -165,7 +166,7 @@ class TestChooseEll:
 
     @pytest.mark.parametrize("override", [0, -2, 2.5, True, 4.0, "4"])
     def test_override_must_be_an_integer_of_at_least_one(self, two_type_profile, override):
-        with pytest.raises(ValueError, match="override depth must be >= 1 and integral"):
+        with pytest.raises(ValueError, match="depth ell must be an integer >= 1"):
             ds.choose_ell(two_type_profile, 1000, override=override)
 
     @pytest.mark.parametrize("W, ell", [([[3.0, 0.5], [0.5, 0.0]], 2),
@@ -343,6 +344,18 @@ class TestSamplerStream:
         inside = np.flatnonzero(sample.sigma == 0)
         expected = {(int(u), int(v)) for u in inside for v in inside if u < v}
         assert sample.graph.edge_set() == expected
+
+    def test_peak_allocation_stays_near_one_row_group(self):
+        # One 2 MB group of coins at n = 3,000; an 8 MB group peaked at 8.5 MB.
+        params = small_params(3000)
+        ds.sample_graph(params, 1)  # first-call allocations are not the sampler's
+        tracemalloc.start()
+        try:
+            ds.sample_graph(params, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20, peak
 
     @pytest.mark.parametrize("W, n, seed, digest", [
         ([[11.0, 1.0], [1.0, 11.0]], 4000, 1,
